@@ -16,6 +16,19 @@ factor D.
 
 States and inputs are plain float64 arrays in the component orders above.
 All functions are pure.
+
+Stacked points. The rhs and Jacobian functions (and the model wrappers) take
+either one point, states (d,) and inputs (m,), or a stack of n points, states
+(n, d) and inputs (n, m), with t a scalar or (n,). They return (d,)/(d, d) or
+(n, d)/(n, d, d). Out-of-envelope points raise :class:`DomainError`, whose
+``rows`` and ``reasons`` name every offending point of the stack.
+
+The dynamic model's tire, slip, disturbance and drivetrain laws are written
+once over stacks (``velocity_rates`` and ``dynamic_jacobian``); a single point
+is a stack of one. The one exception is ``dynamic_rhs`` on a single (6,)
+state: it keeps a scalar ``math`` body, because simulation steps it one point
+at a time and the scalar body costs about a fifth of the broadcasting one
+per call. The choice is made from the rank of the state.
 """
 
 from __future__ import annotations
@@ -36,12 +49,15 @@ __all__ = [
     "TirePair",
     "DrivetrainCoefficients",
     "DisturbanceConfig",
+    "COEFFICIENT_NAMES",
+    "coefficient_vector",
     "kinematic_rhs",
     "kinematic_jacobian",
     "pacejka_lateral_force",
     "pacejka_derivative",
     "slip_angles",
     "longitudinal_force",
+    "velocity_rates",
     "dynamic_rhs",
     "dynamic_jacobian",
     "disturbance_lateral_force",
@@ -58,11 +74,30 @@ DELTA_MAX = 0.5236
 
 
 class DomainError(ValueError):
-    """Evaluation requested outside a model's valid envelope."""
+    """Evaluation requested outside a model's valid envelope.
+
+    A stacked evaluation lists the indices of the offending points in
+    ``rows`` and one message per point in ``reasons``.
+    """
+
+    def __init__(self, message: str, rows=(), reasons=()):
+        super().__init__(message)
+        self.rows = np.asarray(rows, dtype=int)
+        self.reasons = list(reasons)
 
 
 class ConfigError(ValueError):
     """Malformed model or disturbance configuration."""
+
+
+def _check_envelope(bad, values, reason: str) -> None:
+    """Raise :class:`DomainError` for the points where ``bad`` holds;
+    ``reason`` is formatted with each point's entry of ``values``."""
+    if bad.any():
+        rows = np.flatnonzero(bad)
+        reasons = [reason.format(v) for v in np.ravel(values)[rows]]
+        more = f" (and {rows.size - 1} more points)" if rows.size > 1 else ""
+        raise DomainError(reasons[0] + more, rows, reasons)
 
 
 def wrap_angle(theta: float) -> float:
@@ -148,6 +183,19 @@ class DrivetrainCoefficients:
                 raise ConfigError(f"DrivetrainCoefficients.{name} must be >= 0")
 
 
+# Layout of the coefficient vectors the stacked dynamic code reads (one per
+# model, or one row per point); the tires' G and K are not part of it.
+COEFFICIENT_NAMES = ("Bf", "Cf", "Df", "Ef", "Br", "Cr", "Dr", "Er",
+                     "Cm1", "Cm2", "Cr0", "Cd")
+
+
+def coefficient_vector(tires: TirePair, drivetrain: DrivetrainCoefficients) -> np.ndarray:
+    """The twelve coefficients in :data:`COEFFICIENT_NAMES` order."""
+    f, r = tires.front, tires.rear
+    return np.array([f.B, f.C, f.D, f.E, r.B, r.C, r.D, r.E,
+                     drivetrain.Cm1, drivetrain.Cm2, drivetrain.Cr0, drivetrain.Cd])
+
+
 _DISTURBANCE_KEYS = {
     "wind": ("rho", "area", "Cw", "vw"),
     "bank": ("beta",),
@@ -214,30 +262,35 @@ class DisturbanceConfig:
 # kinematic bicycle
 
 
+def _kinematic_point(s, u):
+    """(theta, v, delta) of one or stacked kinematic points, envelope-checked."""
+    s, u = np.asarray(s, dtype=float), np.asarray(u, dtype=float)
+    steer = np.abs(u[..., 1])
+    _check_envelope(steer >= math.pi / 2, steer, "|delta|={:.3f} >= pi/2")
+    return s[..., 2], u[..., 0], u[..., 1]
+
+
 def kinematic_rhs(s, u, p: VehicleParams) -> np.ndarray:
     """(x-dot, y-dot, theta-dot) = (v cos th, v sin th, v tan d / L)."""
-    _, _, theta = s
-    v, delta = u
-    if abs(delta) >= math.pi / 2:
-        raise DomainError(f"|delta|={abs(delta):.3f} >= pi/2")
-    return np.array([v * math.cos(theta), v * math.sin(theta),
-                     v * math.tan(delta) / p.L])
+    theta, v, delta = _kinematic_point(s, u)
+    out = np.empty(theta.shape + (3,))
+    out[..., 0] = v * np.cos(theta)
+    out[..., 1] = v * np.sin(theta)
+    out[..., 2] = v * np.tan(delta) / p.L
+    return out
 
 
 def kinematic_jacobian(s, u, p: VehicleParams) -> np.ndarray:
     """d(rhs)/d(x, y, theta); only the theta column is nonzero."""
-    _, _, theta = s
-    v, delta = u
-    if abs(delta) >= math.pi / 2:
-        raise DomainError(f"|delta|={abs(delta):.3f} >= pi/2")
-    jac = np.zeros((3, 3))
-    jac[0, 2] = -v * math.sin(theta)
-    jac[1, 2] = v * math.cos(theta)
+    theta, v, _ = _kinematic_point(s, u)
+    jac = np.zeros(theta.shape + (3, 3))
+    jac[..., 0, 2] = -v * np.sin(theta)
+    jac[..., 1, 2] = v * np.cos(theta)
     return jac
 
 
 # ---------------------------------------------------------------------------
-# tire and drivetrain force laws
+# single-point tire and drivetrain force laws (scalar math)
 
 
 def _pacejka_parts(alpha: float, c: PacejkaCoefficients):
@@ -285,7 +338,7 @@ def longitudinal_force(throttle: float, vx: float, d: DrivetrainCoefficients) ->
 
 
 # ---------------------------------------------------------------------------
-# disturbances
+# single-point disturbances (scalar math)
 
 
 def _tire_scale(dist: DisturbanceConfig, s, t: float, p: VehicleParams) -> float:
@@ -300,19 +353,6 @@ def _tire_scale(dist: DisturbanceConfig, s, t: float, p: VehicleParams) -> float
         T_tire = q["T_initial"] + q["T_rate"] * t
         return max(0.0, 1.0 - math.exp(-q["kT"] * (T_tire - q["T0"])))
     raise ConfigError(f"{dist.kind!r} is not a tire-scale disturbance")
-
-
-def _tire_scale_gradient(dist: DisturbanceConfig, s, t: float, p: VehicleParams):
-    """(dS/dvx, dS/domega) of a scale-kind disturbance factor."""
-    q = dist.params
-    if dist.kind == "roll":
-        phi = p.m * s[3] * s[5] / q["k_phi"]
-        if 1.0 - q["stiffness_sensitivity"] * abs(phi) <= 0.0:
-            return 0.0, 0.0  # clamped region
-        sgn = math.copysign(1.0, phi) if phi != 0.0 else 0.0
-        coef = -q["stiffness_sensitivity"] * sgn * p.m / q["k_phi"]
-        return coef * s[5], coef * s[3]
-    return 0.0, 0.0  # temperature scale is time-only
 
 
 def disturbance_lateral_force(dist: DisturbanceConfig, s, t: float,
@@ -341,30 +381,140 @@ def disturbance_lateral_force(dist: DisturbanceConfig, s, t: float,
 
 
 # ---------------------------------------------------------------------------
-# dynamic bicycle
+# dynamic bicycle: stacked laws
 
 
-def _lateral_setup(s, u, p, tires, disturbances, t):
-    """Common slip/force evaluation shared by rhs and jacobian."""
-    alpha_f, alpha_r = slip_angles(s, u, p)
+def _check_speed(vx) -> None:
+    _check_envelope(vx <= VX_MIN, vx,
+                    f"vx={{:.3f}} <= vx_min={VX_MIN}; slip angles undefined")
+
+
+def _slip_terms(vx, vy, omega, delta, p: VehicleParams):
+    """Arctan arguments (qf, qr) and slip angles (alpha_f, alpha_r)."""
+    qf = (vy + p.lf * omega) / vx
+    qr = (vy - p.lr * omega) / vx
+    return qf, qr, delta - np.arctan(qf), -np.arctan(qr)
+
+
+def _tire_terms(alpha, B, C, E, G):
+    """(B a, psi, C arctan(psi)) of the magic formula; F = K + D sin(C arctan(psi))."""
+    ba = B * alpha
+    psi = ba - E * (ba - np.arctan(ba * G))
+    return ba, psi, C * np.arctan(psi)
+
+
+def _tire_slope(alpha, c: PacejkaCoefficients):
+    """sin(C arctan(psi)) and its alpha-derivative over stacked slip angles."""
+    ba, psi, arg = _tire_terms(alpha, c.B, c.C, c.E, c.G)
+    dpsi = c.B * (1.0 - c.E * (1.0 - c.G / (1.0 + (ba * c.G) ** 2)))
+    return np.sin(arg), np.cos(arg) * c.C * dpsi / (1.0 + psi * psi)
+
+
+def _scale_factor(dist: DisturbanceConfig, vx, omega, t, p: VehicleParams):
+    """Stacked factor of one scale-kind disturbance on the tire D (clamped at 0)."""
+    q = dist.params
+    if dist.kind == "roll":
+        phi = p.m * vx * omega / q["k_phi"]
+        return np.maximum(0.0, 1.0 - q["stiffness_sensitivity"] * np.abs(phi))
+    T_tire = q["T_initial"] + q["T_rate"] * t
+    return np.maximum(0.0, 1.0 - np.exp(-q["kT"] * (T_tire - q["T0"])))
+
+
+def _scale_slope(dist: DisturbanceConfig, vx, omega, p: VehicleParams):
+    """(dS/dvx, dS/domega) of one scale factor; the temperature factor is
+    time-only, and the roll factor is flat where it is clamped."""
+    q = dist.params
+    if dist.kind != "roll":
+        return 0.0, 0.0
+    phi = p.m * vx * omega / q["k_phi"]
+    unclamped = 1.0 - q["stiffness_sensitivity"] * np.abs(phi) > 0.0
+    coef = np.where(unclamped,
+                    -q["stiffness_sensitivity"] * np.sign(phi) * p.m / q["k_phi"], 0.0)
+    return coef * omega, coef * vx
+
+
+def _lateral_forcing(disturbances, vy, t, p: VehicleParams):
+    """Sum of the force-kind disturbances over stacked points [N]."""
+    force = 0.0
+    for dist in disturbances:
+        q = dist.params
+        if dist.kind == "wind":
+            v_rel = q["vw"] - vy
+            force = force + 0.5 * q["rho"] * q["area"] * q["Cw"] * v_rel * np.abs(v_rel)
+        elif dist.kind == "bank":
+            force = force + p.m * GRAVITY * math.sin(q["beta"])
+        elif dist.kind == "bump":
+            w = 2.0 * math.pi * q["z_frequency"]
+            z = q["z_amplitude"] * np.sin(w * t)
+            zdot = q["z_amplitude"] * w * np.cos(w * t)
+            force = force + (q["ks"] * z + q["cs"] * zdot)
+    return force
+
+
+def velocity_rates(vel, u, p: VehicleParams, coef, tires: TirePair,
+                   disturbances=(), t=0.0) -> np.ndarray:
+    """(vx-dot, vy-dot, omega-dot) over stacked velocities (..., 3) and
+    inputs (..., 2).
+
+    ``coef`` holds the coefficients in :data:`COEFFICIENT_NAMES` order,
+    either (12,) for every point or (..., 12) per point; the tires' G and K
+    come from ``tires``. There is no envelope check: callers make sure that
+    vx > 0.
+    """
+    vx, vy, omega = vel[..., 0], vel[..., 1], vel[..., 2]
+    throttle, delta = u[..., 0], u[..., 1]
+    _, _, alpha_f, alpha_r = _slip_terms(vx, vy, omega, delta, p)
     scale = 1.0
     for dist in disturbances:
         if dist.kind in SCALE_KINDS:
-            scale *= _tire_scale(dist, s, t, p)
-    sin_f, dsin_f = _pacejka_parts(alpha_f, tires.front)
-    sin_r, dsin_r = _pacejka_parts(alpha_r, tires.rear)
-    F_fy = tires.front.K + scale * tires.front.D * sin_f
-    F_ry = tires.rear.K + scale * tires.rear.D * sin_r
-    return alpha_f, alpha_r, scale, (sin_f, dsin_f, F_fy), (sin_r, dsin_r, F_ry)
+            scale = scale * _scale_factor(dist, vx, omega, t, p)
+    f, r = tires.front, tires.rear
+    arg_f = _tire_terms(alpha_f, coef[..., 0], coef[..., 1], coef[..., 3], f.G)[2]
+    arg_r = _tire_terms(alpha_r, coef[..., 4], coef[..., 5], coef[..., 7], r.G)[2]
+    F_fy = f.K + scale * coef[..., 2] * np.sin(arg_f)
+    F_ry = r.K + scale * coef[..., 6] * np.sin(arg_r)
+    F_rx = (coef[..., 8] * throttle - coef[..., 9] * vx) - coef[..., 10] - coef[..., 11] * vx * vx
+    F_lat = _lateral_forcing(disturbances, vy, t, p)
+    sd, cd = np.sin(delta), np.cos(delta)
+    return np.stack([
+        (F_rx - F_fy * sd) / p.m + vy * omega,
+        (F_ry + F_fy * cd + F_lat) / p.m - vx * omega,
+        (F_fy * p.lf * cd - F_ry * p.lr) / p.Iz,
+    ], axis=-1)
+
+
+def _stacked_dynamic_rhs(s, u, p, tires, drivetrain, disturbances, t) -> np.ndarray:
+    s, u = np.asarray(s, dtype=float), np.asarray(u, dtype=float)
+    theta, vx, vy = s[..., 2], s[..., 3], s[..., 4]
+    _check_speed(vx)
+    st, ct = np.sin(theta), np.cos(theta)
+    pose = np.stack([vx * ct - vy * st, vx * st + vy * ct, s[..., 5]], axis=-1)
+    vel = velocity_rates(s[..., 3:], u, p, coefficient_vector(tires, drivetrain),
+                         tires, disturbances, t)
+    return np.concatenate([pose, vel], axis=-1)
 
 
 def dynamic_rhs(s, u, p: VehicleParams, tires: TirePair,
                 drivetrain: DrivetrainCoefficients,
                 disturbances=(), t: float = 0.0) -> np.ndarray:
-    """Continuous-time derivatives of (x, y, theta, vx, vy, omega)."""
+    """Continuous-time derivatives of (x, y, theta, vx, vy, omega).
+
+    Stacked (n, 6) states go to the stacked laws; a single (6,) state takes
+    the scalar body below, which simulation steps one point at a time.
+    """
+    if np.ndim(s) == 2:
+        return _stacked_dynamic_rhs(s, u, p, tires, drivetrain, disturbances, t)
     x, y, theta, vx, vy, omega = s
     throttle, delta = u
-    _, _, _, (_, _, F_fy), (_, _, F_ry) = _lateral_setup(s, u, p, tires, disturbances, t)
+    alpha_f, alpha_r = slip_angles(s, u, p)
+    scale = 1.0
+    for dist in disturbances:
+        if dist.kind in SCALE_KINDS:
+            scale *= _tire_scale(dist, s, t, p)
+    sin_f, _ = _pacejka_parts(alpha_f, tires.front)
+    sin_r, _ = _pacejka_parts(alpha_r, tires.rear)
+    F_fy = tires.front.K + scale * tires.front.D * sin_f
+    F_ry = tires.rear.K + scale * tires.rear.D * sin_r
     F_rx = longitudinal_force(throttle, vx, drivetrain)
 
     F_lat = 0.0
@@ -385,64 +535,65 @@ def dynamic_rhs(s, u, p: VehicleParams, tires: TirePair,
 
 def dynamic_jacobian(s, u, p: VehicleParams, tires: TirePair,
                      drivetrain: DrivetrainCoefficients,
-                     disturbances=(), t: float = 0.0) -> np.ndarray:
-    """Exact 6x6 state Jacobian of :func:`dynamic_rhs` (inputs held)."""
-    x, y, theta, vx, vy, omega = s
-    throttle, delta = u
-    (alpha_f, alpha_r, scale,
-     (sin_f, dsin_f, F_fy), (sin_r, dsin_r, F_ry)) = _lateral_setup(
-        s, u, p, tires, disturbances, t)
-    sd, cd = math.sin(delta), math.cos(delta)
+                     disturbances=(), t=0.0) -> np.ndarray:
+    """Exact state Jacobian of :func:`dynamic_rhs` (inputs held): (6, 6) for
+    one point, (n, 6, 6) for stacked points."""
+    s, u = np.asarray(s, dtype=float), np.asarray(u, dtype=float)
+    theta, vx, vy, omega = s[..., 2], s[..., 3], s[..., 4], s[..., 5]
+    delta = u[..., 1]
+    _check_speed(vx)
+    qf, qr, alpha_f, alpha_r = _slip_terms(vx, vy, omega, delta, p)
 
-    # slip-angle partials w.r.t. (vx, vy, omega)
-    qf = (vy + p.lf * omega) / vx
-    qr = (vy - p.lr * omega) / vx
-    den_f = 1.0 + qf * qf
-    den_r = 1.0 + qr * qr
-    daf = np.array([qf / (vx * den_f), -1.0 / (vx * den_f), -p.lf / (vx * den_f)])
-    dar = np.array([qr / (vx * den_r), -1.0 / (vx * den_r), p.lr / (vx * den_r)])
+    # tire scale and its (vx, omega) gradient, composed by the product rule
+    scale, dscale_vx, dscale_om = 1.0, 0.0, 0.0
+    for dist in disturbances:
+        if dist.kind in SCALE_KINDS:
+            factor = _scale_factor(dist, vx, omega, t, p)
+            g_vx, g_om = _scale_slope(dist, vx, omega, p)
+            dscale_vx = dscale_vx * factor + scale * g_vx
+            dscale_om = dscale_om * factor + scale * g_om
+            scale = scale * factor
 
-    # roll-type scale factors depend on (vx, omega); temperature does not
-    dscale = np.zeros(3)  # over (vx, vy, omega)
-    if scale != 0.0:
-        for dist in disturbances:
-            if dist.kind in SCALE_KINDS:
-                si = _tire_scale(dist, s, t, p)
-                gvx, gom = _tire_scale_gradient(dist, s, t, p)
-                if si > 0.0:
-                    # product rule over composed scale factors
-                    dscale[0] += scale / si * gvx
-                    dscale[2] += scale / si * gom
-
-    # tire force partials over (vx, vy, omega)
-    dF_fy = scale * tires.front.D * dsin_f * daf + tires.front.D * sin_f * dscale
-    dF_ry = scale * tires.rear.D * dsin_r * dar + tires.rear.D * sin_r * dscale
+    # tire force partials over (vx, vy, omega) through the slip angles
+    f, r = tires.front, tires.rear
+    sin_f, dsin_f = _tire_slope(alpha_f, f)
+    sin_r, dsin_r = _tire_slope(alpha_r, r)
+    vx_f = vx * (1.0 + qf * qf)
+    vx_r = vx * (1.0 + qr * qr)
+    k_f, k_r = scale * f.D * dsin_f, scale * r.D * dsin_r
+    dF_fy = (k_f * (qf / vx_f) + f.D * sin_f * dscale_vx,
+             k_f * (-1.0 / vx_f),
+             k_f * (-p.lf / vx_f) + f.D * sin_f * dscale_om)
+    dF_ry = (k_r * (qr / vx_r) + r.D * sin_r * dscale_vx,
+             k_r * (-1.0 / vx_r),
+             k_r * (p.lr / vx_r) + r.D * sin_r * dscale_om)
     dF_rx_dvx = -drivetrain.Cm2 - 2.0 * drivetrain.Cd * vx
 
-    jac = np.zeros((6, 6))
-    jac[0, 2] = -vx * math.sin(theta) - vy * math.cos(theta)
-    jac[0, 3] = math.cos(theta)
-    jac[0, 4] = -math.sin(theta)
-    jac[1, 2] = vx * math.cos(theta) - vy * math.sin(theta)
-    jac[1, 3] = math.sin(theta)
-    jac[1, 4] = math.cos(theta)
-    jac[2, 5] = 1.0
+    sd, cd = np.sin(delta), np.cos(delta)
+    st, ct = np.sin(theta), np.cos(theta)
+    jac = np.zeros(vx.shape + (6, 6))
+    jac[..., 0, 2] = -vx * st - vy * ct
+    jac[..., 0, 3] = ct
+    jac[..., 0, 4] = -st
+    jac[..., 1, 2] = vx * ct - vy * st
+    jac[..., 1, 3] = st
+    jac[..., 1, 4] = ct
+    jac[..., 2, 5] = 1.0
 
-    jac[3, 3] = (dF_rx_dvx - sd * dF_fy[0]) / p.m
-    jac[3, 4] = -sd * dF_fy[1] / p.m + omega
-    jac[3, 5] = -sd * dF_fy[2] / p.m + vy
+    jac[..., 3, 3] = (dF_rx_dvx - sd * dF_fy[0]) / p.m
+    jac[..., 3, 4] = -sd * dF_fy[1] / p.m + omega
+    jac[..., 3, 5] = -sd * dF_fy[2] / p.m + vy
 
-    jac[4, 3] = (dF_ry[0] + cd * dF_fy[0]) / p.m - omega
-    jac[4, 4] = (dF_ry[1] + cd * dF_fy[1]) / p.m
-    jac[4, 5] = (dF_ry[2] + cd * dF_fy[2]) / p.m - vx
+    jac[..., 4, 3] = (dF_ry[0] + cd * dF_fy[0]) / p.m - omega
+    jac[..., 4, 4] = (dF_ry[1] + cd * dF_fy[1]) / p.m
+    jac[..., 4, 5] = (dF_ry[2] + cd * dF_fy[2]) / p.m - vx
     for dist in disturbances:
         if dist.kind == "wind":
             q = dist.params
-            jac[4, 4] -= q["rho"] * q["area"] * q["Cw"] * abs(q["vw"] - vy) / p.m
+            jac[..., 4, 4] -= q["rho"] * q["area"] * q["Cw"] * np.abs(q["vw"] - vy) / p.m
 
-    jac[5, 3] = (p.lf * cd * dF_fy[0] - p.lr * dF_ry[0]) / p.Iz
-    jac[5, 4] = (p.lf * cd * dF_fy[1] - p.lr * dF_ry[1]) / p.Iz
-    jac[5, 5] = (p.lf * cd * dF_fy[2] - p.lr * dF_ry[2]) / p.Iz
+    for k in range(3):
+        jac[..., 5, 3 + k] = (p.lf * cd * dF_fy[k] - p.lr * dF_ry[k]) / p.Iz
     return jac
 
 

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (DrivetrainCoefficients, PacejkaCoefficients, TirePair,
-                       VehicleParams)
+from .dynamics import (COEFFICIENT_NAMES, DrivetrainCoefficients,
+                       PacejkaCoefficients, TirePair, VehicleParams,
+                       coefficient_vector, velocity_rates)
 from .nets import (GruSpec, LayerSpec, NetworkParams, PhysicsGuardBounds,
                    adam_step, gru_backward, gru_forward_cache, init_adam,
                    init_gru, init_network, mlp_forward_cache, mlp_vjp,
@@ -40,14 +41,8 @@ __all__ = [
     "train_coefficient_estimator",
 ]
 
-COEFFICIENT_NAMES = ("Bf", "Cf", "Df", "Ef", "Br", "Cr", "Dr", "Er",
-                     "Cm1", "Cm2", "Cr0", "Cd")
-
-
-def true_coefficients(tires: TirePair, drivetrain: DrivetrainCoefficients) -> np.ndarray:
-    f, r = tires.front, tires.rear
-    return np.array([f.B, f.C, f.D, f.E, r.B, r.C, r.D, r.E,
-                     drivetrain.Cm1, drivetrain.Cm2, drivetrain.Cr0, drivetrain.Cd])
+# The estimated coefficients are the dynamic model's coefficient vector.
+true_coefficients = coefficient_vector
 
 
 def coefficients_to_structs(vec, template: TirePair):
@@ -90,47 +85,24 @@ def default_guard_bounds(tires: TirePair, drivetrain: DrivetrainCoefficients,
 
 
 # ---------------------------------------------------------------------------
-# batched nominal physics
-
-
-def _batched_pacejka(alpha, B, C, D, E, G, K):
-    ba = B * alpha
-    psi = ba - E * (ba - np.arctan(ba * G))
-    return K + D * np.sin(C * np.arctan(psi))
-
-
-def _velocity_rhs(vel, throttle, delta, coef, p: VehicleParams, template: TirePair):
-    """(vx-dot, vy-dot, omega-dot) for a batch; coef has shape (n, 12)."""
-    vx, vy, om = vel[:, 0], vel[:, 1], vel[:, 2]
-    alpha_f = delta - np.arctan((vy + p.lf * om) / vx)
-    alpha_r = -np.arctan((vy - p.lr * om) / vx)
-    F_fy = _batched_pacejka(alpha_f, coef[:, 0], coef[:, 1], coef[:, 2], coef[:, 3],
-                            template.front.G, template.front.K)
-    F_ry = _batched_pacejka(alpha_r, coef[:, 4], coef[:, 5], coef[:, 6], coef[:, 7],
-                            template.rear.G, template.rear.K)
-    F_rx = (coef[:, 8] * throttle - coef[:, 9] * vx) - coef[:, 10] - coef[:, 11] * vx * vx
-    sd, cd = np.sin(delta), np.cos(delta)
-    return np.column_stack([
-        (F_rx - F_fy * sd) / p.m + vy * om,
-        (F_ry + F_fy * cd) / p.m - vx * om,
-        (F_fy * p.lf * cd - F_ry * p.lr) / p.Iz,
-    ])
+# nominal physics step
 
 
 def predict_next_velocities(states, coef, p: VehicleParams, template: TirePair,
                             Ts: float) -> np.ndarray:
     """One RK4 step of the nominal velocity subsystem with held inputs.
 
-    ``states`` rows are (vx, vy, omega, throttle, delta); matches the data
-    generator's integrator so that exact coefficients give exact predictions.
+    ``states`` rows are (vx, vy, omega, throttle, delta) and ``coef`` has one
+    row of coefficients per state; the rates are the disturbance-free
+    velocity slice of the dynamic model. Matches the data generator's
+    integrator so that exact coefficients give exact predictions.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    vel = states[:, :3]
-    throttle, delta = states[:, 3], states[:, 4]
-    k1 = _velocity_rhs(vel, throttle, delta, coef, p, template)
-    k2 = _velocity_rhs(vel + 0.5 * Ts * k1, throttle, delta, coef, p, template)
-    k3 = _velocity_rhs(vel + 0.5 * Ts * k2, throttle, delta, coef, p, template)
-    k4 = _velocity_rhs(vel + Ts * k3, throttle, delta, coef, p, template)
+    vel, u = states[:, :3], states[:, 3:5]
+    k1 = velocity_rates(vel, u, p, coef, template)
+    k2 = velocity_rates(vel + 0.5 * Ts * k1, u, p, coef, template)
+    k3 = velocity_rates(vel + 0.5 * Ts * k2, u, p, coef, template)
+    k4 = velocity_rates(vel + Ts * k3, u, p, coef, template)
     return vel + (Ts / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

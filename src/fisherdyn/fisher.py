@@ -12,13 +12,26 @@ always bounded by 0 <= g/4 <= sigma_max(A)^2.
 
 ``evaluate_field`` sweeps a system's (rhs, jacobian) pair over a point set and
 returns a :class:`FisherField` that stores g together with sigma_max^2 so the
-bound stays auditable after the fact.
+bound stays auditable after the fact. The sweep is stacked: the system sees
+all points in one ``jacobian`` call and, for flow alignment, one ``rhs``
+call; g comes from one ``einsum`` over the stack and sigma_max from one
+batched SVD. A point that cannot be evaluated is kept with a skip reason
+instead of aborting the sweep:
+
+* ``"domain: <reason>"``: the system raised :class:`DomainError` for it;
+* ``"equilibrium"``: the flow norm is at most :data:`FLOW_FLOOR`, so the
+  flow-aligned direction is undefined;
+* ``"nonfinite"``: the Jacobian, the flow, its norm, g or sigma_max^2 is
+  not finite (an overflowing or diverged system).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +50,7 @@ __all__ = [
     "classical_fisher",
     "flow_direction",
     "curvature_fisher",
+    "stack_points",
     "evaluate_field",
 ]
 
@@ -53,19 +67,33 @@ class AlignmentError(ValueError):
     """Two Fisher fields do not share point lists / direction policies."""
 
 
-@dataclass(frozen=True)
-class PerturbationDirection:
-    """A unit perturbation vector plus the policy that produced it."""
-
+class _Direction(NamedTuple):
     du: np.ndarray
     policy: str = "fixed"
 
-    def __post_init__(self):
-        du = np.asarray(self.du, dtype=float)
+
+class PerturbationDirection(_Direction):
+    """A unit perturbation vector plus the policy that produced it."""
+
+    __slots__ = ()
+
+    def __new__(cls, du, policy: str = "fixed"):
+        du = np.asarray(du, dtype=float)
         norm = np.linalg.norm(du)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"|du| = {norm!r}, expected a unit vector")
-        object.__setattr__(self, "du", du)
+        return super().__new__(cls, du, policy)
+
+    @classmethod
+    def rows(cls, du, policy: str) -> list:
+        """One direction per row of the (n, d) array ``du``; the unit norms
+        are checked for all rows at once."""
+        du = np.asarray(du, dtype=float)
+        norms = np.linalg.norm(du, axis=1)
+        off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))
+        if off.size:
+            raise ValueError(f"|du| = {norms[off[0]]!r} in row {off[0]}, expected a unit vector")
+        return list(map(cls._make, zip(du, itertools.repeat(policy))))
 
 
 def basis_axis(index: int, dim: int) -> PerturbationDirection:
@@ -133,8 +161,7 @@ def curvature_fisher(a, xdot, flow_floor: float = FLOW_FLOOR) -> float:
     return 4.0 * kappa**2 * speed**2
 
 
-@dataclass(frozen=True)
-class FisherSample:
+class FisherSample(NamedTuple):
     """g and the singular-value bound at one (state, input) point."""
 
     state: np.ndarray
@@ -143,7 +170,7 @@ class FisherSample:
     sigma_max_sq: float
     direction: PerturbationDirection | None
     t: float = 0.0
-    skip: str = ""  # "", "equilibrium", or "domain: ..."
+    skip: str = ""  # "", "equilibrium", "nonfinite" or "domain: ..."
 
     @property
     def skipped(self) -> bool:
@@ -208,41 +235,102 @@ class FisherField:
             fh.write("\n")
 
 
-def _resolve_direction(policy, xdot, dim) -> PerturbationDirection:
+def _fixed_direction(policy, dim) -> PerturbationDirection:
     if isinstance(policy, PerturbationDirection):
+        if policy.du.size != dim:
+            raise ValueError(f"direction dim {policy.du.size} does not match state dim {dim}")
         return policy
-    if policy == "flow_aligned":
-        return flow_direction(xdot)
     if isinstance(policy, str) and policy.startswith("basis_axis"):
         index = int(policy[policy.index("(") + 1:policy.index(")")])
         return basis_axis(index, dim)
     raise ValueError(f"unknown direction policy {policy!r}")
 
 
+def stack_points(points):
+    """(states (n, d), inputs (n, m), times (n,)) from (state, input[, t])
+    tuples; t defaults to 0."""
+    points = list(points)
+    states = np.array([p[0] for p in points], dtype=float)
+    inputs = np.array([p[1] for p in points], dtype=float)
+    times = np.array([float(p[2]) if len(p) > 2 else 0.0 for p in points])
+    return states, inputs, times
+
+
+def _evaluable(system, states, inputs, times, with_rhs: bool):
+    """Evaluate the system on every point it accepts.
+
+    Returns (rows, jacobians, flows, domain reasons by point index); flows is
+    None unless ``with_rhs``. Points named by a :class:`DomainError` are
+    dropped and the call is repeated on the rest.
+    """
+    rows = np.arange(times.size)
+    reasons = {}
+    while True:
+        s, u, t = states[rows], inputs[rows], times[rows]
+        try:
+            return (rows, system.jacobian(s, u, t),
+                    system.rhs(s, u, t) if with_rhs else None, reasons)
+        except DomainError as err:
+            if err.rows.size == 0:
+                raise
+            reasons.update(zip(rows[err.rows].tolist(), err.reasons))
+            rows = np.delete(rows, err.rows)
+
+
 def evaluate_field(system, points, policy="flow_aligned",
                    domain_descriptor: dict | None = None) -> FisherField:
     """Evaluate g over ``points`` = iterable of (state, input[, t]).
 
-    Per point: A = system.jacobian, direction per ``policy`` (flow alignment
-    uses system.rhs), g and sigma_max^2 stored. Equilibria and out-of-envelope
-    points are recorded with a skip flag instead of aborting the sweep.
+    ``system.jacobian`` (and, for the flow-aligned policy, ``system.rhs``)
+    is called once on the stacked points, states (n, d), inputs (n, m) and
+    times (n,). Other policies are a fixed :class:`PerturbationDirection` or
+    ``"basis_axis(i)"``. g and sigma_max^2 are stored per point; points out
+    of the system's envelope, at equilibria or with non-finite values are
+    recorded with a skip reason (see the module docstring) instead of
+    aborting the sweep.
     """
-    samples = []
-    for point in points:
-        state, inp = np.asarray(point[0], float), np.asarray(point[1], float)
-        t = float(point[2]) if len(point) > 2 else 0.0
-        try:
-            a = system.jacobian(state, inp, t)
-            xdot = system.rhs(state, inp, t) if policy == "flow_aligned" else None
-            direction = _resolve_direction(policy, xdot, state.size)
-            g = classical_fisher(a, direction)
-            sig2 = largest_singular_value(a) ** 2
-            samples.append(FisherSample(state, inp, g, sig2, direction, t))
-        except EquilibriumError:
-            samples.append(FisherSample(state, inp, float("nan"), float("nan"),
-                                        None, t, skip="equilibrium"))
-        except DomainError as err:
-            samples.append(FisherSample(state, inp, float("nan"), float("nan"),
-                                        None, t, skip=f"domain: {err}"))
+    flow = policy == "flow_aligned"
     policy_name = policy.policy if isinstance(policy, PerturbationDirection) else str(policy)
+    points = list(points)
+    states, inputs, times = stack_points(points)
+    n = times.size
+    if n == 0:
+        return FisherField([], policy_name, domain_descriptor or {})
+    fixed = None if flow else _fixed_direction(policy, states.shape[1])
+
+    rows, a, xdot, domain = _evaluable(system, states, inputs, times, flow)
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(a).all(axis=(1, 2))
+        if flow:
+            speed = np.linalg.norm(xdot, axis=1)
+            finite &= np.isfinite(speed)
+            du = xdot / speed[:, None]
+        else:
+            du = np.broadcast_to(fixed.du, (rows.size, fixed.du.size))
+        a[~finite] = 0.0  # keeps the SVD defined
+        adu = np.einsum("nij,nj->ni", a, du)
+        g = np.maximum(4.0 * (np.einsum("ni,ni->n", adu, adu)
+                              - np.einsum("ni,ni->n", du, adu) ** 2), 0.0)
+        sig2 = largest_singular_value(a) ** 2
+    ok = finite & np.isfinite(g) & np.isfinite(sig2)
+
+    skip = np.full(n, "", dtype=object)
+    skip[list(domain)] = [f"domain: {reason}" for reason in domain.values()]
+    skip[rows[~ok]] = "nonfinite"
+    if flow:
+        skip[rows[finite & (speed <= FLOW_FLOOR)]] = "equilibrium"
+    valid = skip == ""
+    g_all, sig2_all = np.full(n, math.nan), np.full(n, math.nan)
+    g_all[rows], sig2_all[rows] = g, sig2
+    g_all[~valid] = sig2_all[~valid] = math.nan
+    if flow:
+        directions = iter(PerturbationDirection.rows(du[valid[rows]], "flow_aligned"))
+    else:
+        directions = itertools.repeat(fixed)
+    directions = [next(directions) if v else None for v in valid.tolist()]
+    # Samples hold the caller's point arrays; _make builds each tuple
+    # directly from the zipped fields.
+    samples = list(map(FisherSample._make, zip(
+        (np.asarray(p[0], float) for p in points), (np.asarray(p[1], float) for p in points),
+        g_all.tolist(), sig2_all.tolist(), directions, times.tolist(), skip.tolist())))
     return FisherField(samples, policy_name, domain_descriptor or {})

@@ -212,23 +212,22 @@ def mlp_param_gradient(params: NetworkParams, inputs, targets):
 
 
 def mlp_input_jacobian(params: NetworkParams, x, input_indices=None) -> np.ndarray:
-    """Forward-mode Jacobian of the outputs w.r.t. selected input coordinates."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("input jacobian expects a single input vector")
+    """Forward-mode Jacobian of the outputs w.r.t. selected input coordinates.
+
+    ``x`` is one input (d,), giving (outputs, k), or a stack (n, d), giving
+    (n, outputs, k): the tangent of every point is carried through the
+    layers at once.
+    """
+    xb, single = _as_batch(x, params.input_dim)
     if input_indices is None:
         input_indices = range(params.input_dim)
-    indices = list(input_indices)
-    tangent = np.zeros((params.input_dim, len(indices)))
-    for col, idx in enumerate(indices):
-        tangent[idx, col] = 1.0
-    a = x
+    tangent = np.eye(params.input_dim)[:, list(input_indices)]
+    a = xb
     for spec, w, b in zip(params.layers, params.weights, params.biases):
-        z = w @ a + b
-        tangent = w @ tangent
-        tangent = _activation_deriv(spec.activation, z)[:, None] * tangent
+        z = a @ w.T + b
+        tangent = _activation_deriv(spec.activation, z)[:, :, None] * (w @ tangent)
         a = _activation(spec.activation, z)
-    return tangent
+    return tangent[0] if single else tangent
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +437,18 @@ class LearnedDynamicsModel:
             raise ValueError("input scale entries must be positive")
 
     def normalize(self, states, inputs) -> np.ndarray:
-        raw = np.concatenate([np.atleast_2d(states), np.atleast_2d(inputs)], axis=1)
+        """Network input of one point (k,) or of stacked points (n, k)."""
+        raw = np.concatenate([np.asarray(states, float), np.asarray(inputs, float)],
+                             axis=-1)
         return (raw - self.offset) / self.scale
 
-    def rhs(self, s, u, t: float = 0.0) -> np.ndarray:
-        raw = np.concatenate([np.asarray(s, float), np.asarray(u, float)])
-        return mlp_forward(self.params, (raw - self.offset) / self.scale)
+    def rhs(self, s, u, t=0.0) -> np.ndarray:
+        """Learned state derivative at one point (d,) or stacked points (n, d)."""
+        return mlp_forward(self.params, self.normalize(s, u))
 
-    def jacobian(self, s, u, t: float = 0.0) -> np.ndarray:
-        raw = np.concatenate([np.asarray(s, float), np.asarray(u, float)])
-        jac = mlp_input_jacobian(self.params, (raw - self.offset) / self.scale,
+    def jacobian(self, s, u, t=0.0) -> np.ndarray:
+        """State Jacobian at one point (d, d) or stacked points (n, d, d)."""
+        jac = mlp_input_jacobian(self.params, self.normalize(s, u),
                                  range(self.state_dim))
         return jac / self.scale[: self.state_dim]
 

@@ -2,6 +2,10 @@
 
 Matrices and vectors are plain float64 numpy arrays. Everything here is a pure
 function, safe to call concurrently.
+
+``largest_singular_value`` takes one matrix or a (..., m, n) stack of them
+and reads sigma_max off LAPACK's singular values (``np.linalg.svd`` without
+vectors): exact to round-off, with one batched call for a whole Fisher field.
 """
 
 from __future__ import annotations
@@ -18,9 +22,6 @@ __all__ = [
 # Finite-difference step; per-coordinate it is scaled by max(1, |x_j|) to balance
 # truncation against round-off in double precision.
 DEFAULT_FD_STEP = 1e-5
-
-POWER_ITER_MAX = 500
-POWER_ITER_TOL = 1e-12
 
 
 class EvaluationError(ValueError):
@@ -79,42 +80,14 @@ def rk4_step(f, x, u=None, dt: float = 0.1) -> np.ndarray:
     return out
 
 
-def largest_singular_value(a) -> float:
-    """Largest singular value of ``a`` by power iteration on A^T A.
-
-    Deterministic: starts from the normalized all-ones vector (falling back to
-    basis vectors if that start lands in the null space of A^T A), iterates at
-    most 500 times to a 1e-12 relative tolerance.
-    """
+def largest_singular_value(a):
+    """Largest singular value of the matrix ``a``, or of each matrix in a
+    (..., m, n) stack: a float for one matrix, an array of shape (...,) for
+    a stack."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
+    if a.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return 0.0
-    b = (a / scale).T @ (a / scale)  # pre-scaled to dodge overflow in A^T A
-    n = b.shape[1]
-
-    v = np.ones(n) / np.sqrt(n)
-    # All-ones can sit exactly in the null space (e.g. a single row [1, -1]);
-    # fall back to the basis vector with the largest diagonal weight.
-    if np.linalg.norm(b @ v) <= 1e-300:
-        v = np.zeros(n)
-        v[int(np.argmax(np.diag(b)))] = 1.0
-
-    lam = 0.0
-    for _ in range(POWER_ITER_MAX):
-        w = b @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_next = float(v @ (b @ v))
-        if abs(lam_next - lam) <= POWER_ITER_TOL * max(1.0, abs(lam_next)):
-            lam = lam_next
-            break
-        lam = lam_next
-    return float(scale * np.sqrt(max(lam, 0.0)))
+    sigma = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return float(sigma) if a.ndim == 2 else sigma

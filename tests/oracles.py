@@ -5,7 +5,12 @@ a cyclic Jacobi sweep (no power iteration), and the summation oracles are
 plain Python loops.
 """
 
+import math
+
 import numpy as np
+
+from fisherdyn.dynamics import (disturbance_lateral_force, pacejka_derivative,
+                                pacejka_lateral_force, slip_angles)
 
 
 def jacobi_eigenvalues(sym, sweeps: int = 50, tol: float = 1e-14):
@@ -49,3 +54,64 @@ def loop_mean_sq_norm(pred, target):
 def random_orthogonal(n, rng):
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
     return q * np.sign(np.diag(r))
+
+
+def scalar_dynamic_jacobian(s, u, p, tires, drivetrain, disturbances=(), t=0.0):
+    """6x6 state Jacobian of the dynamic bicycle at one point, in scalar
+    arithmetic from the public per-point laws; a reference for the stacked
+    ``dynamic_jacobian``.
+
+    The tire-scale gradient is the product rule written as a sum over the
+    factors of the product of the other factors.
+    """
+    theta, vx, vy, omega = s[2], s[3], s[4], s[5]
+    delta = u[1]
+    alpha_f, alpha_r = slip_angles(s, u, p)
+    factors = []
+    for dist in disturbances:
+        if dist.kind in ("roll", "tire_temperature"):
+            q = dist.params
+            grad = (0.0, 0.0)
+            if dist.kind == "roll":
+                phi = p.m * vx * omega / q["k_phi"]
+                if 1.0 - q["stiffness_sensitivity"] * abs(phi) > 0.0:
+                    c = -q["stiffness_sensitivity"] * np.sign(phi) * p.m / q["k_phi"]
+                    grad = (c * omega, c * vx)
+            factors.append((disturbance_lateral_force(dist, s, t, p), grad))
+    scale = math.prod(f for f, _ in factors)
+    dscale_vx = dscale_om = 0.0
+    for i, (_, (g_vx, g_om)) in enumerate(factors):
+        others = math.prod(f for j, (f, _) in enumerate(factors) if j != i)
+        dscale_vx += others * g_vx
+        dscale_om += others * g_om
+
+    f, r = tires.front, tires.rear
+    d_sin_f = pacejka_lateral_force(alpha_f, f) - f.K  # D sin(...)
+    d_sin_r = pacejka_lateral_force(alpha_r, r) - r.K
+    slope_f = scale * pacejka_derivative(alpha_f, f)
+    slope_r = scale * pacejka_derivative(alpha_r, r)
+    den_f = vx * (1.0 + ((vy + p.lf * omega) / vx) ** 2)
+    den_r = vx * (1.0 + ((vy - p.lr * omega) / vx) ** 2)
+    daf = ((vy + p.lf * omega) / vx / den_f, -1.0 / den_f, -p.lf / den_f)
+    dar = ((vy - p.lr * omega) / vx / den_r, -1.0 / den_r, p.lr / den_r)
+    dscale = (dscale_vx, 0.0, dscale_om)
+    dF_fy = [slope_f * daf[k] + d_sin_f * dscale[k] for k in range(3)]
+    dF_ry = [slope_r * dar[k] + d_sin_r * dscale[k] for k in range(3)]
+    sd, cd = math.sin(delta), math.cos(delta)
+    st, ct = math.sin(theta), math.cos(theta)
+
+    jac = np.zeros((6, 6))
+    jac[0, 2:5] = (-vx * st - vy * ct, ct, -st)
+    jac[1, 2:5] = (vx * ct - vy * st, st, ct)
+    jac[2, 5] = 1.0
+    jac[3, 3] = (-drivetrain.Cm2 - 2.0 * drivetrain.Cd * vx - sd * dF_fy[0]) / p.m
+    jac[3, 4] = -sd * dF_fy[1] / p.m + omega
+    jac[3, 5] = -sd * dF_fy[2] / p.m + vy
+    wind = sum(d.params["rho"] * d.params["area"] * d.params["Cw"]
+               * abs(d.params["vw"] - vy) for d in disturbances if d.kind == "wind")
+    jac[4, 3] = (dF_ry[0] + cd * dF_fy[0]) / p.m - omega
+    jac[4, 4] = (dF_ry[1] + cd * dF_fy[1] - wind) / p.m
+    jac[4, 5] = (dF_ry[2] + cd * dF_fy[2]) / p.m - vx
+    for k in range(3):
+        jac[5, 3 + k] = (p.lf * cd * dF_fy[k] - p.lr * dF_ry[k]) / p.Iz
+    return jac

@@ -13,6 +13,8 @@ from fisherdyn.dynamics import (DELTA_MAX, ConfigError, DisturbanceConfig,
                                 pacejka_lateral_force, slip_angles)
 from fisherdyn.numerics import central_difference_jacobian
 
+from oracles import scalar_dynamic_jacobian
+
 
 def sample_dynamic_state(rng):
     """Random in-envelope state for the desk-scale car."""
@@ -275,6 +277,108 @@ class TestDynamicJacobian:
                                           dists, t), s, u)
             err = np.linalg.norm(fd - analytic) / max(1.0, np.linalg.norm(analytic))
             assert err <= 1e-5
+
+
+def stacked_dynamic_points(rng, n: int = 120):
+    """In-envelope (n, 6) states, (n, 2) inputs and per-row times t != 0.
+
+    The first rows hold omega = 0 (roll angle phi = 0); the next ones have a
+    yaw rate large enough to clamp the roll stiffness factor at 0."""
+    s = np.array([sample_dynamic_state(rng) for _ in range(n)])
+    u = np.array([sample_dynamic_input(rng) for _ in range(n)])
+    s[:10, 5] = 0.0
+    s[10:20, 5] = rng.choice([-1.0, 1.0], 10) * rng.uniform(700.0, 1000.0, 10)
+    return s, u, rng.uniform(0.1, 20.0, n)
+
+
+def rel_err(a, ref) -> float:
+    return float(np.linalg.norm(a - ref) / max(np.linalg.norm(ref), 1e-300))
+
+
+class TestStackedDynamics:
+    p = VehicleParams.dynamic_default()
+    tires = TirePair.default()
+    drive = DrivetrainCoefficients()
+
+    @pytest.mark.parametrize("dists", DISTURBANCE_SETS)
+    def test_rhs_matches_scalar_path(self, dists):
+        s, u, t = stacked_dynamic_points(np.random.default_rng(21))
+        stacked = dynamic_rhs(s, u, self.p, self.tires, self.drive, dists, t)
+        assert stacked.shape == s.shape
+        for i in range(len(t)):
+            single = dynamic_rhs(s[i], u[i], self.p, self.tires, self.drive, dists, t[i])
+            assert rel_err(stacked[i], single) <= 1e-12
+
+    @pytest.mark.parametrize("dists", DISTURBANCE_SETS)
+    def test_jacobian_matches_scalar_oracle(self, dists):
+        s, u, t = stacked_dynamic_points(np.random.default_rng(22))
+        stacked = dynamic_jacobian(s, u, self.p, self.tires, self.drive, dists, t)
+        assert stacked.shape == (len(t), 6, 6)
+        for i in range(len(t)):
+            ref = scalar_dynamic_jacobian(s[i], u[i], self.p, self.tires, self.drive,
+                                          dists, t[i])
+            assert rel_err(stacked[i], ref) <= 1e-12
+            single = dynamic_jacobian(s[i], u[i], self.p, self.tires, self.drive,
+                                      dists, t[i])
+            assert np.array_equal(single, stacked[i])
+
+    def test_roll_clamp_rows_lose_lateral_grip(self):
+        s, u, t = stacked_dynamic_points(np.random.default_rng(23))
+        roll = [DisturbanceConfig.roll(k_phi=80.0, c_phi=1.0, stiffness_sensitivity=3.0)]
+        out = dynamic_rhs(s[10:20], u[10:20], self.p, self.tires, self.drive, roll, t[10:20])
+        # the clamped factor zeroes both tire forces (K = 0), so omega-dot vanishes
+        assert np.all(out[:, 5] == 0.0)
+
+    def test_scalar_time_broadcasts(self):
+        s, u, t = stacked_dynamic_points(np.random.default_rng(24))
+        dists = DISTURBANCE_SETS[3]
+        a = dynamic_jacobian(s, u, self.p, self.tires, self.drive, dists, 0.7)
+        b = dynamic_jacobian(s, u, self.p, self.tires, self.drive, dists,
+                             np.full(len(t), 0.7))
+        assert np.array_equal(a, b)
+
+    def test_domain_error_names_rows(self):
+        s, u, t = stacked_dynamic_points(np.random.default_rng(25))
+        s[[1, 4], 3] = [0.2, 0.5]
+        for fn in (dynamic_rhs, dynamic_jacobian):
+            with pytest.raises(DomainError) as err:
+                fn(s, u, self.p, self.tires, self.drive, (), t)
+            assert err.value.rows.tolist() == [1, 4]
+            assert err.value.reasons == [
+                "vx=0.200 <= vx_min=0.5; slip angles undefined",
+                "vx=0.500 <= vx_min=0.5; slip angles undefined"]
+
+    def test_model_wrappers_take_stacks(self):
+        s, u, t = stacked_dynamic_points(np.random.default_rng(26))
+        model = DynamicModel(disturbances=DISTURBANCE_SETS[6])
+        assert np.array_equal(model.rhs(s, u, t), dynamic_rhs(
+            s, u, model.params, model.tires, model.drivetrain, model.disturbances, t))
+        assert model.jacobian(s, u, t).shape == (len(t), 6, 6)
+
+
+class TestStackedKinematic:
+    p = VehicleParams.kinematic_default()
+
+    def test_matches_per_point(self):
+        rng = np.random.default_rng(27)
+        s = rng.normal(size=(40, 3))
+        u = np.column_stack([rng.uniform(0, 5, 40), rng.uniform(-0.5, 0.5, 40)])
+        rhs = kinematic_rhs(s, u, self.p)
+        jac = kinematic_jacobian(s, u, self.p)
+        assert rhs.shape == (40, 3) and jac.shape == (40, 3, 3)
+        for i in range(40):
+            assert np.array_equal(rhs[i], kinematic_rhs(s[i], u[i], self.p))
+            assert np.array_equal(jac[i], kinematic_jacobian(s[i], u[i], self.p))
+        model = KinematicModel()
+        assert np.array_equal(model.rhs(s, u), kinematic_rhs(s, u, model.params))
+
+    def test_domain_error_names_rows(self):
+        s = np.zeros((3, 3))
+        u = np.array([[1.0, 0.1], [1.0, -math.pi / 2], [1.0, 0.0]])
+        with pytest.raises(DomainError) as err:
+            kinematic_jacobian(s, u, self.p)
+        assert err.value.rows.tolist() == [1]
+        assert err.value.reasons == ["|delta|=1.571 >= pi/2"]
 
 
 class TestParamValidation:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fisherdyn.dynamics import DynamicModel, KinematicModel
+from fisherdyn.dynamics import DomainError, DynamicModel, KinematicModel
+from fisherdyn.nets import LayerSpec, LearnedDynamicsModel, init_network
 from fisherdyn.fisher import (EquilibriumError, FisherField,
                               PerturbationDirection, basis_axis,
                               classical_fisher, curvature_fisher,
@@ -11,8 +12,9 @@ from fisherdyn.fisher import (EquilibriumError, FisherField,
                               log_derivative)
 from fisherdyn.numerics import largest_singular_value
 
-from oracles import random_orthogonal
-from test_dynamics import sample_dynamic_input, sample_dynamic_state
+from oracles import random_orthogonal, sigma_max_oracle
+from test_dynamics import (DISTURBANCE_SETS, sample_dynamic_input,
+                           sample_dynamic_state)
 
 
 def random_unit(rng, n):
@@ -230,3 +232,131 @@ class TestEvaluateField:
         assert doc["policy"] == "flow_aligned"
         assert doc["domain_descriptor"] == {"scheme": "list"}
         assert doc["samples"][1]["g"] is None
+
+
+class RotationStub:
+    """xdot = A x with A = [[0, -w], [w, 0]] and w = u[0]: g = 4 w^2 and
+    sigma_max^2 = w^2 at every point off the origin. Points with u[1] < 0
+    are outside the envelope."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def _check(self, u):
+        bad = np.flatnonzero(u[:, 1] < 0.0)
+        if bad.size:
+            raise DomainError("u[1] < 0", bad, [f"u[1]={u[i, 1]}" for i in bad])
+
+    def rhs(self, s, u, t):
+        self._check(u)
+        w = u[:, 0]
+        return np.column_stack([-w * s[:, 1], w * s[:, 0]])
+
+    def jacobian(self, s, u, t):
+        self.calls += 1
+        self._check(u)
+        a = np.zeros((len(u), 2, 2))
+        a[:, 0, 1], a[:, 1, 0] = -u[:, 0], u[:, 0]
+        return a
+
+
+class NanJacobianStub(RotationStub):
+    """A rotation whose Jacobian is NaN where u[1] > 0."""
+
+    def jacobian(self, s, u, t):
+        a = super().jacobian(s, u, t)
+        a[u[:, 1] > 0.0] = np.nan
+        return a
+
+
+def rotation_points(n):
+    rng = np.random.default_rng(31)
+    return [(rng.normal(size=2), np.array([rng.uniform(0.5, 3.0), 0.0]), 0.1 * i)
+            for i in range(n)]
+
+
+class TestStackedField:
+    def test_matches_per_point_loop(self):
+        rng = np.random.default_rng(32)
+        for dists in DISTURBANCE_SETS:
+            model = DynamicModel(disturbances=dists)
+            pts = [(sample_dynamic_state(rng), sample_dynamic_input(rng),
+                    rng.uniform(0.0, 20.0)) for _ in range(20)]
+            field = evaluate_field(model, pts)
+            for (s, u, t), smp in zip(pts, field.samples):
+                a = model.jacobian(s, u, t)
+                direction = flow_direction(model.rhs(s, u, t))
+                assert smp.g == pytest.approx(classical_fisher(a, direction),
+                                              rel=1e-10, abs=1e-12)
+                assert smp.sigma_max_sq == pytest.approx(sigma_max_oracle(a) ** 2,
+                                                         rel=1e-10)
+                assert np.allclose(smp.direction.du, direction.du, rtol=0, atol=1e-15)
+                assert smp.t == t
+
+    def test_one_stacked_call_per_sweep(self):
+        system = RotationStub()
+        field = evaluate_field(system, rotation_points(50))
+        assert system.calls == 1
+        for smp, (_, u, _) in zip(field.samples, rotation_points(50)):
+            assert smp.g == pytest.approx(4.0 * u[0] ** 2, rel=1e-12)
+            assert smp.sigma_max_sq == pytest.approx(u[0] ** 2, rel=1e-12)
+
+    def test_domain_rows_are_skipped_with_their_reason(self):
+        pts = rotation_points(6)
+        for i in (1, 4):
+            pts[i][1][1] = -0.5 * i
+        system = RotationStub()
+        field = evaluate_field(system, pts)
+        assert system.calls == 2  # the full stack, then the rest
+        assert [smp.skip for smp in field.samples] == [
+            "", "domain: u[1]=-0.5", "", "", "domain: u[1]=-2.0", ""]
+        assert np.isfinite(field.g_values()[[0, 2, 3, 5]]).all()
+
+    def test_domain_error_without_rows_propagates(self):
+        class Pointwise(RotationStub):
+            def jacobian(self, s, u, t):
+                raise DomainError("no rows")
+
+        with pytest.raises(DomainError):
+            evaluate_field(Pointwise(), rotation_points(3))
+
+    def test_overflowing_flow_norm_is_nonfinite(self):
+        pts = rotation_points(5)
+        pts[2] = (np.array([1e200, 1e200]), pts[2][1], pts[2][2])
+        field = evaluate_field(RotationStub(), pts)
+        assert [smp.skip for smp in field.samples] == ["", "", "nonfinite", "", ""]
+        assert field.valid_mask().tolist() == [True, True, False, True, True]
+
+    def test_nan_jacobian_row_is_nonfinite(self):
+        pts = rotation_points(5)
+        pts[3][1][1] = 1.0
+        field = evaluate_field(NanJacobianStub(), pts)
+        assert [smp.skip for smp in field.samples] == ["", "", "", "nonfinite", ""]
+        assert np.isnan(field.g_values()[3]) and field.samples[3].direction is None
+
+    def test_learned_model_overflow_at_one_point(self):
+        # a linear network xdot = (y + u, -x): finite everywhere, but its flow
+        # norm overflows at a point with huge coordinates
+        params = init_network(3, (LayerSpec(2, "linear"),))
+        params.weights[0][:] = [[0.0, 1.0, 1.0], [-1.0, 0.0, 0.0]]
+        model = LearnedDynamicsModel(params, 2, 1)
+        pts = [(np.array([1.0, 0.5]), np.array([0.2])),
+               (np.array([1e200, -1e200]), np.array([0.0])),
+               (np.array([-2.0, 1.0]), np.array([0.1]))]
+        field = evaluate_field(model, pts)
+        assert [smp.skip for smp in field.samples] == ["", "nonfinite", ""]
+        for smp in (field.samples[0], field.samples[2]):
+            assert 0.0 <= smp.g / 4.0 <= smp.sigma_max_sq + 1e-12
+
+    def test_fixed_direction_dimension_checked(self):
+        with pytest.raises(ValueError):
+            evaluate_field(KinematicModel(), [(np.zeros(3), np.array([1.0, 0.1]))],
+                           policy=PerturbationDirection(np.array([1.0, 0.0])))
+
+    def test_direction_rows_check_norms(self):
+        rows = PerturbationDirection.rows(np.eye(3), "fixed")
+        assert [d.du.tolist() for d in rows] == np.eye(3).tolist()
+        with pytest.raises(ValueError):
+            PerturbationDirection.rows(np.array([[1.0, 0.0], [0.0, 2.0]]), "fixed")
+        with pytest.raises(ValueError):
+            PerturbationDirection(np.array([np.nan, 0.0]))

@@ -136,6 +136,19 @@ class TestInputJacobian:
             assert np.linalg.norm(fd - analytic) <= 1e-6 * max(
                 1.0, np.linalg.norm(analytic))
 
+    def test_stacked_matches_rows_and_finite_difference(self):
+        params = init_network(5, (LayerSpec(32, "tanh"), LayerSpec(16, "sigmoid"),
+                                  LayerSpec(3, "linear")), seed=8)
+        xs = np.random.default_rng(8).normal(size=(25, 5))
+        stacked = mlp_input_jacobian(params, xs, [0, 1, 3])
+        assert stacked.shape == (25, 3, 3)
+        for x, jac in zip(xs, stacked):
+            single = mlp_input_jacobian(params, x, [0, 1, 3])
+            assert np.linalg.norm(jac - single) <= 1e-12 * np.linalg.norm(single)
+            fd = central_difference_jacobian(lambda xx: mlp_forward(params, xx), x)
+            assert np.linalg.norm(fd[:, [0, 1, 3]] - jac) <= 1e-6 * max(
+                1.0, np.linalg.norm(jac))
+
 
 class TestAdam:
     def test_zero_gradient_no_move(self):
@@ -300,6 +313,17 @@ class TestLearnedDynamicsModel:
         analytic = model.jacobian(s, u)
         fd = central_difference_jacobian(lambda x, uu: model.rhs(x, uu), s, u)
         assert np.linalg.norm(fd - analytic) <= 1e-6 * max(1.0, np.linalg.norm(analytic))
+
+    def test_stacked_rhs_and_jacobian_match_rows(self):
+        model = self.make()
+        rng = np.random.default_rng(14)
+        s, u = rng.normal(size=(12, 3)), rng.normal(size=(12, 2))
+        rhs, jac = model.rhs(s, u), model.jacobian(s, u)
+        assert rhs.shape == (12, 3) and jac.shape == (12, 3, 3)
+        for i in range(12):
+            assert np.linalg.norm(rhs[i] - model.rhs(s[i], u[i])) <= 1e-12 * np.linalg.norm(rhs[i])
+            single = model.jacobian(s[i], u[i])
+            assert np.linalg.norm(jac[i] - single) <= 1e-12 * np.linalg.norm(single)
 
     def test_checkpoint_round_trip(self, tmp_path):
         model = self.make()

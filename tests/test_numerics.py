@@ -87,7 +87,7 @@ class TestLargestSingularValue:
         assert largest_singular_value(np.zeros((4, 4))) == 0.0
 
     def test_ones_start_in_null_space(self):
-        # A^T A annihilates the all-ones start vector; fallback must recover
+        # a rank-one matrix whose A^T A annihilates the all-ones vector
         assert largest_singular_value(np.array([[1.0, -1.0]])) == pytest.approx(
             np.sqrt(2.0), rel=1e-10)
 
@@ -116,3 +116,17 @@ class TestLargestSingularValue:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(3, 6))
         assert largest_singular_value(a) == pytest.approx(sigma_max_oracle(a), rel=1e-6)
+
+    def test_stack_against_jacobi_oracle(self):
+        rng = np.random.default_rng(43)
+        stack = rng.normal(size=(4, 5, 6, 6)) * rng.uniform(0.1, 10.0, size=(4, 5, 1, 1))
+        sigma = largest_singular_value(stack)
+        assert sigma.shape == (4, 5)
+        for idx in np.ndindex(4, 5):
+            assert sigma[idx] == pytest.approx(sigma_max_oracle(stack[idx]), rel=1e-10)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            largest_singular_value(np.ones(3))
+        with pytest.raises(ValueError):
+            largest_singular_value(np.array([[[1.0, np.nan]]]))
