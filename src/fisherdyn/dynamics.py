@@ -29,6 +29,10 @@ is a stack of one. The one exception is ``dynamic_rhs`` on a single (6,)
 state: it keeps a scalar ``math`` body, because simulation steps it one point
 at a time and the scalar body costs about a fifth of the broadcasting one
 per call. The choice is made from the rank of the state.
+
+``velocity_rate_partials`` gives the disturbance-free velocity rates together
+with their exact partials in the velocities and in the twelve coefficients,
+for the gradient of the coefficient estimator.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ __all__ = [
     "slip_angles",
     "longitudinal_force",
     "velocity_rates",
+    "velocity_rate_partials",
     "dynamic_rhs",
     "dynamic_jacobian",
     "disturbance_lateral_force",
@@ -481,6 +486,73 @@ def velocity_rates(vel, u, p: VehicleParams, coef, tires: TirePair,
         (F_ry + F_fy * cd + F_lat) / p.m - vx * omega,
         (F_fy * p.lf * cd - F_ry * p.lr) / p.Iz,
     ], axis=-1)
+
+
+def _tire_partials(alpha, B, C, D, E, G):
+    """Magic-formula force D sin(C arctan(psi)) (K excluded), its
+    alpha-derivative and the tuple of its B, C, D and E partials."""
+    ba, psi, arg = _tire_terms(alpha, B, C, E, G)
+    sin_arg, cos_arg = np.sin(arg), np.cos(arg)
+    w = D * cos_arg * C / (1.0 + psi * psi)  # dF/dpsi
+    shape = 1.0 - E * (1.0 - G / (1.0 + (ba * G) ** 2))  # dpsi/d(B a)
+    return D * sin_arg, w * B * shape, (w * alpha * shape,
+                                        D * cos_arg * np.arctan(psi),
+                                        sin_arg,
+                                        -w * (ba - np.arctan(ba * G)))
+
+
+def velocity_rate_partials(vel, u, p: VehicleParams, coef, tires: TirePair):
+    """Disturbance-free :func:`velocity_rates` with its exact partials.
+
+    Returns (rates (n, 3), d(rates)/d(vel) (n, 3, 3), d(rates)/d(coef)
+    (n, 3, 12)) over stacked velocities (n, 3) and inputs (n, 2); ``coef`` is
+    (12,) or (n, 12) in :data:`COEFFICIENT_NAMES` order. The tire partials in
+    B, C, D and E are closed-form, the drivetrain terms are linear. Like
+    :func:`velocity_rates`, there is no envelope check.
+    """
+    vx, vy, omega = vel[..., 0], vel[..., 1], vel[..., 2]
+    throttle, delta = u[..., 0], u[..., 1]
+    qf, qr, alpha_f, alpha_r = _slip_terms(vx, vy, omega, delta, p)
+    # one contiguous row per coefficient
+    c = np.ascontiguousarray(np.moveaxis(np.broadcast_to(coef, vx.shape + (12,)), -1, 0))
+    f, r = tires.front, tires.rear
+    Ff, dFf_da, dFf_dc = _tire_partials(alpha_f, c[0], c[1], c[2], c[3], f.G)
+    Fr, dFr_da, dFr_dc = _tire_partials(alpha_r, c[4], c[5], c[6], c[7], r.G)
+    F_fy, F_ry = f.K + Ff, r.K + Fr
+    F_rx = (c[8] * throttle - c[9] * vx) - c[10] - c[11] * vx * vx
+    sd, cd = np.sin(delta), np.cos(delta)
+    rates = np.stack([
+        (F_rx - F_fy * sd) / p.m + vy * omega,
+        (F_ry + F_fy * cd) / p.m - vx * omega,
+        (F_fy * p.lf * cd - F_ry * p.lr) / p.Iz,
+    ], axis=-1)
+
+    # weights of each axle's lateral force in the (vx, vy, omega) rates
+    front = (-sd / p.m, cd / p.m, p.lf * cd / p.Iz)
+    rear = (0.0, 1.0 / p.m, -p.lr / p.Iz)
+    # the lateral forces over (vx, vy, omega), through the slip angles
+    k_f = dFf_da / (vx * (1.0 + qf * qf))
+    k_r = dFr_da / (vx * (1.0 + qr * qr))
+    dF_fy = (k_f * qf, -k_f, -p.lf * k_f)
+    dF_ry = (k_r * qr, -k_r, p.lr * k_r)
+
+    # filled as (3, 3, n) and (3, 12, n), returned as (n, 3, 3) and (n, 3, 12) views
+    d_vel = np.empty((3, 3) + vx.shape)
+    d_coef = np.zeros((3, 12) + vx.shape)
+    for i in range(3):
+        for k in range(3):
+            d_vel[i, k] = front[i] * dF_fy[k] + rear[i] * dF_ry[k]
+        for k in range(4):
+            d_coef[i, k] = front[i] * dFf_dc[k]
+            d_coef[i, 4 + k] = rear[i] * dFr_dc[k]
+    d_vel[0, 0] += (-c[9] - 2.0 * c[11] * vx) / p.m
+    d_vel[0, 1] += omega
+    d_vel[0, 2] += vy
+    d_vel[1, 0] -= omega
+    d_vel[1, 2] -= vx
+    d_coef[0, 8:] = np.stack([throttle, -vx, np.full_like(vx, -1.0), -vx * vx]) / p.m
+    return (rates, np.moveaxis(d_vel, (0, 1), (-2, -1)),
+            np.moveaxis(d_coef, (0, 1), (-2, -1)))
 
 
 def _stacked_dynamic_rhs(s, u, p, tires, drivetrain, disturbances, t) -> np.ndarray:

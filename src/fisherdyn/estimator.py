@@ -6,10 +6,10 @@ Guard squashes them into per-coefficient bounds; the guarded coefficients
 drive one RK4 step of the nominal velocity dynamics, and the loss is the mean
 squared (vx, vy, omega) prediction error.
 
-Gradients are exact through guard, head and GRU (backprop through time); the
-sensitivity of the physics step to the twelve estimated coefficients is taken
-by central differences with bound-scaled steps, which is cheap because the
-step is vectorized over the whole batch.
+Gradients are exact throughout: through the physics step by reverse mode
+over its four RK4 stages, with the closed-form rate partials of
+``dynamics.velocity_rate_partials``, then through guard, head and GRU
+(backprop through time).
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 
 from .dynamics import (COEFFICIENT_NAMES, DrivetrainCoefficients,
                        PacejkaCoefficients, TirePair, VehicleParams,
-                       coefficient_vector, velocity_rates)
+                       coefficient_vector, velocity_rate_partials,
+                       velocity_rates)
 from .nets import (GruSpec, LayerSpec, NetworkParams, PhysicsGuardBounds,
                    adam_step, gru_backward, gru_forward_cache, init_adam,
                    init_gru, init_network, mlp_forward_cache, mlp_vjp,
@@ -156,7 +157,6 @@ class EstimatorConfig:
     epochs: int = 150
     batch_size: int = 512
     seed: int = 0
-    fd_step_rel: float = 1e-6
 
     def __post_init__(self):
         if self.tau < 1:
@@ -226,22 +226,35 @@ class EstimatorRun:
 
 
 def _phi_gradient(model: EstimatorModel, windows: WindowSet, idx, phi, resid):
-    """dLoss/dPhi by batched central differences, one coefficient at a time."""
+    """Exact dLoss/dPhi of the RK4 step, by reverse mode through its stages.
+
+    With g = dLoss/dpred and the stage partials J_i = dk_i/d(stage velocity),
+    C_i = dk_i/dPhi, the adjoints of the stages are b4 = Ts/6 g,
+    b3 = Ts/3 g + Ts b4 J4, b2 = Ts/3 g + Ts/2 b3 J3, b1 = Ts/6 g + Ts/2 b2 J2,
+    and dLoss/dPhi = sum_i b_i C_i.
+    """
     n, three = resid.shape
-    width = model.bounds.upper - model.bounds.lower
-    grad = np.zeros_like(phi)
+    Ts = model.Ts
     base = windows.base_states[idx]
-    for j in range(phi.shape[1]):
-        h = model.cfg.fd_step_rel * width[j]
-        up = phi.copy()
-        up[:, j] += h
-        dn = phi.copy()
-        dn[:, j] -= h
-        pu = predict_next_velocities(base, up, model.params, model.template, model.Ts)
-        pd = predict_next_velocities(base, dn, model.params, model.template, model.Ts)
-        dpred = (pu - pd) / (2.0 * h)
-        grad[:, j] = np.sum(resid * dpred, axis=1) * (2.0 / (three * n))
-    return grad
+    vel, u = base[:, :3], base[:, 3:5]
+
+    def stage(v):
+        return velocity_rate_partials(v, u, model.params, phi, model.template)
+
+    k1, J1, C1 = stage(vel)
+    k2, J2, C2 = stage(vel + 0.5 * Ts * k1)
+    k3, J3, C3 = stage(vel + 0.5 * Ts * k2)
+    _, J4, C4 = stage(vel + Ts * k3)
+
+    def vjp(b, jac):
+        return np.einsum("ni,nij->nj", b, jac)
+
+    g = resid * (2.0 / (three * n))
+    b4 = (Ts / 6.0) * g
+    b3 = (Ts / 3.0) * g + Ts * vjp(b4, J4)
+    b2 = (Ts / 3.0) * g + (0.5 * Ts) * vjp(b3, J3)
+    b1 = (Ts / 6.0) * g + (0.5 * Ts) * vjp(b2, J2)
+    return vjp(b1, C1) + vjp(b2, C2) + vjp(b3, C3) + vjp(b4, C4)
 
 
 def train_coefficient_estimator(cfg: EstimatorConfig, trajectories,

@@ -49,13 +49,8 @@ _SIGMOID_CLIP = 1e-12  # keeps guard outputs strictly inside their bounds
 
 
 def sigmoid(z):
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # the tanh form cannot overflow and needs no masking by sign
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=float)))
 
 
 def mish(z):
@@ -158,13 +153,17 @@ def _as_batch(x, dim):
     return x, single
 
 
-def mlp_forward(params: NetworkParams, x):
-    """Forward pass; accepts (d,) or (n, d) and matches the output shape."""
+def mlp_forward(params: NetworkParams, x, check_finite: bool = True):
+    """Forward pass; accepts (d,) or (n, d) and matches the output shape.
+
+    A non-finite output raises ``FloatingPointError`` unless
+    ``check_finite`` is false, in which case it is returned as it is.
+    """
     xb, single = _as_batch(x, params.input_dim)
     a = xb
     for spec, w, b in zip(params.layers, params.weights, params.biases):
         a = _activation(spec.activation, a @ w.T + b)
-    if not np.all(np.isfinite(a)):
+    if check_finite and not np.all(np.isfinite(a)):
         raise FloatingPointError("non-finite network output")
     return a[0] if single else a
 
@@ -443,8 +442,12 @@ class LearnedDynamicsModel:
         return (raw - self.offset) / self.scale
 
     def rhs(self, s, u, t=0.0) -> np.ndarray:
-        """Learned state derivative at one point (d,) or stacked points (n, d)."""
-        return mlp_forward(self.params, self.normalize(s, u))
+        """Learned state derivative at one point (d,) or stacked points (n, d).
+
+        Rows whose output is inf or NaN are returned as they are, so that a
+        sweep over stacked points can skip them one by one.
+        """
+        return mlp_forward(self.params, self.normalize(s, u), check_finite=False)
 
     def jacobian(self, s, u, t=0.0) -> np.ndarray:
         """State Jacobian at one point (d, d) or stacked points (n, d, d)."""

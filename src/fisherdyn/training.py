@@ -450,16 +450,20 @@ def build_training_data(analytic_model, bounds: CollocationBounds,
                         horizon: int = 5, n_validation: int = 1024,
                         state_dim: int = 3) -> TrainingData:
     """Assemble the regime data bundle from an analytic model (physics
-    targets) and optional recorded trajectories (data / window terms)."""
+    targets) and optional recorded trajectories (data / window terms).
+
+    The physics targets of each point set come from one ``rhs`` call on the
+    stacked points.
+    """
     pts = sample_collocation(bounds, n_collocation, seed, state_dim)
     phys_states = np.stack([p[0] for p in pts])
     phys_inputs = np.stack([p[1] for p in pts])
-    phys_targets = np.stack([analytic_model.rhs(s, u) for s, u in pts])
+    phys_targets = analytic_model.rhs(phys_states, phys_inputs)
 
     vpts = sample_collocation(bounds, n_validation, seed + 7919, state_dim)
     val_states = np.stack([p[0] for p in vpts])
     val_inputs = np.stack([p[1] for p in vpts])
-    val_targets = np.stack([analytic_model.rhs(s, u) for s, u in vpts])
+    val_targets = analytic_model.rhs(val_states, val_inputs)
 
     bundle = TrainingData(phys_states, phys_inputs, phys_targets,
                           val_states, val_inputs, val_targets)

@@ -1,12 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fisherdyn import dynamics
-from fisherdyn.dynamics import (DrivetrainCoefficients, TirePair, VehicleParams,
-                                dynamic_rhs)
-from fisherdyn.estimator import (coefficients_to_structs, predict_next_velocities,
+from fisherdyn.datagen import generate_dynamic_dataset
+from fisherdyn.dynamics import (DrivetrainCoefficients, DynamicModel, TirePair,
+                                VehicleParams, dynamic_jacobian, dynamic_rhs,
+                                velocity_rate_partials, velocity_rates)
+from fisherdyn.estimator import (EstimatorConfig, EstimatorModel, WindowSet,
+                                 _phi_gradient, build_windows,
+                                 coefficients_to_structs, default_guard_bounds,
+                                 predict_next_velocities, train_coefficient_estimator,
                                  true_coefficients)
+from fisherdyn.nets import physics_guard, physics_guard_derivative
 from fisherdyn.numerics import rk4_step
+from fisherdyn.training import ddm_loss
 
 
 def velocity_batch(rng, n):
@@ -41,6 +50,7 @@ class TestPredictNextVelocities:
 
         monkeypatch.setattr(dynamics, "_tire_slope", forbidden)
         monkeypatch.setattr(dynamics, "_scale_slope", forbidden)
+        monkeypatch.setattr(dynamics, "_tire_partials", forbidden)
         states, coef = velocity_batch(np.random.default_rng(52), 8)
         predict_next_velocities(states, coef, self.p, self.template, 0.02)
         s = np.column_stack([np.zeros((8, 3)), states[:, :3]])
@@ -50,3 +60,154 @@ class TestPredictNextVelocities:
         with pytest.raises(AssertionError, match="partial"):
             dynamics.dynamic_jacobian(s, states[:, 3:], self.p, self.template,
                                       DrivetrainCoefficients(), roll)
+
+
+# ---------------------------------------------------------------------------
+# exact gradient of the physics step, backward pass and training
+
+
+P = VehicleParams.dynamic_default()
+TEMPLATE = TirePair.default()
+TRUTH = true_coefficients(TEMPLATE, DrivetrainCoefficients())
+BOUNDS = default_guard_bounds(TEMPLATE, DrivetrainCoefficients())
+WIDTH = BOUNDS.upper - BOUNDS.lower
+
+
+@pytest.fixture(scope="module")
+def clean_trajectories():
+    """A short disturbance-free maneuver ladder: speed sweeps and slaloms."""
+    return generate_dynamic_dataset(DynamicModel(), n_runs=8, duration=1.0, dt=0.02, seed=3)
+
+
+def stub_model(cfg=EstimatorConfig()):
+    """An estimator with the default brackets and unnormalized features."""
+    return EstimatorModel(cfg, BOUNDS, P, TEMPLATE, 0.02, np.zeros(7), np.ones(7))
+
+
+def column_rel_err(exact, fd):
+    """Largest error of each coefficient column relative to that column's scale."""
+    axes = tuple(range(exact.ndim - 1))
+    return np.max(np.abs(exact - fd), axis=axes) / np.max(np.abs(fd), axis=axes)
+
+
+class TestVelocityRatePartials:
+    def test_rates_are_velocity_rates(self):
+        states, coef = velocity_batch(np.random.default_rng(61), 64)
+        rates, _, _ = velocity_rate_partials(states[:, :3], states[:, 3:], P, coef, TEMPLATE)
+        assert np.array_equal(rates, velocity_rates(states[:, :3], states[:, 3:], P,
+                                                    coef, TEMPLATE))
+
+    def test_velocity_block_is_dynamic_jacobian(self):
+        states, _ = velocity_batch(np.random.default_rng(62), 64)
+        _, d_vel, _ = velocity_rate_partials(states[:, :3], states[:, 3:], P, TRUTH, TEMPLATE)
+        s = np.column_stack([np.zeros((64, 3)), states[:, :3]])
+        jac = dynamic_jacobian(s, states[:, 3:], P, TEMPLATE, DrivetrainCoefficients())
+        scale = np.max(np.abs(jac[:, 3:, 3:]), axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(d_vel - jac[:, 3:, 3:]) <= 1e-12 * scale)
+
+    def test_coefficient_partials_vs_central_differences(self):
+        states, coef = velocity_batch(np.random.default_rng(63), 64)
+        vel, u = states[:, :3], states[:, 3:]
+        _, _, d_coef = velocity_rate_partials(vel, u, P, coef, TEMPLATE)
+        fd = np.empty_like(d_coef)
+        for j in range(12):
+            h = np.zeros(12)
+            h[j] = 1e-5 * WIDTH[j]
+            fd[..., j] = (velocity_rates(vel, u, P, coef + h, TEMPLATE)
+                          - velocity_rates(vel, u, P, coef - h, TEMPLATE)) / (2.0 * h[j])
+        assert np.all(column_rel_err(d_coef, fd) <= 1e-6)
+
+
+class TestPhiGradient:
+    def test_matches_central_differences_of_batch_loss(self):
+        rng = np.random.default_rng(64)
+        states, phi = velocity_batch(rng, 96)
+        targets = (predict_next_velocities(states, TRUTH, P, TEMPLATE, 0.02)
+                   + rng.normal(scale=1e-3, size=(96, 3)))
+        windows = WindowSet(np.zeros((96, 1, 7)), states, targets, [])
+        idx = np.arange(96)
+
+        def row_losses(c):
+            resid = predict_next_velocities(states, c, P, TEMPLATE, 0.02) - targets
+            return np.sum(resid * resid, axis=1) / resid.size
+
+        resid = predict_next_velocities(states, phi, P, TEMPLATE, 0.02) - targets
+        exact = _phi_gradient(stub_model(), windows, idx, phi, resid)
+        # each row's loss depends on that row's coefficients only, so one
+        # perturbed column gives the central difference of every row
+        fd = np.empty_like(exact)
+        for j in range(12):
+            h = np.zeros(12)
+            h[j] = 1e-4 * WIDTH[j]
+            fd[:, j] = (row_losses(phi + h) - row_losses(phi - h)) / (2.0 * h[j])
+        assert np.all(column_rel_err(exact, fd) <= 1e-6)
+
+    def test_true_coefficients_give_zero_loss_on_clean_data(self, clean_trajectories):
+        windows = build_windows(clean_trajectories, 5)
+        phi = np.broadcast_to(TRUTH, (len(windows), 12))
+        pred = predict_next_velocities(windows.base_states, phi, P, TEMPLATE, 0.02)
+        # zero up to the round-off between the scalar simulation path and
+        # the stacked rates
+        scale = np.max(np.abs(windows.targets))
+        assert ddm_loss(pred, windows.targets) <= (1e-14 * scale) ** 2
+
+
+class TestEstimatorModel:
+    def test_backward_vs_finite_differences(self, clean_trajectories):
+        windows = build_windows(clean_trajectories, 3)
+        cfg = EstimatorConfig(tau=3, hidden_size=6, head_width=5, seed=4)
+        model = stub_model(cfg)
+        model.head.weights[-1] *= 100.0  # undo the small start, so the GRU matters
+        idx = np.arange(0, len(windows), 4)
+
+        def loss():
+            phi = model.estimate(windows.features[idx])
+            pred = predict_next_velocities(windows.base_states[idx], phi, P, TEMPLATE, 0.02)
+            return float(np.mean((pred - windows.targets[idx]) ** 2))
+
+        phi, cache = model.estimate(windows.features[idx], with_cache=True)
+        resid = predict_next_velocities(windows.base_states[idx], phi, P, TEMPLATE,
+                                        0.02) - windows.targets[idx]
+        grads = model.backward(cache, _phi_gradient(model, windows, idx, phi, resid))
+        params = model.param_list()
+        rng = np.random.default_rng(65)
+        # Wz, Un, bn of the GRU and both head weight matrices
+        for k in (0, 7, 8, 9, 11):
+            for _ in range(3):
+                i = tuple(rng.integers(s) for s in params[k].shape)
+                old = params[k][i]
+                h = 1e-6 * max(1.0, abs(old))
+                params[k][i] = old + h
+                up = loss()
+                params[k][i] = old - h
+                dn = loss()
+                params[k][i] = old
+                fd = (up - dn) / (2.0 * h)
+                assert abs(grads[k][i] - fd) <= 1e-5 * max(abs(fd), np.max(np.abs(grads[k])))
+
+    def test_guard_stays_inside_bounds_for_large_z(self):
+        model = stub_model()
+        for z in (-800.0, -40.0, 40.0, 800.0):
+            with np.errstate(all="raise"):
+                phi = physics_guard(np.full((2, 12), z), model.bounds)
+                slope = physics_guard_derivative(np.full((2, 12), z), model.bounds)
+            assert np.all(phi > BOUNDS.lower) and np.all(phi < BOUNDS.upper)
+            assert np.all(np.isfinite(slope)) and np.all(slope > 0.0)
+
+
+class TestTraining:
+    def test_deterministic_per_seed(self, clean_trajectories):
+        cfg = EstimatorConfig(epochs=2, batch_size=128, hidden_size=8, head_width=8, seed=5)
+        runs = [train_coefficient_estimator(cfg, clean_trajectories, P, TEMPLATE)
+                for _ in range(2)]
+        assert runs[0].loss_curve == runs[1].loss_curve
+        assert np.array_equal(runs[0].phi_records, runs[1].phi_records)
+        other = train_coefficient_estimator(replace(cfg, seed=6), clean_trajectories, P, TEMPLATE)
+        assert other.loss_curve != runs[0].loss_curve
+
+    def test_short_run_lowers_the_loss(self, clean_trajectories):
+        cfg = EstimatorConfig(epochs=5, batch_size=128, seed=1)
+        run = train_coefficient_estimator(cfg, clean_trajectories, P, TEMPLATE)
+        assert not run.diverged and len(run.loss_curve) == 5
+        assert run.loss_curve[-1] < 0.5 * run.loss_curve[0]
+        assert np.all(run.phi_records > BOUNDS.lower) and np.all(run.phi_records < BOUNDS.upper)

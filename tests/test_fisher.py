@@ -348,6 +348,23 @@ class TestStackedField:
         for smp in (field.samples[0], field.samples[2]):
             assert 0.0 <= smp.g / 4.0 <= smp.sigma_max_sq + 1e-12
 
+    def test_learned_model_infinite_output_at_one_point(self):
+        # a linear network xdot = (x + y + u, -x) whose output overflows to
+        # inf at one point of the stack
+        params = init_network(3, (LayerSpec(2, "linear"),))
+        params.weights[0][:] = [[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]]
+        model = LearnedDynamicsModel(params, 2, 1)
+        pts = [(np.array([1.0, 0.5]), np.array([0.2])),
+               (np.array([1e308, 1e308]), np.array([0.0])),
+               (np.array([-2.0, 1.0]), np.array([0.1]))]
+        with np.errstate(over="ignore"):
+            flow = model.rhs(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
+            field = evaluate_field(model, pts)
+        assert np.isinf(flow[1, 0]) and np.isfinite(flow[[0, 2]]).all()
+        assert [smp.skip for smp in field.samples] == ["", "nonfinite", ""]
+        for smp in (field.samples[0], field.samples[2]):
+            assert 0.0 <= smp.g / 4.0 <= smp.sigma_max_sq + 1e-12
+
     def test_fixed_direction_dimension_checked(self):
         with pytest.raises(ValueError):
             evaluate_field(KinematicModel(), [(np.zeros(3), np.array([1.0, 0.1]))],

@@ -27,7 +27,8 @@ class LinearSystem:
         self.B = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.7]])
 
     def rhs(self, s, u, t=0.0):
-        return self.A @ np.asarray(s, float) + self.B @ np.asarray(u, float)
+        """One point (3,) or stacked points (n, 3)."""
+        return np.asarray(s, float) @ self.A.T + np.asarray(u, float) @ self.B.T
 
 
 SMALL_BOUNDS = CollocationBounds(np.array([-1.0, -1.0, -1.0, -1.0, -1.0]),
@@ -191,6 +192,17 @@ class TestTrajectoryLoss:
             fd = (lp - lm) / (2 * h)
             an = flat_g[k][idx]
             assert abs(fd - an) <= 1e-5 * max(abs(fd), abs(an), 1e-7)
+
+
+class TestBuildTrainingData:
+    def test_stacked_targets_equal_per_point_rhs(self):
+        model = KinematicModel()
+        data = build_training_data(model, CollocationBounds(), 512, seed=22,
+                                   n_validation=256)
+        for states, inputs, targets in ((data.phys_states, data.phys_inputs, data.phys_targets),
+                                        (data.val_states, data.val_inputs, data.val_targets)):
+            per_point = np.stack([model.rhs(s, u) for s, u in zip(states, inputs)])
+            assert np.array_equal(targets, per_point)
 
 
 class TestTrainRegime:
