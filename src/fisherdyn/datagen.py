@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,6 +238,8 @@ def _traj_to_csv(traj: Trajectory) -> str:
 
 def _traj_from_csv(text: str, path: str) -> Trajectory:
     lines = [ln for ln in text.split("\n") if ln.strip()]
+    if not lines:
+        raise ConfigError(f"{path}: empty file, expected a header line")
     header = lines[0].split(",")
     n_total = len(header)
     try:
@@ -322,6 +324,8 @@ def write_points(points, path) -> None:
 def read_points(path) -> list:
     with open(path) as fh:
         lines = [ln for ln in fh.read().split("\n") if ln.strip()]
+    if not lines:
+        raise ConfigError(f"{path}: empty file, expected a header line")
     header = lines[0].split(",")
     ns = sum(1 for h in header if h.startswith("state_"))
     out = []

@@ -38,7 +38,7 @@ for the gradient of the coefficient estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

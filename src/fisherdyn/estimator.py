@@ -6,16 +6,18 @@ Guard squashes them into per-coefficient bounds; the guarded coefficients
 drive one RK4 step of the nominal velocity dynamics, and the loss is the mean
 squared (vx, vy, omega) prediction error.
 
-Gradients are exact throughout: through the physics step by reverse mode
-over its four RK4 stages, with the closed-form rate partials of
-``dynamics.velocity_rate_partials``, then through guard, head and GRU
-(backprop through time).
+The physics step is ``numerics.rk4``: over ``dynamics.velocity_rates`` for
+plain predictions, and in training over ``dynamics.velocity_rate_partials``,
+whose stages give both the prediction and their closed-form rate partials.
+Gradients are exact throughout: through the physics step by
+``numerics.rk4_adjoint`` over those partials, then through guard, head and
+GRU (backprop through time).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +25,11 @@ from .dynamics import (COEFFICIENT_NAMES, DrivetrainCoefficients,
                        PacejkaCoefficients, TirePair, VehicleParams,
                        coefficient_vector, velocity_rate_partials,
                        velocity_rates)
-from .nets import (GruSpec, LayerSpec, NetworkParams, PhysicsGuardBounds,
-                   adam_step, gru_backward, gru_forward_cache, init_adam,
-                   init_gru, init_network, mlp_forward_cache, mlp_vjp,
-                   physics_guard, physics_guard_derivative)
-from .training import ddm_loss
+from .nets import (LayerSpec, PhysicsGuardBounds, adam_step, gru_backward,
+                   gru_forward_cache, init_adam, init_gru, init_network,
+                   mlp_forward_cache, mlp_vjp, physics_guard,
+                   physics_guard_derivative)
+from .numerics import rk4, rk4_adjoint
 
 __all__ = [
     "COEFFICIENT_NAMES",
@@ -100,11 +102,34 @@ def predict_next_velocities(states, coef, p: VehicleParams, template: TirePair,
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     vel, u = states[:, :3], states[:, 3:5]
-    k1 = velocity_rates(vel, u, p, coef, template)
-    k2 = velocity_rates(vel + 0.5 * Ts * k1, u, p, coef, template)
-    k3 = velocity_rates(vel + 0.5 * Ts * k2, u, p, coef, template)
-    k4 = velocity_rates(vel + Ts * k3, u, p, coef, template)
-    return vel + (Ts / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    pred, _ = rk4(lambda v: (velocity_rates(v, u, p, coef, template), None), vel, Ts)
+    return pred
+
+
+def _physics_step(model, base_states, phi):
+    """``predict_next_velocities`` over the stage partials J_i (velocity) and
+    C_i (coefficients); returns the prediction and its pullback from dLoss/dpred
+    to dLoss/dPhi, an ``rk4_adjoint`` whose stages add b C_i and pass b J_i."""
+    vel, u = base_states[:, :3], base_states[:, 3:5]
+
+    def stage(v):
+        rates, *partials = velocity_rate_partials(v, u, model.params, phi, model.template)
+        return rates, partials
+
+    pred, partials = rk4(stage, vel, model.Ts)
+
+    def pullback(grad_pred):
+        terms = []
+
+        def vjp(aux, b):
+            d_vel, d_coef = aux
+            terms.append(np.einsum("ni,nij->nj", b, d_coef))
+            return np.einsum("ni,nij->nj", b, d_vel)
+
+        rk4_adjoint(vjp, partials, grad_pred, model.Ts)
+        return sum(reversed(terms))  # stage 1 first, in the forward order
+
+    return pred, pullback
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +233,6 @@ class EstimatorModel:
         gru_grads = gru_backward(self.gru, gru_cache, grad_h)
         return gru_grads + [a for pair in head_grads for a in pair]
 
-    def predict(self, windows: WindowSet, phi=None) -> np.ndarray:
-        if phi is None:
-            phi = self.estimate(windows.features)
-        return predict_next_velocities(windows.base_states, phi, self.params,
-                                       self.template, self.Ts)
-
 
 @dataclass
 class EstimatorRun:
@@ -223,38 +242,6 @@ class EstimatorRun:
     sources: list
     diverged: bool = False
     wall_time_s: float = 0.0
-
-
-def _phi_gradient(model: EstimatorModel, windows: WindowSet, idx, phi, resid):
-    """Exact dLoss/dPhi of the RK4 step, by reverse mode through its stages.
-
-    With g = dLoss/dpred and the stage partials J_i = dk_i/d(stage velocity),
-    C_i = dk_i/dPhi, the adjoints of the stages are b4 = Ts/6 g,
-    b3 = Ts/3 g + Ts b4 J4, b2 = Ts/3 g + Ts/2 b3 J3, b1 = Ts/6 g + Ts/2 b2 J2,
-    and dLoss/dPhi = sum_i b_i C_i.
-    """
-    n, three = resid.shape
-    Ts = model.Ts
-    base = windows.base_states[idx]
-    vel, u = base[:, :3], base[:, 3:5]
-
-    def stage(v):
-        return velocity_rate_partials(v, u, model.params, phi, model.template)
-
-    k1, J1, C1 = stage(vel)
-    k2, J2, C2 = stage(vel + 0.5 * Ts * k1)
-    k3, J3, C3 = stage(vel + 0.5 * Ts * k2)
-    _, J4, C4 = stage(vel + Ts * k3)
-
-    def vjp(b, jac):
-        return np.einsum("ni,nij->nj", b, jac)
-
-    g = resid * (2.0 / (three * n))
-    b4 = (Ts / 6.0) * g
-    b3 = (Ts / 3.0) * g + Ts * vjp(b4, J4)
-    b2 = (Ts / 3.0) * g + (0.5 * Ts) * vjp(b3, J3)
-    b1 = (Ts / 6.0) * g + (0.5 * Ts) * vjp(b2, J2)
-    return vjp(b1, C1) + vjp(b2, C2) + vjp(b3, C3) + vjp(b4, C4)
 
 
 def train_coefficient_estimator(cfg: EstimatorConfig, trajectories,
@@ -290,15 +277,13 @@ def train_coefficient_estimator(cfg: EstimatorConfig, trajectories,
             idx = order[lo:lo + cfg.batch_size]
             feats = windows.features[idx]
             phi, cache = model.estimate(feats, with_cache=True)
-            pred = predict_next_velocities(windows.base_states[idx], phi,
-                                           model.params, model.template, model.Ts)
+            pred, pullback = _physics_step(model, windows.base_states[idx], phi)
             resid = pred - windows.targets[idx]
             loss = float(np.mean(resid * resid))
             if not math.isfinite(loss):
                 diverged = True
                 break
-            grad_phi = _phi_gradient(model, windows, idx, phi, resid)
-            grads = model.backward(cache, grad_phi)
+            grads = model.backward(cache, pullback(resid * (2.0 / resid.size)))
             adam_step(model.param_list(), grads, opt)
             epoch_loss += loss * idx.size
             seen += idx.size

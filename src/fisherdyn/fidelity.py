@@ -12,22 +12,19 @@ difference is reported alongside as the baseline it is meant to improve on.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fisher import AlignmentError, FisherField, stack_points
 
 __all__ = [
-    "FidelityReport",
     "ParameterBiasTable",
     "fisher_discrepancy",
     "jacobian_baseline",
     "well_trained_verdict",
     "parameter_bias_table",
-    "comparison_curves",
     "DEFAULT_TOLERANCES",
 ]
 
@@ -108,49 +105,6 @@ def well_trained_verdict(traj_err: float, physics_resid: float,
 
 
 @dataclass
-class FidelityReport:
-    e_fi: float
-    e_fi_relative: float
-    jacobian_baseline: float
-    per_sample: list  # (index, g_true, g_learned, diff) over valid pairs
-    verdict: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "e_fi": self.e_fi,
-            "e_fi_relative": self.e_fi_relative,
-            "jacobian_baseline": self.jacobian_baseline,
-            "n_samples": len(self.per_sample),
-            "per_sample": [[int(i), g1, g2, d] for i, g1, g2, d in self.per_sample],
-            "verdict": self.verdict,
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
-
-def comparison_curves(true_field: FisherField, learned_field: FisherField) -> str:
-    """Per-sample CSV (index, g_true, g_learned, difference) over valid pairs."""
-    rows = per_sample_rows(true_field, learned_field)
-    lines = ["index,g_true,g_learned,difference"]
-    for i, gt, gl, d in rows:
-        lines.append(f"{i},{gt!r},{gl!r},{d!r}")
-    return "\n".join(lines) + "\n"
-
-
-def per_sample_rows(true_field: FisherField, learned_field: FisherField) -> list:
-    _aligned_valid(true_field, learned_field)  # alignment check
-    rows = []
-    for i, (st, sl) in enumerate(zip(true_field.samples, learned_field.samples)):
-        if st.skipped or sl.skipped:
-            continue
-        rows.append((i, float(st.g), float(sl.g), float(st.g - sl.g)))
-    return rows
-
-
-@dataclass
 class ParameterBiasTable:
     names: list
     means: np.ndarray
@@ -167,9 +121,8 @@ class ParameterBiasTable:
 
     def to_csv(self) -> str:
         lines = ["parameter,mean,std,true"]
-        for i, name in enumerate(self.names):
-            lines.append(f"{name},{self.means[i]!r},{self.stds[i]!r},"
-                         f"{self.true_values[i]!r}")
+        for row in zip(self.names, self.means, self.stds, self.true_values):
+            lines.append(",".join([row[0]] + [repr(float(v)) for v in row[1:]]))
         return "\n".join(lines) + "\n"
 
 

@@ -15,7 +15,7 @@ format.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "physics_guard",
     "physics_guard_derivative",
     "init_gru",
-    "gru_forward",
     "gru_forward_cache",
     "gru_backward",
     "LearnedDynamicsModel",
@@ -354,14 +353,10 @@ def _history_batch(history, input_size):
     return h, single
 
 
-def gru_forward(spec: GruSpec, history) -> np.ndarray:
-    """Run the recurrence over a (tau, d) history (or a (n, tau, d) batch);
-    returns the final hidden state."""
-    h_final, _ = gru_forward_cache(spec, history)
-    return h_final
-
-
 def gru_forward_cache(spec: GruSpec, history):
+    """Run the recurrence over a (tau, d) history (or a (n, tau, d) batch);
+    returns the final hidden state and the per-step cache of
+    ``gru_backward``."""
     hist, single = _history_batch(history, spec.input_size)
     n_batch, tau, _ = hist.shape
     h = np.zeros((n_batch, spec.hidden_size))

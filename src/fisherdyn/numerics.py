@@ -3,6 +3,10 @@
 Matrices and vectors are plain float64 numpy arrays. Everything here is a pure
 function, safe to call concurrently.
 
+``rk4`` is the package's one Runge-Kutta step and ``rk4_adjoint`` its one
+reverse-mode pass: simulation (``rk4_step``), the inverse-regime rollout
+gradient and the coefficient estimator's physics step all call them.
+
 ``largest_singular_value`` takes one matrix or a (..., m, n) stack of them
 and reads sigma_max off LAPACK's singular values (``np.linalg.svd`` without
 vectors): exact to round-off, with one batched call for a whole Fisher field.
@@ -15,6 +19,8 @@ import numpy as np
 __all__ = [
     "EvaluationError",
     "central_difference_jacobian",
+    "rk4",
+    "rk4_adjoint",
     "rk4_step",
     "largest_singular_value",
 ]
@@ -62,19 +68,36 @@ def central_difference_jacobian(f, x, u=None, h: float = DEFAULT_FD_STEP) -> np.
     return np.column_stack(cols)
 
 
+def rk4(f, x, dt: float):
+    """One classical RK4 step of ``x`` under ``f``, where ``f(x)`` returns a
+    (rate, aux) pair; returns the new state and the four stage auxes."""
+    k1, a1 = f(x)
+    k2, a2 = f(x + 0.5 * dt * k1)
+    k3, a3 = f(x + 0.5 * dt * k2)
+    k4, a4 = f(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (a1, a2, a3, a4)
+
+
+def rk4_adjoint(vjp, auxes, lam, dt: float):
+    """Reverse mode through one ``rk4`` step: the cotangent of the old state
+    given ``lam``, that of the new one. ``vjp(aux, b)`` maps the cotangent
+    ``b`` of a stage's rate to that of the stage's input (and accumulates any
+    parameter cotangents itself); the stages run last to first."""
+    a1, a2, a3, a4 = auxes
+    g4 = vjp(a4, (dt / 6.0) * lam)
+    g3 = vjp(a3, (dt / 3.0) * lam + dt * g4)
+    g2 = vjp(a2, (dt / 3.0) * lam + 0.5 * dt * g3)
+    g1 = vjp(a1, (dt / 6.0) * lam + 0.5 * dt * g2)
+    return lam + g4 + g3 + g2 + g1
+
+
 def rk4_step(f, x, u=None, dt: float = 0.1) -> np.ndarray:
     """Classical 4th-order Runge-Kutta update of ``x`` under ``f`` with ``u`` held."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x = np.asarray(x, dtype=float)
-    call = (lambda xx: np.asarray(f(xx), dtype=float)) if u is None else (
-        lambda xx: np.asarray(f(xx, u), dtype=float))
-
-    k1 = call(x)
-    k2 = call(x + 0.5 * dt * k1)
-    k3 = call(x + 0.5 * dt * k2)
-    k4 = call(x + dt * k3)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    call = (lambda xx: (np.asarray(f(xx), dtype=float), None)) if u is None else (
+        lambda xx: (np.asarray(f(xx, u), dtype=float), None))
+    out, _ = rk4(call, np.asarray(x, dtype=float), dt)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("non-finite intermediate in rk4 step")
     return out

@@ -10,8 +10,8 @@ lambda_d * L_data:
   from unrolling Fhat with RK4 over short windows and gradients flow through
   the unrolled integration.
 
-Also here: collocation sampling, the velocity-component loss used by the
-coefficient estimator, and architecture sweeps ranked by validation residual.
+Also here: collocation sampling, the coefficient estimator's velocity-component
+loss, and architecture sweeps ranked by validation residual.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .nets import (AdamState, LayerSpec, LearnedDynamicsModel, NetworkParams,
-                   adam_step, init_adam, init_network, mlp_forward,
-                   mlp_forward_cache, mlp_param_gradient, mlp_vjp)
+from .nets import (LayerSpec, LearnedDynamicsModel, NetworkParams, adam_step,
+                   init_adam, init_network, mlp_forward, mlp_forward_cache,
+                   mlp_param_gradient, mlp_vjp)
+from .numerics import rk4, rk4_adjoint
 
 __all__ = [
     "CollocationBounds",
@@ -34,7 +35,6 @@ __all__ = [
     "TrainingData",
     "DivergedRolloutError",
     "sample_collocation",
-    "physics_loss",
     "data_loss",
     "trajectory_loss",
     "ddm_loss",
@@ -174,20 +174,9 @@ class TrainingData:
 # loss surfaces (evaluation only; training uses the fused loss+grad versions)
 
 
-def physics_loss(model: LearnedDynamicsModel, points, analytic_rhs) -> float:
-    """Mean over points of ||F(x,u) - Fhat(x,u)||^2."""
-    points = list(points)
-    if not points:
-        raise ValueError("physics loss needs at least one point")
-    states = np.stack([p[0] for p in points])
-    inputs = np.stack([p[1] for p in points])
-    targets = np.stack([np.asarray(analytic_rhs(s, u), float) for s, u in points])
-    pred = mlp_forward(model.params, model.normalize(states, inputs))
-    return float(np.mean(np.sum((pred - targets) ** 2, axis=1)))
-
-
 def data_loss(model: LearnedDynamicsModel, states, inputs, xdot_data) -> float:
-    """Mean over samples of ||Fhat(x,u) - xdot_data||^2."""
+    """Mean over samples of ||Fhat(x,u) - xdot_data||^2; with the analytic
+    right-hand side as ``xdot_data`` this is the physics residual."""
     pred = mlp_forward(model.params, model.normalize(states, inputs))
     return float(np.mean(np.sum((pred - np.asarray(xdot_data, float)) ** 2, axis=1)))
 
@@ -213,15 +202,6 @@ def ddm_loss(predicted, observed) -> float:
 # fused loss + gradient kernels
 
 
-def _mse_loss_grad(model, states, inputs, targets):
-    x = model.normalize(states, inputs)
-    y, cache = mlp_forward_cache(model.params, x)
-    resid = y - targets
-    loss = float(np.mean(np.sum(resid * resid, axis=1)))
-    _, grads = mlp_vjp(model.params, cache, 2.0 * resid / x.shape[0])
-    return loss, grads
-
-
 def _stage_forward(model, x_stage, u):
     xn = (np.concatenate([x_stage, u], axis=1) - model.offset) / model.scale
     return mlp_forward_cache(model.params, xn)
@@ -229,7 +209,9 @@ def _stage_forward(model, x_stage, u):
 
 def _rollout_loss_grad(model: LearnedDynamicsModel, win_states, win_inputs,
                        horizon: int, dt: float, want_grad: bool = True):
-    """Loss (and exact gradient) of RK4 rollouts over all windows at once."""
+    """Loss (and exact gradient) of RK4 rollouts over all windows at once: one
+    ``rk4`` call per step, whose stages keep their MLP caches, then one
+    ``rk4_adjoint`` call per step, last first, whose vjp sums the weight gradients."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     d = model.state_dim
@@ -241,16 +223,11 @@ def _rollout_loss_grad(model: LearnedDynamicsModel, win_states, win_inputs,
     preds = []
     for k in range(horizon):
         u = win_inputs[:, k, :]
-        x0 = xhat
-        k1, c1 = _stage_forward(model, x0, u)
-        k2, c2 = _stage_forward(model, x0 + 0.5 * dt * k1, u)
-        k3, c3 = _stage_forward(model, x0 + 0.5 * dt * k2, u)
-        k4, c4 = _stage_forward(model, x0 + dt * k3, u)
-        xhat = x0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        xhat, caches = rk4(lambda x: _stage_forward(model, x, u), xhat, dt)
         if not np.all(np.isfinite(xhat)):
             bad = int(np.argwhere(~np.isfinite(xhat).all(axis=1))[0, 0])
             raise DivergedRolloutError(f"rollout diverged in window {bad} at step {k}")
-        steps.append((c1, c2, c3, c4))
+        steps.append(caches)
         preds.append(xhat)
 
     norm = n_w * horizon
@@ -271,13 +248,7 @@ def _rollout_loss_grad(model: LearnedDynamicsModel, win_states, win_inputs,
 
     lam_next = np.zeros((n_w, d))
     for k in range(horizon - 1, -1, -1):
-        lam = lam_next + 2.0 * resids[k] / norm
-        c1, c2, c3, c4 = steps[k]
-        gx4 = vjp(c4, (dt / 6.0) * lam)
-        gx3 = vjp(c3, (dt / 3.0) * lam + dt * gx4)
-        gx2 = vjp(c2, (dt / 3.0) * lam + 0.5 * dt * gx3)
-        gx1 = vjp(c1, (dt / 6.0) * lam + 0.5 * dt * gx2)
-        lam_next = lam + gx4 + gx3 + gx2 + gx1
+        lam_next = rk4_adjoint(vjp, steps[k], lam_next + 2.0 * resids[k] / norm, dt)
     return loss, list(zip(grads, gbias)), preds
 
 
@@ -316,12 +287,14 @@ def _check_gradient(model, cfg, data, rng) -> float:
         return t
 
     grads = None
-    _, g_phys = _mse_loss_grad(model, data.phys_states, data.phys_inputs,
-                               data.phys_targets)
+    _, g_phys = mlp_param_gradient(
+        model.params, model.normalize(data.phys_states, data.phys_inputs),
+        data.phys_targets)
     grads = _scale_add(grads, g_phys, cfg.lambda_p)
     if cfg.regime == "hybrid" and cfg.lambda_d > 0:
-        _, g_data = _mse_loss_grad(model, data.data_states, data.data_inputs,
-                                   data.data_xdot)
+        _, g_data = mlp_param_gradient(
+            model.params, model.normalize(data.data_states, data.data_inputs),
+            data.data_xdot)
         grads = _scale_add(grads, g_data, cfg.lambda_d)
     elif cfg.regime == "inverse" and cfg.lambda_d > 0:
         _, g_traj, _ = _rollout_loss_grad(model, data.win_states, data.win_inputs,
@@ -387,14 +360,18 @@ def train_regime(model: LearnedDynamicsModel, cfg: RegimeConfig,
                 grads = None
                 if cfg.lambda_p > 0:
                     bi = p_batches[step % len(p_batches)]
-                    _, g = _mse_loss_grad(model, data.phys_states[bi],
-                                          data.phys_inputs[bi], data.phys_targets[bi])
+                    _, g = mlp_param_gradient(
+                        model.params,
+                        model.normalize(data.phys_states[bi], data.phys_inputs[bi]),
+                        data.phys_targets[bi])
                     grads = _scale_add(grads, g, cfg.lambda_p)
                 if cfg.lambda_d > 0 and d_batches:
                     bi = d_batches[step % len(d_batches)]
                     if cfg.regime == "hybrid":
-                        _, g = _mse_loss_grad(model, data.data_states[bi],
-                                              data.data_inputs[bi], data.data_xdot[bi])
+                        _, g = mlp_param_gradient(
+                            model.params,
+                            model.normalize(data.data_states[bi], data.data_inputs[bi]),
+                            data.data_xdot[bi])
                     else:
                         _, g, _ = _rollout_loss_grad(model, data.win_states[bi],
                                                      data.win_inputs[bi],

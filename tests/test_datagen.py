@@ -175,6 +175,17 @@ class TestDatasetIO:
         with pytest.raises(ConfigError, match=":4:"):
             read_dataset(tmp_path / "ds")
 
+    def test_empty_trajectory_file_names_the_path(self, tmp_path):
+        write_dataset([self.make_traj()], tmp_path / "ds")
+        (tmp_path / "ds" / "traj_000.csv").write_text("\n \n")
+        with pytest.raises(ConfigError, match="traj_000.csv: empty file"):
+            read_dataset(tmp_path / "ds")
+
+    def test_empty_points_file_names_the_path(self, tmp_path):
+        (tmp_path / "pts.csv").write_text("")
+        with pytest.raises(ConfigError, match="pts.csv: empty file"):
+            read_points(tmp_path / "pts.csv")
+
     def test_points_round_trip(self, tmp_path):
         pts = [(np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.1]))]
         write_points(pts, tmp_path / "pts.csv")

@@ -3,13 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fisherdyn import dynamics
+from fisherdyn import dynamics, estimator
 from fisherdyn.datagen import generate_dynamic_dataset
 from fisherdyn.dynamics import (DrivetrainCoefficients, DynamicModel, TirePair,
                                 VehicleParams, dynamic_jacobian, dynamic_rhs,
                                 velocity_rate_partials, velocity_rates)
-from fisherdyn.estimator import (EstimatorConfig, EstimatorModel, WindowSet,
-                                 _phi_gradient, build_windows,
+from fisherdyn.estimator import (EstimatorConfig, EstimatorModel,
+                                 _physics_step, build_windows,
                                  coefficients_to_structs, default_guard_bounds,
                                  predict_next_velocities, train_coefficient_estimator,
                                  true_coefficients)
@@ -124,15 +124,15 @@ class TestPhiGradient:
         states, phi = velocity_batch(rng, 96)
         targets = (predict_next_velocities(states, TRUTH, P, TEMPLATE, 0.02)
                    + rng.normal(scale=1e-3, size=(96, 3)))
-        windows = WindowSet(np.zeros((96, 1, 7)), states, targets, [])
-        idx = np.arange(96)
 
         def row_losses(c):
             resid = predict_next_velocities(states, c, P, TEMPLATE, 0.02) - targets
             return np.sum(resid * resid, axis=1) / resid.size
 
-        resid = predict_next_velocities(states, phi, P, TEMPLATE, 0.02) - targets
-        exact = _phi_gradient(stub_model(), windows, idx, phi, resid)
+        pred, pullback = _physics_step(stub_model(), states, phi)
+        # the stages of the partials give the rates-only prediction exactly
+        assert np.array_equal(pred, predict_next_velocities(states, phi, P, TEMPLATE, 0.02))
+        exact = pullback((pred - targets) * (2.0 / pred.size))
         # each row's loss depends on that row's coefficients only, so one
         # perturbed column gives the central difference of every row
         fd = np.empty_like(exact)
@@ -166,9 +166,9 @@ class TestEstimatorModel:
             return float(np.mean((pred - windows.targets[idx]) ** 2))
 
         phi, cache = model.estimate(windows.features[idx], with_cache=True)
-        resid = predict_next_velocities(windows.base_states[idx], phi, P, TEMPLATE,
-                                        0.02) - windows.targets[idx]
-        grads = model.backward(cache, _phi_gradient(model, windows, idx, phi, resid))
+        pred, pullback = _physics_step(model, windows.base_states[idx], phi)
+        grads = model.backward(cache, pullback((pred - windows.targets[idx])
+                                               * (2.0 / pred.size)))
         params = model.param_list()
         rng = np.random.default_rng(65)
         # Wz, Un, bn of the GRU and both head weight matrices
@@ -204,6 +204,26 @@ class TestTraining:
         assert np.array_equal(runs[0].phi_records, runs[1].phi_records)
         other = train_coefficient_estimator(replace(cfg, seed=6), clean_trajectories, P, TEMPLATE)
         assert other.loss_curve != runs[0].loss_curve
+
+    def test_one_batch_evaluates_each_stage_once(self, clean_trajectories, monkeypatch):
+        """The stage partials give the prediction too: 4 partial calls a batch
+        and no rates-only call."""
+        calls = {"velocity_rate_partials": 0, "velocity_rates": 0}
+
+        def counted(name):
+            original = getattr(dynamics, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(estimator, name, counted(name))
+        cfg = EstimatorConfig(epochs=1, hidden_size=4, head_width=4)
+        assert len(build_windows(clean_trajectories, cfg.tau)) <= cfg.batch_size
+        train_coefficient_estimator(cfg, clean_trajectories, P, TEMPLATE)
+        assert calls == {"velocity_rate_partials": 4, "velocity_rates": 0}
 
     def test_short_run_lowers_the_loss(self, clean_trajectories):
         cfg = EstimatorConfig(epochs=5, batch_size=128, seed=1)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from fisherdyn.dynamics import DynamicModel
-from fisherdyn.fidelity import fisher_discrepancy, jacobian_baseline
+from fisherdyn.fidelity import (DEFAULT_TOLERANCES, fisher_discrepancy,
+                                jacobian_baseline, parameter_bias_table,
+                                well_trained_verdict)
 from fisherdyn.fisher import AlignmentError, FisherField, FisherSample
 
 from test_dynamics import DISTURBANCE_SETS, sample_dynamic_input, sample_dynamic_state
@@ -99,3 +101,87 @@ class TestJacobianBaseline:
         timed = [(s, u, 0.0) for s, u in pts]
         assert jacobian_baseline(true_model, nominal, pts) == jacobian_baseline(
             true_model, nominal, timed)
+
+
+CRITERIA = (("traj_err", "eps_d", "trajectory_error"),
+            ("physics_resid", "eps_p", "physics_residual"),
+            ("e_fi_relative", "eps", "fisher_discrepancy"))
+
+
+def verdict_at(**values):
+    """The verdict with every criterion at zero except those given."""
+    args = {"traj_err": 0.0, "physics_resid": 0.0, "e_fi_relative": 0.0, **values}
+    tolerances = args.pop("tolerances", None)
+    return well_trained_verdict(tolerances=tolerances, **args)
+
+
+class TestWellTrainedVerdict:
+    @pytest.mark.parametrize("arg,tol,label", CRITERIA)
+    def test_value_at_its_tolerance_fails(self, arg, tol, label):
+        result = verdict_at(**{arg: DEFAULT_TOLERANCES[tol]})
+        assert result["verdict"] == "fail" and result["failing"] == [label]
+
+    @pytest.mark.parametrize("arg,tol,label", CRITERIA)
+    def test_value_just_below_its_tolerance_passes(self, arg, tol, label):
+        value = np.nextafter(DEFAULT_TOLERANCES[tol], 0.0)
+        result = verdict_at(**{arg: value})
+        assert result["verdict"] == "geometric_fidelity_pass" and result["failing"] == []
+        assert result[arg] == value
+
+    @pytest.mark.parametrize("arg,tol,label", CRITERIA)
+    def test_negative_value_raises(self, arg, tol, label):
+        with pytest.raises(ValueError, match=arg):
+            verdict_at(**{arg: -1e-300})
+
+    def test_tolerance_override(self):
+        assert verdict_at(e_fi_relative=0.3)["verdict"] == "fail"
+        result = verdict_at(e_fi_relative=0.3, tolerances={"eps": 0.5})
+        assert result["verdict"] == "geometric_fidelity_pass"
+        assert result["tolerances"] == {**DEFAULT_TOLERANCES, "eps": 0.5}
+        assert DEFAULT_TOLERANCES["eps"] == 0.05
+
+    def test_failing_names_every_failed_criterion_in_order(self):
+        result = verdict_at(traj_err=1.0, physics_resid=1.0, e_fi_relative=1.0)
+        assert result["failing"] == [label for _, _, label in CRITERIA]
+        result = verdict_at(traj_err=1.0, e_fi_relative=1.0)
+        assert result["failing"] == ["trajectory_error", "fisher_discrepancy"]
+
+
+class TestParameterBiasTable:
+    # columns: a = 1, 3, 2; b = 10, 10, 16; c = -2 three times
+    RECORDS = [[1.0, 10.0, -2.0], [3.0, 10.0, -2.0], [2.0, 16.0, -2.0]]
+    TRUTH = [4.0, 12.5, -1.0]
+
+    def table(self):
+        return parameter_bias_table(["a", "b", "c"], self.RECORDS, self.TRUTH)
+
+    def test_hand_computed_mean_and_population_std(self):
+        table = self.table()
+        assert np.allclose(table.means, [2.0, 12.0, -2.0], rtol=1e-15, atol=0.0)
+        # population variance: (1 + 1 + 0) / 3 and (4 + 4 + 16) / 3
+        assert np.allclose(table.stds, [np.sqrt(2.0 / 3.0), np.sqrt(8.0), 0.0],
+                           rtol=1e-15, atol=0.0)
+
+    def test_relative_deviation_and_order(self):
+        table = self.table()
+        assert np.allclose(table.relative_deviation(), [0.5, 0.04, 1.0],
+                           rtol=1e-15, atol=0.0)
+        assert table.most_deviated() == ["c", "a", "b"]
+
+    def test_to_csv(self):
+        table = self.table()
+        lines = table.to_csv().split("\n")
+        assert lines[0] == "parameter,mean,std,true" and lines[-1] == ""
+        for i, line in enumerate(lines[1:-1]):
+            name, mean, std, true = line.split(",")
+            assert name == "abc"[i]
+            assert (float(mean), float(std), float(true)) == (
+                table.means[i], table.stds[i], self.TRUTH[i])
+
+    def test_needs_two_records(self):
+        with pytest.raises(ValueError, match="at least two"):
+            parameter_bias_table(["a", "b", "c"], self.RECORDS[:1], self.TRUTH)
+
+    def test_record_width_must_match_names(self):
+        with pytest.raises(ValueError, match="width"):
+            parameter_bias_table(["a", "b"], self.RECORDS, self.TRUTH[:2])

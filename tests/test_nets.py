@@ -7,7 +7,7 @@ import pytest
 from fisherdyn.nets import (AdamState, GruSpec, LayerSpec,
                             LearnedDynamicsModel, NetworkParams,
                             PhysicsGuardBounds, adam_step, gru_backward,
-                            gru_forward, gru_forward_cache, init_adam,
+                            gru_forward_cache, init_adam,
                             init_gru, init_network, mish, mlp_forward,
                             mlp_forward_cache, mlp_input_jacobian,
                             mlp_param_gradient, mlp_vjp, physics_guard,
@@ -250,13 +250,13 @@ class TestGru:
         spec = init_gru(3, 4, seed=0)
         for arr in spec.param_list():
             arr[:] = 0.0
-        h = gru_forward(spec, np.random.default_rng(0).normal(size=(6, 3)))
+        h, _ = gru_forward_cache(spec, np.random.default_rng(0).normal(size=(6, 3)))
         assert np.allclose(h, 0.0)
 
     def test_single_step_base_case(self):
         spec = tiny_gru()
         x = np.array([[0.4, -0.2]])
-        h1 = gru_forward(spec, x)
+        h1, _ = gru_forward_cache(spec, x)
         # manual single step from h = 0
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
         z = sig(spec.Wz @ x[0] + spec.bz)
@@ -274,7 +274,7 @@ class TestGru:
             r = sig(spec.Wr @ x + spec.Ur @ h + spec.br)
             n = np.tanh(spec.Wn @ x + spec.Un @ (r * h) + spec.bn)
             h = (1 - z) * n + z * h
-        assert np.allclose(gru_forward(spec, xs), h, atol=1e-12)
+        assert np.allclose(gru_forward_cache(spec, xs)[0], h, atol=1e-12)
 
     def test_backward_vs_finite_difference(self):
         spec = init_gru(3, 5, seed=11)
@@ -283,7 +283,7 @@ class TestGru:
         w = rng.normal(size=(4, 5))  # random linear functional of h_final
 
         def loss():
-            return float(np.sum(w * gru_forward(spec, hist)))
+            return float(np.sum(w * gru_forward_cache(spec, hist)[0]))
 
         h_final, cache = gru_forward_cache(spec, hist)
         grads = gru_backward(spec, cache, w)

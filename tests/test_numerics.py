@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fisherdyn.numerics import (EvaluationError, central_difference_jacobian,
-                                largest_singular_value, rk4_step)
+                                largest_singular_value, rk4, rk4_adjoint, rk4_step)
 
 from oracles import random_orthogonal, sigma_max_oracle
 
@@ -74,6 +74,60 @@ class TestRk4Step:
     def test_nonfinite_raises(self):
         with pytest.raises(EvaluationError):
             rk4_step(lambda x: x * np.inf, np.array([1.0]), dt=0.1)
+
+
+class TestRk4Adjoint:
+    """For f(x) = A x + c one step is P(dt A) x + dt Q(dt A) c with
+    P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 and Q(z) = 1 + z/2 + z^2/6 + z^3/24,
+    so the cotangents are P(dt A)^T lam for x and dt Q(dt A)^T lam for c."""
+
+    A = np.array([[-0.7, 2.1, 0.3], [-1.9, -0.4, 1.2], [0.5, -1.1, -0.9]])
+    c = np.array([0.2, -0.6, 1.4])
+    dt = 0.3
+
+    def polynomials(self):
+        z = self.dt * self.A
+        z2 = z @ z
+        z3 = z2 @ z
+        eye = np.eye(3)
+        return (eye + z + z2 / 2 + z3 / 6 + z3 @ z / 24,
+                eye + z / 2 + z2 / 6 + z3 / 24)
+
+    def test_forward_closed_form(self):
+        p, q = self.polynomials()
+        x = np.random.default_rng(71).normal(size=(5, 3))
+        out, auxes = rk4(lambda v: (v @ self.A.T + self.c, v), x, self.dt)
+        ref = x @ p.T + self.dt * (q @ self.c)
+        assert np.all(np.abs(out - ref) <= 1e-14 * np.max(np.abs(ref)))
+        assert len(auxes) == 4 and auxes[0] is x
+
+    def test_adjoint_closed_form(self):
+        p, q = self.polynomials()
+        rng = np.random.default_rng(72)
+        x = rng.normal(size=(5, 3))
+        lam = rng.normal(size=(5, 3))
+        _, auxes = rk4(lambda v: (v @ self.A.T + self.c, None), x, self.dt)
+        grad_c = np.zeros(3)
+
+        def vjp(aux, b):
+            grad_c[:] += b.sum(axis=0)
+            return b @ self.A
+
+        grad_x = rk4_adjoint(vjp, auxes, lam, self.dt)
+        ref_x = lam @ p
+        ref_c = self.dt * (q.T @ lam.sum(axis=0))
+        assert np.all(np.abs(grad_x - ref_x) <= 1e-14 * np.max(np.abs(ref_x)))
+        assert np.all(np.abs(grad_c - ref_c) <= 1e-14 * np.max(np.abs(ref_c)))
+
+    def test_stages_run_last_to_first(self):
+        seen = []
+
+        def vjp(aux, b):
+            seen.append(aux)
+            return np.zeros_like(b)
+
+        rk4_adjoint(vjp, ("k1", "k2", "k3", "k4"), np.ones(2), 0.1)
+        assert seen == ["k4", "k3", "k2", "k1"]
 
 
 class TestLargestSingularValue:

@@ -9,7 +9,7 @@ from fisherdyn.nets import LayerSpec, LearnedDynamicsModel, init_network, mlp_fo
 from fisherdyn.training import (CollocationBounds, RegimeConfig, TrainingData,
                                 architecture_sweep, build_kinematic_net,
                                 build_training_data, data_loss, ddm_loss,
-                                default_architectures, physics_loss,
+                                default_architectures,
                                 sample_collocation, trajectory_loss,
                                 train_regime, _rollout_loss_grad)
 
@@ -66,6 +66,11 @@ class TestSampleCollocation:
             sample_collocation(CollocationBounds(), 0)
 
 
+def stacked(points):
+    """(states, inputs) arrays of [(state, input), ...] points."""
+    return np.stack([p[0] for p in points]), np.stack([p[1] for p in points])
+
+
 def exact_linear_net(sys: LinearSystem) -> LearnedDynamicsModel:
     params = init_network(5, (LayerSpec(3, "linear"),), seed=0)
     params.weights[0][:] = np.hstack([sys.A, sys.B])
@@ -74,30 +79,31 @@ def exact_linear_net(sys: LinearSystem) -> LearnedDynamicsModel:
 
 
 class TestLosses:
+    # the physics residual is data_loss with the analytic rhs as targets
     def test_physics_loss_zero_for_exact_net(self):
         sys = LinearSystem()
         model = exact_linear_net(sys)
-        pts = sample_collocation(SMALL_BOUNDS, 50, seed=2)
-        assert physics_loss(model, pts, sys.rhs) == pytest.approx(0.0, abs=1e-28)
+        states, inputs = stacked(sample_collocation(SMALL_BOUNDS, 50, seed=2))
+        assert data_loss(model, states, inputs, sys.rhs(states, inputs)) == pytest.approx(
+            0.0, abs=1e-28)
 
     def test_physics_loss_zero_net_unit_targets(self):
         params = init_network(5, (LayerSpec(3, "linear"),), seed=0)
         params.weights[0][:] = 0.0
         model = LearnedDynamicsModel(params, 3, 2)
-        pts = [(np.zeros(3), np.zeros(2))] * 4
-        rhs = lambda s, u: np.array([1.0, 0.0, 0.0])  # |F|^2 = 1 everywhere
-        assert physics_loss(model, pts, rhs) == pytest.approx(1.0)
+        targets = np.tile([1.0, 0.0, 0.0], (4, 1))  # |F|^2 = 1 everywhere
+        assert data_loss(model, np.zeros((4, 3)), np.zeros((4, 2)), targets) == \
+            pytest.approx(1.0)
 
     def test_physics_loss_vs_loop_oracle(self):
         sys = LinearSystem()
         model = build_kinematic_net((LayerSpec(8, "tanh"), LayerSpec(3, "linear")),
                                     SMALL_BOUNDS, seed=3)
         pts = sample_collocation(SMALL_BOUNDS, 37, seed=4)
-        states = np.stack([p[0] for p in pts])
-        inputs = np.stack([p[1] for p in pts])
+        states, inputs = stacked(pts)
         pred = mlp_forward(model.params, model.normalize(states, inputs))
         targets = [sys.rhs(s, u) for s, u in pts]
-        assert physics_loss(model, pts, sys.rhs) == pytest.approx(
+        assert data_loss(model, states, inputs, sys.rhs(states, inputs)) == pytest.approx(
             loop_mean_sq_norm(pred, targets), abs=1e-12)
 
     def test_data_loss_trivial(self):
