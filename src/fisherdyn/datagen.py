@@ -5,6 +5,12 @@ RK4 rollouts (controller re-evaluated every step, disturbance forces held
 within a step like the inputs), and CSV dataset files that round-trip
 bit-exactly.
 
+``simulate`` steps a stack of runs together: each time step makes one
+controller call on all (n, d) states and one ``rhs`` and one RK4 call on the
+runs still inside the model's envelope. A run that leaves the envelope (a
+``DomainError`` naming its row) is truncated there with the reason recorded,
+and the step is redone for the others.
+
 Recorded headings are left unwrapped (continuous) so that rollout losses and
 finite differences across a lap stay smooth; the (-pi, pi] convention is
 applied only inside controller geometry.
@@ -144,10 +150,10 @@ class PurePursuitController:
         self.path = path
         self.cfg = cfg
 
-    def __call__(self, state, t: float) -> np.ndarray:
-        delta = lookahead_steer(state, self.path, self.cfg.lookahead,
-                                self.cfg.wheelbase)
-        return np.array([self.cfg.speed, delta])
+    def __call__(self, states, t: float) -> np.ndarray:
+        delta = [lookahead_steer(s, self.path, self.cfg.lookahead, self.cfg.wheelbase)
+                 for s in states]
+        return np.column_stack([np.full(len(delta), self.cfg.speed), delta])
 
 
 class ManeuverController:
@@ -155,7 +161,9 @@ class ManeuverController:
 
     steering(t) and throttle feedback T = clip(T_ff + k_speed (v_set(t) - vx))
     give repeatable slalom maneuvers without needing a racing line; a time-
-    varying setpoint keeps the longitudinal channel excited.
+    varying setpoint keeps the longitudinal channel excited. ``steer_fn(t)``
+    and ``v_set(t)`` return a scalar for every run or an (n,) array, one
+    value per run.
     """
 
     def __init__(self, steer_fn, v_set, k_speed: float = 1.0,
@@ -166,50 +174,73 @@ class ManeuverController:
         self.throttle_ff = throttle_ff
         self.delta_max = delta_max
 
-    def __call__(self, state, t: float) -> np.ndarray:
-        vx = state[3]
+    def __call__(self, states, t: float) -> np.ndarray:
+        vx = states[:, 3]
         throttle = np.clip(self.throttle_ff + self.k_speed * (self.v_set(t) - vx),
                            0.0, 1.0)
         delta = np.clip(self.steer_fn(t), -self.delta_max, self.delta_max)
-        return np.array([throttle, delta])
+        return np.column_stack([throttle, np.broadcast_to(delta, vx.shape)])
 
 
-def simulate(model, controller, cfg: SimulationConfig, initial_state) -> Trajectory:
-    """Closed-loop rollout of ``model`` (which carries its own disturbances).
+def _on_running_rows(f, live, t: float, exits: list):
+    """``f(live)`` for the rows still running. A row that a ``DomainError``
+    names leaves ``live``, its exit reason goes to ``exits``, and ``f`` is
+    redone without it; returns the result (None once no row is left) and
+    the rows it covers."""
+    while live.size:
+        try:
+            return f(live), live
+        except DomainError as err:
+            if not err.rows.size:
+                raise
+            for row, reason in zip(live[err.rows], err.reasons):
+                exits[row] = f"envelope exit at t={t:g}: {reason}"
+            live = np.delete(live, err.rows)
+    return None, live
 
-    Records n = total_time/dt + 1 samples with t_i = i*dt exactly; on an
-    envelope exit the trajectory is truncated and the reason recorded.
+
+def simulate(model, controller, cfg: SimulationConfig, initial_states) -> list:
+    """Closed-loop rollouts of ``model`` (which carries its own disturbances)
+    from (n, d) initial states; returns n trajectories.
+
+    ``controller(states, t)`` maps all (n, d) states to (n, m) inputs; the
+    rows of runs that have left the envelope keep their last state. Each run
+    records n = total_time/dt + 1 samples with t_i = i*dt exactly; on an
+    envelope exit it is truncated and the reason recorded.
     """
-    n = cfg.n_samples
-    state = np.asarray(initial_state, dtype=float).copy()
-    times, states, inputs, derivs = [], [], [], []
-    exit_reason = ""
+    state = np.array(initial_states, dtype=float)
+    if state.ndim != 2:
+        raise ConfigError(f"initial states must be (n, d), got shape {state.shape}")
+    n, runs = cfg.n_samples, state.shape[0]
+    states, derivs = np.empty((n,) + state.shape), np.empty((n,) + state.shape)
+    inputs = np.empty((n, runs, len(model.input_names)))
+    length, exits = np.zeros(runs, dtype=int), [""] * runs
+    live = np.arange(runs)
     for i in range(n):
         t = i * cfg.dt
-        u = np.asarray(controller(state, t), dtype=float)
-        try:
-            xdot = model.rhs(state, u, t)
-        except DomainError as err:
-            exit_reason = f"envelope exit at t={t:g}: {err}"
+        inputs[i] = controller(state, t)
+        xdot, live = _on_running_rows(
+            lambda rows: model.rhs(state[rows], inputs[i, rows], t), live, t, exits)
+        if not live.size:
             break
-        times.append(t)
-        states.append(state.copy())
-        inputs.append(u)
-        derivs.append(xdot)
+        states[i], derivs[i, live], length[live] = state, xdot, i + 1
         if i == n - 1:
             break
-        try:
-            state = rk4_step(lambda xx, uu: model.rhs(xx, uu, t), state, u, cfg.dt)
-        except DomainError as err:
-            exit_reason = f"envelope exit at t={t + cfg.dt:g}: {err}"
+        new, live = _on_running_rows(
+            lambda rows: rk4_step(lambda xx, uu: model.rhs(xx, uu, t), state[rows],
+                                  inputs[i, rows], cfg.dt), live, t + cfg.dt, exits)
+        if not live.size:
             break
+        state[live] = new
     kinds = sorted({d.kind for d in getattr(model, "disturbances", ())})
-    return Trajectory(np.array(times), np.array(states), np.array(inputs),
-                      np.array(derivs),
-                      disturbance_kind="+".join(kinds) if kinds else "none",
-                      exit_reason=exit_reason,
-                      state_names=tuple(model.state_names),
-                      input_names=tuple(model.input_names))
+    times = np.arange(n) * cfg.dt
+    return [Trajectory(times[:k].copy(), states[:k, r].copy(), inputs[:k, r].copy(),
+                       derivs[:k, r].copy(),
+                       disturbance_kind="+".join(kinds) if kinds else "none",
+                       exit_reason=exits[r],
+                       state_names=tuple(model.state_names),
+                       input_names=tuple(model.input_names))
+            for r, k in enumerate(length)]
 
 
 # ---------------------------------------------------------------------------
@@ -364,32 +395,21 @@ def generate_kinematic_dataset(model, cfg: SimulationConfig,
     """
     rng = np.random.default_rng(cfg.seed)
     path = circular_path(radius, n_waypoints)
-    start = np.array([radius, 0.0, math.pi / 2.0])  # tangent start on the circle
-    trajs = [simulate(model, PurePursuitController(path, cfg), cfg, start)]
+    start = np.array([[radius, 0.0, math.pi / 2.0]])  # tangent start on the circle
+    trajs = simulate(model, PurePursuitController(path, cfg), cfg, start)
 
     short = SimulationConfig(dt=cfg.dt, total_time=min(cfg.total_time, 8.0),
                              wheelbase=cfg.wheelbase, lookahead=cfg.lookahead,
                              speed=cfg.speed, seed=cfg.seed)
-
-    class _Const:
-        def __init__(self, v, d):
-            self.u = np.array([v, d])
-
-        def __call__(self, state, t):
-            return self.u
-
-    for _ in range(n_arcs):
+    inputs, starts = [], []
+    for k in range(n_arcs + n_straights):
         v = rng.uniform(0.5, 5.0)
-        d = rng.uniform(-DELTA_MAX, DELTA_MAX)
-        s0 = np.array([rng.uniform(-20, 20), rng.uniform(-5, 5),
+        inputs.append([v, rng.uniform(-DELTA_MAX, DELTA_MAX) if k < n_arcs else 0.0])
+        starts.append([rng.uniform(-20, 20), rng.uniform(-5, 5),
                        rng.uniform(-0.5236, 0.5236)])
-        trajs.append(simulate(model, _Const(v, d), short, s0))
-    for _ in range(n_straights):
-        v = rng.uniform(0.5, 5.0)
-        s0 = np.array([rng.uniform(-20, 20), rng.uniform(-5, 5),
-                       rng.uniform(-0.5236, 0.5236)])
-        trajs.append(simulate(model, _Const(v, 0.0), short, s0))
-    return trajs
+    inputs = np.array(inputs).reshape(-1, 2)
+    return trajs + simulate(model, lambda states, t: inputs, short,
+                            np.array(starts).reshape(-1, 3))
 
 
 # designed excitation schedule for the desk-scale car: two straight-line
@@ -417,18 +437,16 @@ def generate_dynamic_dataset(model, n_runs: int = 8, duration: float = 20.0,
         schedule.append((0.0, v0, 0.3, dv, fv, 0.0))
     for amp, v0, f1 in _SLALOM_RUNS:
         schedule.append((amp, v0, f1, 0.2, 0.2, rng.uniform(0.0, 2.0 * math.pi)))
+    amp, v0, f1, dv, fv, phase = np.array(schedule[:n_runs]).reshape(-1, 6).T
 
-    trajs = []
-    for amp, v0, f1, dv, fv, phase in schedule[:n_runs]:
-        def steer(t, a1=amp, f1=f1, ph=phase):
-            return (a1 * math.sin(2.0 * math.pi * f1 * t + ph)
-                    + 0.2 * a1 * math.sin(2.0 * math.pi * 0.8 * t))
+    def steer(t):
+        return (amp * np.sin(2.0 * math.pi * f1 * t + phase)
+                + 0.2 * amp * math.sin(2.0 * math.pi * 0.8 * t))
 
-        def v_set(t, v0=v0, dv=dv, fv=fv):
-            return v0 + dv * math.sin(2.0 * math.pi * fv * t)
+    def v_set(t):
+        return v0 + dv * np.sin(2.0 * math.pi * fv * t)
 
-        controller = ManeuverController(steer, v_set, k_speed=1.5,
-                                        throttle_ff=0.25)
-        s0 = np.array([0.0, 0.0, 0.0, v0, 0.0, 0.0])
-        trajs.append(simulate(model, controller, cfg, s0))
-    return trajs
+    controller = ManeuverController(steer, v_set, k_speed=1.5, throttle_ff=0.25)
+    s0 = np.zeros((v0.size, 6))
+    s0[:, 3] = v0
+    return simulate(model, controller, cfg, s0)

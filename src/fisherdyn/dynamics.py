@@ -25,10 +25,7 @@ either one point, states (d,) and inputs (m,), or a stack of n points, states
 
 The dynamic model's tire, slip, disturbance and drivetrain laws are written
 once over stacks (``velocity_rates`` and ``dynamic_jacobian``); a single point
-is a stack of one. The one exception is ``dynamic_rhs`` on a single (6,)
-state: it keeps a scalar ``math`` body, because simulation steps it one point
-at a time and the scalar body costs about a fifth of the broadcasting one
-per call. The choice is made from the rank of the state.
+is a stack of one.
 
 ``velocity_rate_partials`` gives the disturbance-free velocity rates together
 with their exact partials in the velocities and in the twelve coefficients,
@@ -57,15 +54,10 @@ __all__ = [
     "coefficient_vector",
     "kinematic_rhs",
     "kinematic_jacobian",
-    "pacejka_lateral_force",
-    "pacejka_derivative",
-    "slip_angles",
-    "longitudinal_force",
     "velocity_rates",
     "velocity_rate_partials",
     "dynamic_rhs",
     "dynamic_jacobian",
-    "disturbance_lateral_force",
     "KinematicModel",
     "DynamicModel",
     "wrap_angle",
@@ -209,7 +201,6 @@ _DISTURBANCE_KEYS = {
     "tire_temperature": ("mu0", "kT", "T0", "T_initial", "T_rate"),
 }
 
-FORCE_KINDS = ("wind", "bank", "bump")
 SCALE_KINDS = ("roll", "tire_temperature")
 
 
@@ -295,97 +286,6 @@ def kinematic_jacobian(s, u, p: VehicleParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single-point tire and drivetrain force laws (scalar math)
-
-
-def _pacejka_parts(alpha: float, c: PacejkaCoefficients):
-    """sin(C arctan(psi)) and its alpha-derivative, with
-    psi = B a - E (B a - arctan(B a G))."""
-    ba = c.B * alpha
-    inner = math.atan(ba * c.G)
-    psi = ba - c.E * (ba - inner)
-    arg = c.C * math.atan(psi)
-    sin_part = math.sin(arg)
-    dpsi = c.B * (1.0 - c.E * (1.0 - c.G / (1.0 + (ba * c.G) ** 2)))
-    dsin = math.cos(arg) * c.C * dpsi / (1.0 + psi * psi)
-    return sin_part, dsin
-
-
-def pacejka_lateral_force(alpha: float, c: PacejkaCoefficients) -> float:
-    """Lateral tire force at slip angle ``alpha`` [N]."""
-    sin_part, _ = _pacejka_parts(alpha, c)
-    return c.K + c.D * sin_part
-
-
-def pacejka_derivative(alpha: float, c: PacejkaCoefficients) -> float:
-    """Exact dF/dalpha of the tire force law [N/rad]."""
-    _, dsin = _pacejka_parts(alpha, c)
-    return c.D * dsin
-
-
-def slip_angles(s, u, p: VehicleParams, vx_min: float = VX_MIN):
-    """Front/rear sideslip angles of the single-track model.
-
-    alpha_f = delta - arctan((vy + lf w) / vx), alpha_r = -arctan((vy - lr w) / vx).
-    """
-    vx, vy, omega = s[3], s[4], s[5]
-    delta = u[1]
-    if vx <= vx_min:
-        raise DomainError(f"vx={vx:.3f} <= vx_min={vx_min}; slip angles undefined")
-    alpha_f = delta - math.atan((vy + p.lf * omega) / vx)
-    alpha_r = -math.atan((vy - p.lr * omega) / vx)
-    return alpha_f, alpha_r
-
-
-def longitudinal_force(throttle: float, vx: float, d: DrivetrainCoefficients) -> float:
-    """Net drivetrain force: propulsion minus rolling resistance and drag."""
-    return (d.Cm1 * throttle - d.Cm2 * vx) - d.Cr0 - d.Cd * vx * vx
-
-
-# ---------------------------------------------------------------------------
-# single-point disturbances (scalar math)
-
-
-def _tire_scale(dist: DisturbanceConfig, s, t: float, p: VehicleParams) -> float:
-    """Multiplicative factor applied to the tire peak factor D (clamped at 0)."""
-    q = dist.params
-    if dist.kind == "roll":
-        # Quasi-static roll angle from centripetal acceleration through the
-        # spring law k_phi * phi = m * a_y (unit moment arm), a_y = vx * omega.
-        phi = p.m * s[3] * s[5] / q["k_phi"]
-        return max(0.0, 1.0 - q["stiffness_sensitivity"] * abs(phi))
-    if dist.kind == "tire_temperature":
-        T_tire = q["T_initial"] + q["T_rate"] * t
-        return max(0.0, 1.0 - math.exp(-q["kT"] * (T_tire - q["T0"])))
-    raise ConfigError(f"{dist.kind!r} is not a tire-scale disturbance")
-
-
-def disturbance_lateral_force(dist: DisturbanceConfig, s, t: float,
-                              p: VehicleParams) -> float:
-    """Evaluate one disturbance channel.
-
-    Force kinds return Newtons added laterally to the body; scale kinds return
-    the multiplicative tire-D factor.
-    """
-    q = dist.params
-    if dist.kind == "wind":
-        # v_w is the *effective* crosswind: the car's own lateral velocity
-        # reduces the relative airflow. At vy = 0 this is 1/2 rho A Cw vw^2.
-        v_rel = q["vw"] - s[4]
-        return 0.5 * q["rho"] * q["area"] * q["Cw"] * v_rel * abs(v_rel)
-    if dist.kind == "bank":
-        return p.m * GRAVITY * math.sin(q["beta"])
-    if dist.kind == "bump":
-        w = 2.0 * math.pi * q["z_frequency"]
-        z = q["z_amplitude"] * math.sin(w * t)
-        zdot = q["z_amplitude"] * w * math.cos(w * t)
-        return q["ks"] * z + q["cs"] * zdot
-    if dist.kind in SCALE_KINDS:
-        return _tire_scale(dist, s, t, p)
-    raise ConfigError(f"unknown disturbance kind {dist.kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # dynamic bicycle: stacked laws
 
 
@@ -419,6 +319,8 @@ def _scale_factor(dist: DisturbanceConfig, vx, omega, t, p: VehicleParams):
     """Stacked factor of one scale-kind disturbance on the tire D (clamped at 0)."""
     q = dist.params
     if dist.kind == "roll":
+        # Quasi-static roll angle from centripetal acceleration through the
+        # spring law k_phi * phi = m * a_y (unit moment arm), a_y = vx * omega.
         phi = p.m * vx * omega / q["k_phi"]
         return np.maximum(0.0, 1.0 - q["stiffness_sensitivity"] * np.abs(phi))
     T_tire = q["T_initial"] + q["T_rate"] * t
@@ -444,6 +346,8 @@ def _lateral_forcing(disturbances, vy, t, p: VehicleParams):
     for dist in disturbances:
         q = dist.params
         if dist.kind == "wind":
+            # v_w is the *effective* crosswind: the car's own lateral velocity
+            # reduces the relative airflow. At vy = 0 this is 1/2 rho A Cw vw^2.
             v_rel = q["vw"] - vy
             force = force + 0.5 * q["rho"] * q["area"] * q["Cw"] * v_rel * np.abs(v_rel)
         elif dist.kind == "bank":
@@ -555,7 +459,11 @@ def velocity_rate_partials(vel, u, p: VehicleParams, coef, tires: TirePair):
             np.moveaxis(d_coef, (0, 1), (-2, -1)))
 
 
-def _stacked_dynamic_rhs(s, u, p, tires, drivetrain, disturbances, t) -> np.ndarray:
+def dynamic_rhs(s, u, p: VehicleParams, tires: TirePair,
+                drivetrain: DrivetrainCoefficients,
+                disturbances=(), t=0.0) -> np.ndarray:
+    """Continuous-time derivatives of (x, y, theta, vx, vy, omega): (6,) for
+    one point, (n, 6) for stacked points."""
     s, u = np.asarray(s, dtype=float), np.asarray(u, dtype=float)
     theta, vx, vy = s[..., 2], s[..., 3], s[..., 4]
     _check_speed(vx)
@@ -564,45 +472,6 @@ def _stacked_dynamic_rhs(s, u, p, tires, drivetrain, disturbances, t) -> np.ndar
     vel = velocity_rates(s[..., 3:], u, p, coefficient_vector(tires, drivetrain),
                          tires, disturbances, t)
     return np.concatenate([pose, vel], axis=-1)
-
-
-def dynamic_rhs(s, u, p: VehicleParams, tires: TirePair,
-                drivetrain: DrivetrainCoefficients,
-                disturbances=(), t: float = 0.0) -> np.ndarray:
-    """Continuous-time derivatives of (x, y, theta, vx, vy, omega).
-
-    Stacked (n, 6) states go to the stacked laws; a single (6,) state takes
-    the scalar body below, which simulation steps one point at a time.
-    """
-    if np.ndim(s) == 2:
-        return _stacked_dynamic_rhs(s, u, p, tires, drivetrain, disturbances, t)
-    x, y, theta, vx, vy, omega = s
-    throttle, delta = u
-    alpha_f, alpha_r = slip_angles(s, u, p)
-    scale = 1.0
-    for dist in disturbances:
-        if dist.kind in SCALE_KINDS:
-            scale *= _tire_scale(dist, s, t, p)
-    sin_f, _ = _pacejka_parts(alpha_f, tires.front)
-    sin_r, _ = _pacejka_parts(alpha_r, tires.rear)
-    F_fy = tires.front.K + scale * tires.front.D * sin_f
-    F_ry = tires.rear.K + scale * tires.rear.D * sin_r
-    F_rx = longitudinal_force(throttle, vx, drivetrain)
-
-    F_lat = 0.0
-    for dist in disturbances:
-        if dist.kind in FORCE_KINDS:
-            F_lat += disturbance_lateral_force(dist, s, t, p)
-
-    sd, cd = math.sin(delta), math.cos(delta)
-    return np.array([
-        vx * math.cos(theta) - vy * math.sin(theta),
-        vx * math.sin(theta) + vy * math.cos(theta),
-        omega,
-        (F_rx - F_fy * sd) / p.m + vy * omega,
-        (F_ry + F_fy * cd + F_lat) / p.m - vx * omega,
-        (F_fy * p.lf * cd - F_ry * p.lr) / p.Iz,
-    ])
 
 
 def dynamic_jacobian(s, u, p: VehicleParams, tires: TirePair,
@@ -715,9 +584,6 @@ class DynamicModel:
     def jacobian(self, s, u, t: float = 0.0) -> np.ndarray:
         return dynamic_jacobian(s, u, self.params, self.tires, self.drivetrain,
                                 self.disturbances, t)
-
-    def with_tires(self, tires: TirePair) -> "DynamicModel":
-        return DynamicModel(self.params, tires, self.drivetrain, self.disturbances)
 
     def without_disturbances(self) -> "DynamicModel":
         return DynamicModel(self.params, self.tires, self.drivetrain, ())

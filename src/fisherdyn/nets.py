@@ -406,6 +406,23 @@ def gru_backward(spec: GruSpec, steps, grad_h):
 # learned dynamics wrapper + checkpoints
 
 
+def _require_keys(doc: dict, where: str, keys) -> None:
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{where} is missing key {missing[0]!r}")
+
+
+def _layer_array(doc: dict, key: str, i: int, shape: tuple) -> np.ndarray:
+    """Layer ``i``'s entry of the checkpoint list ``key``: finite, of ``shape``."""
+    a = np.asarray(doc[key][i], dtype=float)
+    if a.size != np.prod(shape):
+        raise ValueError(f"checkpoint {key}[{i}] holds {a.size} values, "
+                         f"expected {int(np.prod(shape))} for shape {shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"checkpoint {key}[{i}] holds a non-finite value")
+    return a.reshape(shape)
+
+
 class LearnedDynamicsModel:
     """An MLP posing as a dynamical system.
 
@@ -477,14 +494,22 @@ class LearnedDynamicsModel:
             raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint")
         if doc.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+        _require_keys(doc, "checkpoint", ("state_dim", "input_dim", "offset", "scale",
+                                          "layers", "weights", "biases"))
+        for i, layer in enumerate(doc["layers"]):
+            _require_keys(layer, f"checkpoint layers[{i}]", ("width", "activation"))
         layers = tuple(LayerSpec(l["width"], l["activation"]) for l in doc["layers"])
+        for key in ("weights", "biases"):
+            if len(doc[key]) != len(layers):
+                raise ValueError(f"checkpoint {key!r} has {len(doc[key])} entries for "
+                                 f"{len(layers)} layers; layer {min(len(doc[key]), len(layers))}"
+                                 " is unmatched")
         state_dim, input_dim = int(doc["state_dim"]), int(doc["input_dim"])
         fan_in = state_dim + input_dim
         weights, biases = [], []
-        for spec, wflat, b in zip(layers, doc["weights"], doc["biases"]):
-            w = np.asarray(wflat, dtype=float).reshape(spec.width, fan_in)
-            weights.append(w)
-            biases.append(np.asarray(b, dtype=float))
+        for i, spec in enumerate(layers):
+            weights.append(_layer_array(doc, "weights", i, (spec.width, fan_in)))
+            biases.append(_layer_array(doc, "biases", i, (spec.width,)))
             fan_in = spec.width
         params = NetworkParams(state_dim + input_dim, layers, weights, biases)
         return cls(params, state_dim, input_dim, doc["offset"], doc["scale"])

@@ -1,16 +1,18 @@
 """Independent reference implementations used only to cross-check the library.
 
 These deliberately avoid the code paths they verify: the eigenvalue oracle is
-a cyclic Jacobi sweep (no power iteration), and the summation oracles are
-plain Python loops.
+a cyclic Jacobi sweep (no power iteration), the summation oracles are
+plain Python loops, and the dynamic bicycle's rhs and Jacobian are written
+point by point in scalar ``math`` arithmetic.
 """
 
 import math
 
 import numpy as np
 
-from fisherdyn.dynamics import (disturbance_lateral_force, pacejka_derivative,
-                                pacejka_lateral_force, slip_angles)
+from fisherdyn.dynamics import GRAVITY, VX_MIN, DomainError
+
+SCALE_KINDS = ("roll", "tire_temperature")
 
 
 def jacobi_eigenvalues(sym, sweeps: int = 50, tol: float = 1e-14):
@@ -56,9 +58,94 @@ def random_orthogonal(n, rng):
     return q * np.sign(np.diag(r))
 
 
+# ---------------------------------------------------------------------------
+# the dynamic bicycle's per-point laws in scalar ``math`` arithmetic
+
+
+def _pacejka_parts(alpha, c):
+    """sin(C arctan(psi)) and its alpha-derivative, with
+    psi = B a - E (B a - arctan(B a G))."""
+    ba = c.B * alpha
+    psi = ba - c.E * (ba - math.atan(ba * c.G))
+    arg = c.C * math.atan(psi)
+    dpsi = c.B * (1.0 - c.E * (1.0 - c.G / (1.0 + (ba * c.G) ** 2)))
+    return math.sin(arg), math.cos(arg) * c.C * dpsi / (1.0 + psi * psi)
+
+
+def pacejka_lateral_force(alpha, c):
+    """Lateral tire force K + D sin(C arctan(psi)) at slip angle ``alpha``."""
+    return c.K + c.D * _pacejka_parts(alpha, c)[0]
+
+
+def pacejka_derivative(alpha, c):
+    """dF/dalpha of the tire force law."""
+    return c.D * _pacejka_parts(alpha, c)[1]
+
+
+def slip_angles(s, u, p, vx_min=VX_MIN):
+    """alpha_f = delta - arctan((vy + lf w) / vx), alpha_r = -arctan((vy - lr w) / vx)."""
+    vx, vy, omega = s[3], s[4], s[5]
+    if vx <= vx_min:
+        raise DomainError(f"vx={vx:.3f} <= vx_min={vx_min}; slip angles undefined")
+    return (u[1] - math.atan((vy + p.lf * omega) / vx),
+            -math.atan((vy - p.lr * omega) / vx))
+
+
+def longitudinal_force(throttle, vx, d):
+    """Propulsion minus rolling resistance and drag."""
+    return (d.Cm1 * throttle - d.Cm2 * vx) - d.Cr0 - d.Cd * vx * vx
+
+
+def disturbance_lateral_force(dist, s, t, p):
+    """One disturbance channel at one point: the lateral force [N] of a force
+    kind, the multiplicative tire-D factor (clamped at 0) of a scale kind."""
+    q = dist.params
+    if dist.kind == "wind":
+        v_rel = q["vw"] - s[4]
+        return 0.5 * q["rho"] * q["area"] * q["Cw"] * v_rel * abs(v_rel)
+    if dist.kind == "bank":
+        return p.m * GRAVITY * math.sin(q["beta"])
+    if dist.kind == "bump":
+        w = 2.0 * math.pi * q["z_frequency"]
+        z = q["z_amplitude"] * math.sin(w * t)
+        zdot = q["z_amplitude"] * w * math.cos(w * t)
+        return q["ks"] * z + q["cs"] * zdot
+    if dist.kind == "roll":
+        phi = p.m * s[3] * s[5] / q["k_phi"]
+        return max(0.0, 1.0 - q["stiffness_sensitivity"] * abs(phi))
+    T_tire = q["T_initial"] + q["T_rate"] * t
+    return max(0.0, 1.0 - math.exp(-q["kT"] * (T_tire - q["T0"])))
+
+
+def scalar_dynamic_rhs(s, u, p, tires, drivetrain, disturbances=(), t=0.0):
+    """Derivatives of (x, y, theta, vx, vy, omega) at one point, in scalar
+    arithmetic from the per-point laws above; a reference for the stacked
+    ``dynamic_rhs``."""
+    theta, vx, vy, omega = s[2], s[3], s[4], s[5]
+    throttle, delta = u
+    alpha_f, alpha_r = slip_angles(s, u, p)
+    scale = math.prod(disturbance_lateral_force(d, s, t, p)
+                      for d in disturbances if d.kind in SCALE_KINDS)
+    f, r = tires.front, tires.rear
+    F_fy = f.K + scale * f.D * _pacejka_parts(alpha_f, f)[0]
+    F_ry = r.K + scale * r.D * _pacejka_parts(alpha_r, r)[0]
+    F_rx = longitudinal_force(throttle, vx, drivetrain)
+    F_lat = sum(disturbance_lateral_force(d, s, t, p)
+                for d in disturbances if d.kind not in SCALE_KINDS)
+    sd, cd = math.sin(delta), math.cos(delta)
+    return np.array([
+        vx * math.cos(theta) - vy * math.sin(theta),
+        vx * math.sin(theta) + vy * math.cos(theta),
+        omega,
+        (F_rx - F_fy * sd) / p.m + vy * omega,
+        (F_ry + F_fy * cd + F_lat) / p.m - vx * omega,
+        (F_fy * p.lf * cd - F_ry * p.lr) / p.Iz,
+    ])
+
+
 def scalar_dynamic_jacobian(s, u, p, tires, drivetrain, disturbances=(), t=0.0):
     """6x6 state Jacobian of the dynamic bicycle at one point, in scalar
-    arithmetic from the public per-point laws; a reference for the stacked
+    arithmetic from the per-point laws above; a reference for the stacked
     ``dynamic_jacobian``.
 
     The tire-scale gradient is the product rule written as a sum over the
@@ -69,7 +156,7 @@ def scalar_dynamic_jacobian(s, u, p, tires, drivetrain, disturbances=(), t=0.0):
     alpha_f, alpha_r = slip_angles(s, u, p)
     factors = []
     for dist in disturbances:
-        if dist.kind in ("roll", "tire_temperature"):
+        if dist.kind in SCALE_KINDS:
             q = dist.params
             grad = (0.0, 0.0)
             if dist.kind == "roll":

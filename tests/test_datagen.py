@@ -72,8 +72,8 @@ class TestSimulate:
         cfg = SimulationConfig()
         model = KinematicModel()
         path = circular_path(20.0, 1000)
-        traj = simulate(model, PurePursuitController(path, cfg), cfg,
-                        np.array([20.0, 0.0, math.pi / 2]))
+        (traj,) = simulate(model, PurePursuitController(path, cfg), cfg,
+                           np.array([[20.0, 0.0, math.pi / 2]]))
         assert len(traj) == 311
         final_radius = np.hypot(traj.states[-1, 0], traj.states[-1, 1])
         assert abs(final_radius - 20.0) < 0.5
@@ -86,15 +86,15 @@ class TestSimulate:
     def test_timestamps_exact(self):
         cfg = SimulationConfig(total_time=2.0)
         model = KinematicModel()
-        traj = simulate(model, lambda s, t: np.array([1.0, 0.0]), cfg, np.zeros(3))
+        (traj,) = simulate(model, lambda s, t: np.array([[1.0, 0.0]]), cfg, np.zeros((1, 3)))
         assert np.array_equal(traj.times, np.arange(21) * 0.1)
 
     def test_zero_speed_is_stationary(self):
         cfg = SimulationConfig(total_time=1.0, speed=0.0)
         model = KinematicModel()
         path = circular_path(20.0, 100)
-        traj = simulate(model, PurePursuitController(path, cfg), cfg,
-                        np.array([20.0, 0.0, 0.0]))
+        (traj,) = simulate(model, PurePursuitController(path, cfg), cfg,
+                           np.array([[20.0, 0.0, 0.0]]))
         assert np.allclose(traj.states, traj.states[0])
         assert np.allclose(traj.derivs, 0.0, atol=1e-15)
 
@@ -110,8 +110,8 @@ class TestSimulate:
         cfg = SimulationConfig(total_time=2.0)
         model = KinematicModel()
         path = circular_path(20.0, 500)
-        traj = simulate(model, PurePursuitController(path, cfg), cfg,
-                        np.array([20.0, 0.0, math.pi / 2]))
+        (traj,) = simulate(model, PurePursuitController(path, cfg), cfg,
+                           np.array([[20.0, 0.0, math.pi / 2]]))
         for k in range(len(traj)):
             rhs = model.rhs(traj.states[k], traj.inputs[k])
             assert np.max(np.abs(rhs - traj.derivs[k])) < 1e-12
@@ -121,10 +121,50 @@ class TestSimulate:
         controller = ManeuverController(lambda t: 0.0, v_set=0.0, k_speed=0.0,
                                         throttle_ff=0.0)  # car coasts to a stop
         cfg = SimulationConfig(dt=0.02, total_time=10.0)
-        traj = simulate(model, controller, cfg,
-                        np.array([0, 0, 0, 0.7, 0.0, 0.0]))
+        (traj,) = simulate(model, controller, cfg, np.array([[0, 0, 0, 0.7, 0.0, 0.0]]))
         assert traj.exit_reason != ""
         assert len(traj) < cfg.n_samples
+
+    def test_stacked_rows_match_solo_runs(self):
+        # rows 0 and 2 coast out of the envelope as in test_envelope_exit_truncates,
+        # row 0 first; row 1 is driven and runs to the end
+        model = DynamicModel()
+        cfg = SimulationConfig(dt=0.02, total_time=10.0)
+        s0 = np.array([[0, 0, 0, 0.7, 0.0, 0.0], [0, 0, 0, 2.0, 0.0, 0.0],
+                       [0, 0, 0, 1.2, 0.0, 0.0]])
+        coast = ManeuverController(lambda t: 0.0, v_set=0.0, k_speed=0.0, throttle_ff=0.0)
+        drive = ManeuverController(lambda t: 0.1, v_set=2.0, k_speed=1.0, throttle_ff=0.0)
+        stack = ManeuverController(lambda t: np.array([0.0, 0.1, 0.0]),
+                                   v_set=np.array([0.0, 2.0, 0.0]), k_speed=1.0,
+                                   throttle_ff=0.0)
+        stacked = simulate(model, stack, cfg, s0)
+        solo = (simulate(model, coast, cfg, s0[:1]) + simulate(model, drive, cfg, s0[1:2])
+                + simulate(model, coast, cfg, s0[2:]))
+        assert [len(t) for t in stacked] == [5, cfg.n_samples, 15]
+        assert stacked[0].exit_reason == ("envelope exit at t=0.1: "
+                                          "vx=0.494 <= vx_min=0.5; slip angles undefined")
+        assert stacked[1].exit_reason == ""
+        for a, b in zip(stacked, solo):
+            assert a.exit_reason == b.exit_reason
+            for key in ("times", "states", "inputs", "derivs"):
+                assert np.array_equal(getattr(a, key), getattr(b, key))
+
+    def test_one_rhs_call_per_stage_for_the_whole_stack(self):
+        class CountingModel:
+            def __init__(self, model):
+                self.model, self.calls = model, 0
+
+            def __getattr__(self, name):
+                return getattr(self.model, name)
+
+            def rhs(self, s, u, t=0.0):
+                self.calls += 1
+                return self.model.rhs(s, u, t)
+
+        model = CountingModel(DynamicModel())
+        trajs = generate_dynamic_dataset(model, n_runs=8, duration=4.0, dt=0.02, seed=1)
+        assert [len(t) for t in trajs] == [201] * 8
+        assert model.calls == 201 + 4 * 200
 
     def test_disturbance_divergence_timing(self):
         # bump force is zero at t=0, so the first integration step matches
@@ -133,9 +173,9 @@ class TestSimulate:
             ks=20.0, cs=0.0, z_amplitude=0.01, z_frequency=1.0)])
         cfg = SimulationConfig(dt=0.02, total_time=0.5)
         controller = ManeuverController(lambda t: 0.1, v_set=2.0)
-        s0 = np.array([0, 0, 0, 2.0, 0.0, 0.0])
-        t_base = simulate(base, controller, cfg, s0)
-        t_bump = simulate(bumped, controller, cfg, s0)
+        s0 = np.array([[0, 0, 0, 2.0, 0.0, 0.0]])
+        (t_base,) = simulate(base, controller, cfg, s0)
+        (t_bump,) = simulate(bumped, controller, cfg, s0)
         assert np.array_equal(t_base.states[:2], t_bump.states[:2])
         assert np.array_equal(t_base.derivs[0], t_bump.derivs[0])
         assert not np.allclose(t_base.derivs[1], t_bump.derivs[1])
@@ -147,8 +187,9 @@ class TestDatasetIO:
         cfg = SimulationConfig(total_time=31.0)
         model = KinematicModel()
         path = circular_path(20.0, 1000)
-        return simulate(model, PurePursuitController(path, cfg), cfg,
-                        np.array([20.0, 0.0, math.pi / 2]))
+        (traj,) = simulate(model, PurePursuitController(path, cfg), cfg,
+                           np.array([[20.0, 0.0, math.pi / 2]]))
+        return traj
 
     def test_full_round_trip_bit_exact(self, tmp_path):
         traj = self.make_traj()

@@ -7,13 +7,13 @@ from fisherdyn.dynamics import (DELTA_MAX, ConfigError, DisturbanceConfig,
                                 DomainError, DrivetrainCoefficients,
                                 DynamicModel, KinematicModel,
                                 PacejkaCoefficients, TirePair, VehicleParams,
-                                disturbance_lateral_force, dynamic_jacobian,
-                                dynamic_rhs, kinematic_jacobian, kinematic_rhs,
-                                longitudinal_force, pacejka_derivative,
-                                pacejka_lateral_force, slip_angles)
+                                dynamic_jacobian, dynamic_rhs,
+                                kinematic_jacobian, kinematic_rhs)
 from fisherdyn.numerics import central_difference_jacobian
 
-from oracles import scalar_dynamic_jacobian
+from oracles import (disturbance_lateral_force, longitudinal_force,
+                     pacejka_derivative, pacejka_lateral_force,
+                     scalar_dynamic_jacobian, scalar_dynamic_rhs, slip_angles)
 
 
 def sample_dynamic_state(rng):
@@ -279,6 +279,15 @@ class TestDynamicJacobian:
             assert err <= 1e-5
 
 
+# the default tires (G = 1, K = 0) and a pair that reaches the G and K terms
+TIRE_PAIRS = [
+    TirePair.default(),
+    TirePair(front=PacejkaCoefficients(B=5.579, C=1.2, D=0.192, E=-0.083, G=0.8, K=0.01),
+             rear=PacejkaCoefficients(B=5.3852, C=1.2691, D=0.1737, E=-0.019,
+                                      G=1.2, K=-0.02)),
+]
+
+
 def stacked_dynamic_points(rng, n: int = 120):
     """In-envelope (n, 6) states, (n, 2) inputs and per-row times t != 0.
 
@@ -303,24 +312,28 @@ class TestStackedDynamics:
     @pytest.mark.parametrize("dists", DISTURBANCE_SETS)
     def test_rhs_matches_scalar_path(self, dists):
         s, u, t = stacked_dynamic_points(np.random.default_rng(21))
-        stacked = dynamic_rhs(s, u, self.p, self.tires, self.drive, dists, t)
-        assert stacked.shape == s.shape
-        for i in range(len(t)):
-            single = dynamic_rhs(s[i], u[i], self.p, self.tires, self.drive, dists, t[i])
-            assert rel_err(stacked[i], single) <= 1e-12
+        for tires in TIRE_PAIRS:
+            stacked = dynamic_rhs(s, u, self.p, tires, self.drive, dists, t)
+            assert stacked.shape == s.shape
+            for i in range(len(t)):
+                ref = scalar_dynamic_rhs(s[i], u[i], self.p, tires, self.drive, dists, t[i])
+                assert rel_err(stacked[i], ref) <= 1e-12
+                single = dynamic_rhs(s[i], u[i], self.p, tires, self.drive, dists, t[i])
+                assert np.array_equal(single, stacked[i])
 
     @pytest.mark.parametrize("dists", DISTURBANCE_SETS)
     def test_jacobian_matches_scalar_oracle(self, dists):
         s, u, t = stacked_dynamic_points(np.random.default_rng(22))
-        stacked = dynamic_jacobian(s, u, self.p, self.tires, self.drive, dists, t)
-        assert stacked.shape == (len(t), 6, 6)
-        for i in range(len(t)):
-            ref = scalar_dynamic_jacobian(s[i], u[i], self.p, self.tires, self.drive,
+        for tires in TIRE_PAIRS:
+            stacked = dynamic_jacobian(s, u, self.p, tires, self.drive, dists, t)
+            assert stacked.shape == (len(t), 6, 6)
+            for i in range(len(t)):
+                ref = scalar_dynamic_jacobian(s[i], u[i], self.p, tires, self.drive,
+                                              dists, t[i])
+                assert rel_err(stacked[i], ref) <= 1e-12
+                single = dynamic_jacobian(s[i], u[i], self.p, tires, self.drive,
                                           dists, t[i])
-            assert rel_err(stacked[i], ref) <= 1e-12
-            single = dynamic_jacobian(s[i], u[i], self.p, self.tires, self.drive,
-                                      dists, t[i])
-            assert np.array_equal(single, stacked[i])
+                assert np.array_equal(single, stacked[i])
 
     def test_roll_clamp_rows_lose_lateral_grip(self):
         s, u, t = stacked_dynamic_points(np.random.default_rng(23))

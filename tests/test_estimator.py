@@ -17,6 +17,9 @@ from fisherdyn.nets import physics_guard, physics_guard_derivative
 from fisherdyn.numerics import rk4_step
 from fisherdyn.training import ddm_loss
 
+from oracles import scalar_dynamic_rhs
+from test_dynamics import TIRE_PAIRS
+
 
 def velocity_batch(rng, n):
     """Rows (vx, vy, omega, throttle, delta) and per-row coefficients near the truth."""
@@ -39,7 +42,7 @@ class TestPredictNextVelocities:
 
             def velocity_rhs(vel, u):
                 s = np.concatenate([np.zeros(3), vel])
-                return dynamic_rhs(s, u, self.p, tires, drive)[3:]
+                return scalar_dynamic_rhs(s, u, self.p, tires, drive)[3:]
 
             ref = rk4_step(velocity_rhs, row[:3], row[3:], 0.02)
             assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -93,17 +96,20 @@ def column_rel_err(exact, fd):
 class TestVelocityRatePartials:
     def test_rates_are_velocity_rates(self):
         states, coef = velocity_batch(np.random.default_rng(61), 64)
-        rates, _, _ = velocity_rate_partials(states[:, :3], states[:, 3:], P, coef, TEMPLATE)
-        assert np.array_equal(rates, velocity_rates(states[:, :3], states[:, 3:], P,
-                                                    coef, TEMPLATE))
+        for tires in TIRE_PAIRS:
+            rates, _, _ = velocity_rate_partials(states[:, :3], states[:, 3:], P, coef, tires)
+            assert np.array_equal(rates, velocity_rates(states[:, :3], states[:, 3:], P,
+                                                        coef, tires))
 
     def test_velocity_block_is_dynamic_jacobian(self):
         states, _ = velocity_batch(np.random.default_rng(62), 64)
-        _, d_vel, _ = velocity_rate_partials(states[:, :3], states[:, 3:], P, TRUTH, TEMPLATE)
         s = np.column_stack([np.zeros((64, 3)), states[:, :3]])
-        jac = dynamic_jacobian(s, states[:, 3:], P, TEMPLATE, DrivetrainCoefficients())
-        scale = np.max(np.abs(jac[:, 3:, 3:]), axis=(1, 2))[:, None, None]
-        assert np.all(np.abs(d_vel - jac[:, 3:, 3:]) <= 1e-12 * scale)
+        for tires in TIRE_PAIRS:
+            coef = true_coefficients(tires, DrivetrainCoefficients())
+            _, d_vel, _ = velocity_rate_partials(states[:, :3], states[:, 3:], P, coef, tires)
+            jac = dynamic_jacobian(s, states[:, 3:], P, tires, DrivetrainCoefficients())
+            scale = np.max(np.abs(jac[:, 3:, 3:]), axis=(1, 2))[:, None, None]
+            assert np.all(np.abs(d_vel - jac[:, 3:, 3:]) <= 1e-12 * scale)
 
     def test_coefficient_partials_vs_central_differences(self):
         states, coef = velocity_batch(np.random.default_rng(63), 64)
@@ -146,8 +152,8 @@ class TestPhiGradient:
         windows = build_windows(clean_trajectories, 5)
         phi = np.broadcast_to(TRUTH, (len(windows), 12))
         pred = predict_next_velocities(windows.base_states, phi, P, TEMPLATE, 0.02)
-        # zero up to the round-off between the scalar simulation path and
-        # the stacked rates
+        # the simulation steps the same stacked rates, so the loss is zero up
+        # to round-off
         scale = np.max(np.abs(windows.targets))
         assert ddm_loss(pred, windows.targets) <= (1e-14 * scale) ** 2
 

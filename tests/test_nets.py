@@ -349,6 +349,40 @@ class TestLearnedDynamicsModel:
         s, u = np.array([1.0, 2.0, 0.1]), np.array([1.5, -0.2])
         assert np.array_equal(model.rhs(s, u), loaded.rhs(s, u))
 
+    def test_checkpoint_missing_key_is_named(self):
+        doc = self.make().to_checkpoint_dict()
+        del doc["weights"]
+        with pytest.raises(ValueError, match="checkpoint is missing key 'weights'"):
+            LearnedDynamicsModel.from_checkpoint_dict(doc)
+        doc = self.make().to_checkpoint_dict()
+        del doc["layers"][1]["width"]
+        with pytest.raises(ValueError, match=r"layers\[1\] is missing key 'width'"):
+            LearnedDynamicsModel.from_checkpoint_dict(doc)
+
+    def test_checkpoint_wrong_weight_length_is_named(self):
+        doc = self.make().to_checkpoint_dict()
+        doc["weights"][1].pop()
+        with pytest.raises(ValueError, match=r"weights\[1\] holds 47 values, expected 48"):
+            LearnedDynamicsModel.from_checkpoint_dict(doc)
+        doc = self.make().to_checkpoint_dict()
+        doc["biases"][0].append(0.0)
+        with pytest.raises(ValueError, match=r"biases\[0\] holds 17 values"):
+            LearnedDynamicsModel.from_checkpoint_dict(doc)
+
+    def test_checkpoint_with_fewer_weights_than_layers(self):
+        for key in ("weights", "biases"):
+            doc = self.make().to_checkpoint_dict()
+            doc[key].pop()
+            with pytest.raises(ValueError, match=f"'{key}' has 1 entries for 2 layers; "
+                                                 "layer 1 is unmatched"):
+                LearnedDynamicsModel.from_checkpoint_dict(doc)
+
+    def test_checkpoint_nan_weight_is_named(self):
+        doc = self.make().to_checkpoint_dict()
+        doc["weights"][0][3] = float("nan")
+        with pytest.raises(ValueError, match=r"weights\[0\] holds a non-finite value"):
+            LearnedDynamicsModel.from_checkpoint_dict(doc)
+
     def test_corrupt_checkpoint(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -1,5 +1,6 @@
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,61 @@ def test_unused_import_detector():
               "x = np.zeros(1)\n"
               "@dataclass\nclass A:\n    y: int = 0\n")
     assert unused_imports(source) == ["field (line 3)", "os (line 2)"]
+
+
+def definitions(tree) -> list:
+    """(name, node) of the top-level functions and classes of a module and of
+    the methods of those classes, dunder methods excepted."""
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    out = []
+    for node in tree.body:
+        if isinstance(node, defs):
+            out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out += [(item.name, item) for item in node.body
+                    if isinstance(item, defs[:2]) and not item.name.startswith("__")]
+    return out
+
+
+def name_uses(tree) -> Counter:
+    """How often each name is read as a bare name or as an attribute; the
+    strings of ``__all__`` and the ``def`` lines themselves do not count."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def dead_definitions(package: dict, others: list) -> list:
+    """Definitions of the ``package`` modules (file name -> source) that no
+    code outside their own body uses, in the package or in ``others``."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    uses = sum((name_uses(t) for t in [*trees.values(), *map(ast.parse, others)]),
+               Counter())
+    return sorted(f"{module}:{name} (line {node.lineno})"
+                  for module, tree in trees.items()
+                  for name, node in definitions(tree)
+                  if uses[name] == name_uses(node)[name])
+
+
+def test_no_dead_definitions():
+    root = PYPROJECT.parent
+    others = [path.read_text() for folder in ("tests", "perfbench")
+              for path in sorted((root / folder).rglob("*.py"))]
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert package and others
+    assert dead_definitions(package, others) == []
+
+
+def test_dead_definition_detector():
+    module = ("__all__ = ['dead', 'A']\n"
+              "def dead(): pass\n"
+              "def recursive(n): return recursive(n - 1)\n"
+              "def used(): pass\n"
+              "class A:\n"
+              "    def __init__(self): self.kept()\n"
+              "    def kept(self): pass\n"
+              "    def unused(self): pass\n"
+              "    @property\n    def size(self): return 1\n")
+    elsewhere = "from m import used, A\nx = A().size + used()\n"
+    assert dead_definitions({"m.py": module}, [elsewhere]) == [
+        "m.py:dead (line 2)", "m.py:recursive (line 3)", "m.py:unused (line 8)"]
