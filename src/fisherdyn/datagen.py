@@ -437,6 +437,8 @@ def generate_dynamic_dataset(model, n_runs: int = 8, duration: float = 20.0,
         schedule.append((0.0, v0, 0.3, dv, fv, 0.0))
     for amp, v0, f1 in _SLALOM_RUNS:
         schedule.append((amp, v0, f1, 0.2, 0.2, rng.uniform(0.0, 2.0 * math.pi)))
+    if not 0 <= n_runs <= len(schedule):
+        raise ConfigError(f"n_runs={n_runs}: the ladder has 0..{len(schedule)} runs")
     amp, v0, f1, dv, fv, phase = np.array(schedule[:n_runs]).reshape(-1, 6).T
 
     def steer(t):

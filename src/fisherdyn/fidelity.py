@@ -33,10 +33,6 @@ __all__ = [
 DEFAULT_TOLERANCES = {"eps_d": 1e-2, "eps_p": 1e-3, "eps": 0.05}
 
 
-def _point_array(fisher_field: FisherField, part: str) -> np.ndarray:
-    return np.array([getattr(smp, part) for smp in fisher_field.samples], dtype=float)
-
-
 def _aligned_valid(true_field: FisherField, learned_field: FisherField):
     if len(true_field) != len(learned_field):
         raise AlignmentError(
@@ -44,8 +40,8 @@ def _aligned_valid(true_field: FisherField, learned_field: FisherField):
     if true_field.policy != learned_field.policy:
         raise AlignmentError(
             f"direction policies differ: {true_field.policy!r} vs {learned_field.policy!r}")
-    for part in ("state", "input"):
-        mine, theirs = _point_array(true_field, part), _point_array(learned_field, part)
+    for mine, theirs in ((true_field.states, learned_field.states),
+                         (true_field.inputs, learned_field.inputs)):
         if mine.shape != theirs.shape or np.any(np.abs(mine - theirs) > 1e-12):
             raise AlignmentError("fields were not evaluated at identical points")
     mask = true_field.valid_mask() & learned_field.valid_mask()

@@ -14,15 +14,22 @@ always bounded by 0 <= g/4 <= sigma_max(A)^2.
 returns a :class:`FisherField` that stores g together with sigma_max^2 so the
 bound stays auditable after the fact. The sweep is stacked: the system sees
 all points in one ``jacobian`` call and, for flow alignment, one ``rhs``
-call; g comes from one ``einsum`` over the stack and sigma_max from one
-batched SVD. A point that cannot be evaluated is kept with a skip reason
-instead of aborting the sweep:
+call; g comes from one ``classical_fisher`` call over the stack and
+sigma_max from one scaled-Gram ``largest_singular_value`` call. A point that
+cannot be evaluated is kept with a skip reason instead of aborting the sweep:
 
 * ``"domain: <reason>"``: the system raised :class:`DomainError` for it;
 * ``"equilibrium"``: the flow norm is at most :data:`FLOW_FLOOR`, so the
   flow-aligned direction is undefined;
 * ``"nonfinite"``: the Jacobian, the flow, its norm, g or sigma_max^2 is
   not finite (an overflowing or diverged system).
+
+A field is stored as columns, one row per point: ``states`` (n, d),
+``inputs`` (n, m), ``times``, ``g``, ``sigma_max_sq``, the unit directions
+``du`` (n, d) and the ``skip`` reasons ("" at a valid point); ``g``,
+``sigma_max_sq`` and ``du`` are NaN at skipped points. ``FisherField.samples``
+is a per-point view of :class:`FisherSample` tuples that is built from the
+columns on first read, so its cost falls on whoever reads it.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -45,8 +53,6 @@ __all__ = [
     "PerturbationDirection",
     "FisherSample",
     "FisherField",
-    "expectation",
-    "log_derivative",
     "classical_fisher",
     "flow_direction",
     "curvature_fisher",
@@ -65,6 +71,15 @@ class EquilibriumError(ValueError):
 
 class AlignmentError(ValueError):
     """Two Fisher fields do not share point lists / direction policies."""
+
+
+def _unit_rows(du: np.ndarray) -> np.ndarray:
+    """``du`` (n, d) after checking in one pass that every row has unit norm."""
+    norms = np.linalg.norm(du, axis=1)
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))
+    if off.size:
+        raise ValueError(f"|du| = {norms[off[0]]!r} in row {off[0]}, expected a unit vector")
+    return du
 
 
 class _Direction(NamedTuple):
@@ -88,50 +103,25 @@ class PerturbationDirection(_Direction):
     def rows(cls, du, policy: str) -> list:
         """One direction per row of the (n, d) array ``du``; the unit norms
         are checked for all rows at once."""
-        du = np.asarray(du, dtype=float)
-        norms = np.linalg.norm(du, axis=1)
-        off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))
-        if off.size:
-            raise ValueError(f"|du| = {norms[off[0]]!r} in row {off[0]}, expected a unit vector")
+        du = _unit_rows(np.asarray(du, dtype=float))
         return list(map(cls._make, zip(du, itertools.repeat(policy))))
 
 
 def basis_axis(index: int, dim: int) -> PerturbationDirection:
-    du = np.zeros(dim)
-    du[index] = 1.0
-    return PerturbationDirection(du, policy=f"basis_axis({index})")
+    return PerturbationDirection(np.eye(dim)[index], policy=f"basis_axis({index})")
 
 
-def expectation(x, direction: PerturbationDirection) -> float:
-    """<X> = du^T X du (equals Tr(X rho) with rho = du du^T)."""
-    x = np.asarray(x, dtype=float)
-    du = direction.du
-    if x.shape != (du.size, du.size):
-        raise ValueError(f"matrix shape {x.shape} does not match direction dim {du.size}")
-    return float(du @ x @ du)
+def classical_fisher(a, du):
+    """g = 4 (<A^T A> - <A>^2) >= 0 (round-off negatives clamp to zero).
 
-
-def log_derivative(a, direction: PerturbationDirection):
-    """Return (Abar, L) with Abar = A - <A> I and L = 2 Abar.
-
-    L is the operator satisfying rho-dot = (L rho + rho L)/2 for the pure
-    perturbation state rho = du du^T; by construction <Abar> = 0.
+    ``a`` is one matrix (d, d) and ``du`` one unit direction (d,), or stacks
+    (..., d, d) and (..., d) of them; returns a float or an array (...,).
     """
     a = np.asarray(a, dtype=float)
-    mean = expectation(a, direction)
-    a_bar = a - mean * np.eye(a.shape[0])
-    return a_bar, 2.0 * a_bar
-
-
-def classical_fisher(a, direction: PerturbationDirection) -> float:
-    """g = 4 (<A^T A> - <A>^2) >= 0 (round-off negatives clamp to zero)."""
-    a = np.asarray(a, dtype=float)
-    du = direction.du
-    if a.shape != (du.size, du.size):
-        raise ValueError(f"matrix shape {a.shape} does not match direction dim {du.size}")
-    adu = a @ du
-    g = 4.0 * (float(adu @ adu) - float(du @ adu) ** 2)
-    return max(g, 0.0)
+    du = np.asarray(du, dtype=float)
+    adu = np.einsum("...ij,...j->...i", a, du)
+    return np.maximum(4.0 * (np.einsum("...i,...i->...", adu, adu)
+                             - np.einsum("...i,...i->...", du, adu) ** 2), 0.0)
 
 
 def flow_direction(xdot, flow_floor: float = FLOW_FLOOR) -> PerturbationDirection:
@@ -146,7 +136,7 @@ def flow_direction(xdot, flow_floor: float = FLOW_FLOOR) -> PerturbationDirectio
 def curvature_fisher(a, xdot, flow_floor: float = FLOW_FLOOR) -> float:
     """g via the curvature form 4 kappa^2 |xdot|^2 with xddot = A xdot.
 
-    Algebraically identical to ``classical_fisher(a, flow_direction(xdot))``;
+    Algebraically identical to ``classical_fisher(a, flow_direction(xdot).du)``;
     kept separate as the geometric cross-check.
     """
     a = np.asarray(a, dtype=float)
@@ -179,54 +169,61 @@ class FisherSample(NamedTuple):
 
 @dataclass
 class FisherField:
-    """Ordered Fisher samples over a domain, plus provenance."""
+    """A Fisher field as columns over an ordered point set, plus provenance;
+    ``g``, ``sigma_max_sq`` and ``du`` are NaN where ``skip`` is not ""."""
 
-    samples: list
+    states: np.ndarray        # (n, d)
+    inputs: np.ndarray        # (n, m)
+    times: np.ndarray         # (n,)
+    g: np.ndarray             # (n,)
+    sigma_max_sq: np.ndarray  # (n,)
+    du: np.ndarray            # (n, d) unit directions
+    skip: np.ndarray          # (n,) str: "", "equilibrium", "nonfinite" or "domain: ..."
     policy: str
     domain_descriptor: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.times.size
 
     def g_values(self) -> np.ndarray:
-        """g per sample; NaN where skipped."""
-        return np.array([np.nan if s.skipped else s.g for s in self.samples])
+        """g per point; NaN where skipped."""
+        return self.g
 
     def valid_mask(self) -> np.ndarray:
-        return np.array([not s.skipped for s in self.samples])
+        return self.skip == ""
+
+    @cached_property
+    def samples(self) -> list:
+        """One :class:`FisherSample` per point, built from the columns on
+        first read and cached."""
+        valid = self.valid_mask()
+        directions = iter(PerturbationDirection.rows(self.du[valid], self.policy))
+        return list(map(FisherSample._make, zip(
+            self.states, self.inputs, self.g.tolist(), self.sigma_max_sq.tolist(),
+            [next(directions) if v else None for v in valid.tolist()],
+            self.times.tolist(), self.skip.tolist())))
 
     def to_csv(self, path) -> None:
-        n_state = self.samples[0].state.size if self.samples else 0
-        n_input = self.samples[0].input.size if self.samples else 0
-        header = ([f"state_{i}" for i in range(n_state)]
-                  + [f"input_{i}" for i in range(n_input)]
+        header = ([f"state_{i}" for i in range(self.states.shape[1])]
+                  + [f"input_{i}" for i in range(self.inputs.shape[1])]
                   + ["g", "sigma_max_sq", "skip_flag"])
-        lines = [",".join(header)]
-        for s in self.samples:
-            vals = [repr(float(v)) for v in s.state] + [repr(float(v)) for v in s.input]
-            if s.skipped:
-                vals += ["nan", "nan", s.skip]
-            else:
-                vals += [repr(float(s.g)), repr(float(s.sigma_max_sq)), ""]
-            lines.append(",".join(vals))
+        block = np.column_stack([self.states, self.inputs, self.g, self.sigma_max_sq])
+        lines = [",".join(header)] + [",".join(map(repr, row)) + "," + skip for row, skip
+                                      in zip(block.tolist(), self.skip.tolist())]
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
     def to_json_dict(self) -> dict:
+        valid = self.valid_mask().tolist()
+        g, sig2 = ([v if ok else None for v, ok in zip(col.tolist(), valid)]
+                   for col in (self.g, self.sigma_max_sq))
+        keys = ("state", "input", "t", "g", "sigma_max_sq", "skip_flag")
         return {
             "policy": self.policy,
             "domain_descriptor": self.domain_descriptor,
-            "samples": [
-                {
-                    "state": [float(v) for v in s.state],
-                    "input": [float(v) for v in s.input],
-                    "t": float(s.t),
-                    "g": None if s.skipped else float(s.g),
-                    "sigma_max_sq": None if s.skipped else float(s.sigma_max_sq),
-                    "skip_flag": s.skip,
-                }
-                for s in self.samples
-            ],
+            "samples": [dict(zip(keys, row)) for row in zip(
+                self.states.tolist(), self.inputs.tolist(), self.times.tolist(),
+                g, sig2, self.skip.tolist())],
         }
 
     def to_json(self, path) -> None:
@@ -291,11 +288,12 @@ def evaluate_field(system, points, policy="flow_aligned",
     """
     flow = policy == "flow_aligned"
     policy_name = policy.policy if isinstance(policy, PerturbationDirection) else str(policy)
-    points = list(points)
     states, inputs, times = stack_points(points)
     n = times.size
     if n == 0:
-        return FisherField([], policy_name, domain_descriptor or {})
+        empty = np.empty((0, 0))
+        return FisherField(empty, empty, times, times, times, empty,
+                           np.array([], dtype=str), policy_name, domain_descriptor or {})
     fixed = None if flow else _fixed_direction(policy, states.shape[1])
 
     rows, a, xdot, domain = _evaluable(system, states, inputs, times, flow)
@@ -307,10 +305,8 @@ def evaluate_field(system, points, policy="flow_aligned",
             du = xdot / speed[:, None]
         else:
             du = np.broadcast_to(fixed.du, (rows.size, fixed.du.size))
-        a[~finite] = 0.0  # keeps the SVD defined
-        adu = np.einsum("nij,nj->ni", a, du)
-        g = np.maximum(4.0 * (np.einsum("ni,ni->n", adu, adu)
-                              - np.einsum("ni,ni->n", du, adu) ** 2), 0.0)
+        a[~finite] = 0.0  # keeps sigma_max defined
+        g = classical_fisher(a, du)
         sig2 = largest_singular_value(a) ** 2
     ok = finite & np.isfinite(g) & np.isfinite(sig2)
 
@@ -319,18 +315,12 @@ def evaluate_field(system, points, policy="flow_aligned",
     skip[rows[~ok]] = "nonfinite"
     if flow:
         skip[rows[finite & (speed <= FLOW_FLOOR)]] = "equilibrium"
+    skip = skip.astype(str)
     valid = skip == ""
     g_all, sig2_all = np.full(n, math.nan), np.full(n, math.nan)
-    g_all[rows], sig2_all[rows] = g, sig2
-    g_all[~valid] = sig2_all[~valid] = math.nan
-    if flow:
-        directions = iter(PerturbationDirection.rows(du[valid[rows]], "flow_aligned"))
-    else:
-        directions = itertools.repeat(fixed)
-    directions = [next(directions) if v else None for v in valid.tolist()]
-    # Samples hold the caller's point arrays; _make builds each tuple
-    # directly from the zipped fields.
-    samples = list(map(FisherSample._make, zip(
-        (np.asarray(p[0], float) for p in points), (np.asarray(p[1], float) for p in points),
-        g_all.tolist(), sig2_all.tolist(), directions, times.tolist(), skip.tolist())))
-    return FisherField(samples, policy_name, domain_descriptor or {})
+    du_all = np.full(states.shape, math.nan)
+    g_all[rows], sig2_all[rows], du_all[rows] = g, sig2, du
+    g_all[~valid] = sig2_all[~valid] = du_all[~valid] = math.nan
+    _unit_rows(du_all[valid])
+    return FisherField(states, inputs, times, g_all, sig2_all, du_all, skip,
+                       policy_name, domain_descriptor or {})

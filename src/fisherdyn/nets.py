@@ -444,6 +444,10 @@ class LearnedDynamicsModel:
         self.input_dim = input_dim
         self.offset = np.zeros(total) if offset is None else np.asarray(offset, float)
         self.scale = np.ones(total) if scale is None else np.asarray(scale, float)
+        for name, value in (("offset", self.offset), ("scale", self.scale)):
+            if value.shape != (total,) or not np.all(np.isfinite(value)):
+                raise ValueError(f"input {name} {value.tolist()} is not {total} finite "
+                                 "values (state_dim + input_dim)")
         if np.any(self.scale <= 0):
             raise ValueError("input scale entries must be positive")
 

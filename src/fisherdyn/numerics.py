@@ -8,8 +8,11 @@ reverse-mode pass: simulation (``rk4_step``), the inverse-regime rollout
 gradient and the coefficient estimator's physics step all call them.
 
 ``largest_singular_value`` takes one matrix or a (..., m, n) stack of them
-and reads sigma_max off LAPACK's singular values (``np.linalg.svd`` without
-vectors): exact to round-off, with one batched call for a whole Fisher field.
+and reads sigma_max off the largest eigenvalue of the smaller Gram matrix
+(``np.linalg.eigvalsh``), one batched call for a whole Fisher field. Each
+matrix is first divided by its largest |entry|, so that the Gram matrix of a
+finite matrix cannot overflow; sigma_max then agrees with LAPACK's singular
+values to round-off.
 """
 
 from __future__ import annotations
@@ -112,5 +115,10 @@ def largest_singular_value(a):
         raise ValueError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    sigma = np.linalg.svd(a, compute_uv=False)[..., 0]
+    scale = np.max(np.abs(a), axis=(-2, -1), keepdims=True)
+    scale[scale == 0.0] = 1.0
+    b = a / scale
+    gram = b @ b.swapaxes(-2, -1) if a.shape[-2] < a.shape[-1] else b.swapaxes(-2, -1) @ b
+    lam = np.linalg.eigvalsh(gram)[..., -1]
+    sigma = scale[..., 0, 0] * np.sqrt(np.maximum(lam, 0.0))
     return float(sigma) if a.ndim == 2 else sigma

@@ -1,8 +1,9 @@
 """Independent reference implementations used only to cross-check the library.
 
 These deliberately avoid the code paths they verify: the eigenvalue oracle is
-a cyclic Jacobi sweep (no power iteration), the summation oracles are
-plain Python loops, and the dynamic bicycle's rhs and Jacobian are written
+a cyclic Jacobi sweep (no power iteration or LAPACK), the summation oracles
+are plain Python loops, the Fisher expectation and logarithmic derivative are
+written for one point, and the dynamic bicycle's rhs and Jacobian are written
 point by point in scalar ``math`` arithmetic.
 """
 
@@ -56,6 +57,27 @@ def loop_mean_sq_norm(pred, target):
 def random_orthogonal(n, rng):
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
     return q * np.sign(np.diag(r))
+
+
+def expectation(x, direction) -> float:
+    """<X> = du^T X du (equals Tr(X rho) with rho = du du^T) at one point."""
+    x = np.asarray(x, dtype=float)
+    du = direction.du
+    if x.shape != (du.size, du.size):
+        raise ValueError(f"matrix shape {x.shape} does not match direction dim {du.size}")
+    return float(du @ x @ du)
+
+
+def log_derivative(a, direction):
+    """Return (Abar, L) with Abar = A - <A> I and L = 2 Abar at one point.
+
+    L is the operator satisfying rho-dot = (L rho + rho L)/2 for the pure
+    perturbation state rho = du du^T; by construction <Abar> = 0.
+    """
+    a = np.asarray(a, dtype=float)
+    mean = expectation(a, direction)
+    a_bar = a - mean * np.eye(a.shape[0])
+    return a_bar, 2.0 * a_bar
 
 
 # ---------------------------------------------------------------------------

@@ -270,3 +270,8 @@ class TestGenerators:
         omega = np.concatenate([t.states[:, 5] for t in trajs])
         assert np.max(np.abs(vy)) > 0.05
         assert np.max(np.abs(omega)) > 1.0
+
+    def test_dynamic_dataset_run_count_outside_the_ladder(self):
+        for n_runs in (12, 9, -2):
+            with pytest.raises(ConfigError, match=f"n_runs={n_runs}: the ladder has 0..8"):
+                generate_dynamic_dataset(DynamicModel(), n_runs=n_runs, duration=0.1)

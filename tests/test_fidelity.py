@@ -7,22 +7,20 @@ from fisherdyn.dynamics import DynamicModel
 from fisherdyn.fidelity import (DEFAULT_TOLERANCES, fisher_discrepancy,
                                 jacobian_baseline, parameter_bias_table,
                                 well_trained_verdict)
-from fisherdyn.fisher import AlignmentError, FisherField, FisherSample
+from fisherdyn.fisher import AlignmentError, FisherField
 
 from test_dynamics import DISTURBANCE_SETS, sample_dynamic_input, sample_dynamic_state
 
 
 def make_field(gs, policy="flow_aligned", states=None):
-    """A field with one sample per g; None marks a skipped sample."""
-    samples = []
-    for i, g in enumerate(gs):
-        state = np.array([float(i), 0.0]) if states is None else states[i]
-        if g is None:
-            samples.append(FisherSample(state, np.zeros(1), math.nan, math.nan, None,
-                                        skip="equilibrium"))
-        else:
-            samples.append(FisherSample(state, np.zeros(1), g, g, None))
-    return FisherField(samples, policy)
+    """A field with one point per g; None marks a skipped point."""
+    n = len(gs)
+    states = np.array([[float(i), 0.0] for i in range(n)] if states is None else states)
+    skip = np.array(["equilibrium" if g is None else "" for g in gs])
+    g = np.array([math.nan if g is None else g for g in gs])
+    du = np.where((skip == "")[:, None], np.eye(states.shape[1])[0], math.nan)
+    return FisherField(states, np.zeros((n, 1)), np.zeros(n), g, g.copy(), du, skip,
+                       policy)
 
 
 class TestFisherDiscrepancy:

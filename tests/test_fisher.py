@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,14 +6,13 @@ import pytest
 
 from fisherdyn.dynamics import DomainError, DynamicModel, KinematicModel
 from fisherdyn.nets import LayerSpec, LearnedDynamicsModel, init_network
-from fisherdyn.fisher import (EquilibriumError, FisherField,
-                              PerturbationDirection, basis_axis,
-                              classical_fisher, curvature_fisher,
-                              evaluate_field, expectation, flow_direction,
-                              log_derivative)
+from fisherdyn.fisher import (EquilibriumError, PerturbationDirection,
+                              basis_axis, classical_fisher, curvature_fisher,
+                              evaluate_field, flow_direction)
 from fisherdyn.numerics import largest_singular_value
 
-from oracles import random_orthogonal, sigma_max_oracle
+from oracles import (expectation, log_derivative, random_orthogonal,
+                     sigma_max_oracle)
 from test_dynamics import (DISTURBANCE_SETS, sample_dynamic_input,
                            sample_dynamic_state)
 
@@ -70,12 +70,12 @@ class TestLogDerivative:
 class TestClassicalFisher:
     def test_isotropic_zero(self):
         du = basis_axis(0, 3)
-        assert classical_fisher(-1.7 * np.eye(3), du) == 0.0
+        assert classical_fisher(-1.7 * np.eye(3), du.du) == 0.0
 
     def test_rotation_generator(self):
         for omega in (0.5, 2.0, 13.0):
             a = np.array([[0.0, -omega], [omega, 0.0]])
-            assert classical_fisher(a, basis_axis(0, 2)) == pytest.approx(
+            assert classical_fisher(a, basis_axis(0, 2).du) == pytest.approx(
                 4.0 * omega**2, rel=1e-12)
 
     def test_variance_of_log_derivative_oracle(self):
@@ -86,15 +86,14 @@ class TestClassicalFisher:
             a_bar, ell = log_derivative(a, du)
             half = 0.5 * ell
             var = expectation(half.T @ half, du) - expectation(half, du) ** 2
-            assert classical_fisher(a, du) == pytest.approx(4.0 * var, abs=1e-10)
+            assert classical_fisher(a, du.du) == pytest.approx(4.0 * var, abs=1e-10)
 
     def test_nonnegativity_and_bound_sweep(self):
         rng = np.random.default_rng(4)
         for _ in range(2000):
             n = int(rng.integers(2, 9))
             a = rng.normal(size=(n, n)) * rng.uniform(0.1, 10.0)
-            du = PerturbationDirection(random_unit(rng, n))
-            g = classical_fisher(a, du)
+            g = classical_fisher(a, random_unit(rng, n))
             assert g >= 0.0
             assert g / 4.0 <= largest_singular_value(a) ** 2 + 1e-9
 
@@ -105,14 +104,14 @@ class TestClassicalFisher:
             a = rng.normal(size=(n, n))
             du = random_unit(rng, n)
             q = random_orthogonal(n, rng)
-            g1 = classical_fisher(a, PerturbationDirection(du))
-            g2 = classical_fisher(q @ a @ q.T, PerturbationDirection(q @ du))
+            g1 = classical_fisher(a, du)
+            g2 = classical_fisher(q @ a @ q.T, q @ du)
             assert g2 == pytest.approx(g1, rel=1e-10, abs=1e-10)
 
     def test_scaling_law(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(4, 4))
-        du = PerturbationDirection(random_unit(rng, 4))
+        du = random_unit(rng, 4)
         g = classical_fisher(a, du)
         for c in (0.1, 3.0, -2.0):
             assert classical_fisher(c * a, du) == pytest.approx(c**2 * g, rel=1e-12)
@@ -158,7 +157,7 @@ class TestCurvatureFisher:
             n = int(rng.integers(2, 9))
             a = rng.normal(size=(n, n)) * rng.uniform(0.1, 5.0)
             xdot = rng.normal(size=n) * rng.uniform(0.1, 10.0)
-            g_def = classical_fisher(a, flow_direction(xdot))
+            g_def = classical_fisher(a, flow_direction(xdot).du)
             g_curv = curvature_fisher(a, xdot)
             assert abs(g_def - g_curv) <= 1e-9 * max(1.0, g_def)
 
@@ -209,7 +208,7 @@ class TestEvaluateField:
         f_axis = evaluate_field(model, pts, policy="basis_axis(2)")
         a = model.jacobian(*pts[0])
         assert f_axis.samples[0].g == pytest.approx(
-            classical_fisher(a, basis_axis(2, 3)))
+            classical_fisher(a, basis_axis(2, 3).du))
         du = PerturbationDirection(np.array([1.0, 0.0, 0.0]))
         f_fixed = evaluate_field(model, pts, policy=du)
         assert f_fixed.policy == "fixed"
@@ -269,6 +268,21 @@ class NanJacobianStub(RotationStub):
         return a
 
 
+class HugeJacobianStub:
+    """xdot = A x with a dense 3x3 A, whose Jacobian is 1e200 A where
+    u[0] > 0: finite, but its Gram matrix, sigma_max^2 and g overflow."""
+
+    A = np.array([[0.3, -1.0, 0.5], [1.2, 0.1, -0.7], [-0.4, 0.8, 0.2]])
+
+    def rhs(self, s, u, t):
+        return s @ self.A.T
+
+    def jacobian(self, s, u, t):
+        a = np.repeat(self.A[None], len(s), axis=0)
+        a[u[:, 0] > 0.0] *= 1e200
+        return a
+
+
 def rotation_points(n):
     rng = np.random.default_rng(31)
     return [(rng.normal(size=2), np.array([rng.uniform(0.5, 3.0), 0.0]), 0.1 * i)
@@ -286,7 +300,7 @@ class TestStackedField:
             for (s, u, t), smp in zip(pts, field.samples):
                 a = model.jacobian(s, u, t)
                 direction = flow_direction(model.rhs(s, u, t))
-                assert smp.g == pytest.approx(classical_fisher(a, direction),
+                assert smp.g == pytest.approx(classical_fisher(a, direction.du),
                                               rel=1e-10, abs=1e-12)
                 assert smp.sigma_max_sq == pytest.approx(sigma_max_oracle(a) ** 2,
                                                          rel=1e-10)
@@ -334,6 +348,18 @@ class TestStackedField:
         assert [smp.skip for smp in field.samples] == ["", "", "", "nonfinite", ""]
         assert np.isnan(field.g_values()[3]) and field.samples[3].direction is None
 
+    def test_huge_finite_jacobian_row_is_nonfinite(self):
+        rng = np.random.default_rng(33)
+        pts = [(rng.normal(size=3), np.array([float(i == 1)])) for i in range(4)]
+        field = evaluate_field(HugeJacobianStub(), pts)
+        assert field.skip.tolist() == ["", "nonfinite", "", ""]
+        a = HugeJacobianStub.A
+        for i in (0, 2, 3):
+            du = flow_direction(a @ pts[i][0]).du
+            assert field.g[i] == pytest.approx(classical_fisher(a, du), rel=1e-12)
+            assert field.sigma_max_sq[i] == pytest.approx(sigma_max_oracle(a) ** 2, rel=1e-12)
+        assert np.isnan(field.g[1]) and np.isnan(field.sigma_max_sq[1])
+
     def test_learned_model_overflow_at_one_point(self):
         # a linear network xdot = (y + u, -x): finite everywhere, but its flow
         # norm overflows at a point with huge coordinates
@@ -377,3 +403,95 @@ class TestStackedField:
             PerturbationDirection.rows(np.array([[1.0, 0.0], [0.0, 2.0]]), "fixed")
         with pytest.raises(ValueError):
             PerturbationDirection(np.array([np.nan, 0.0]))
+
+
+# to_csv/to_json output of the field in TestColumns.field, as written by the
+# per-sample serializers that the column writers replaced.
+PINNED_CSV = """\
+state_0,state_1,input_0,input_1,g,sigma_max_sq,skip_flag
+-0.39530128858657,0.2639148850157296,2.1818270352509104,0.0,19.04147684700711,4.760369211751778,
+-0.9721597997272025,0.7676642531398922,0.5991451377615366,-0.5,nan,nan,domain: u[1]=-0.5
+0.0,0.0,2.9466741462759702,0.0,nan,nan,equilibrium
+1e+200,1e+200,2.9595762101348324,0.0,nan,nan,nonfinite
+-0.5999578484570015,0.6601663130603562,1.5609783949726925,0.0,9.746614198286093,2.436653549571523,
+"""
+PINNED_JSON_SAMPLES = [
+    (19.04147684700711, [2.1818270352509104, 0.0], 4.760369211751778, "",
+     [-0.39530128858657, 0.2639148850157296], 0.0),
+    (None, [0.5991451377615366, -0.5], None, "domain: u[1]=-0.5",
+     [-0.9721597997272025, 0.7676642531398922], 0.1),
+    (None, [2.9466741462759702, 0.0], None, "equilibrium", [0.0, 0.0], 0.2),
+    (None, [2.9595762101348324, 0.0], None, "nonfinite", [1e+200, 1e+200],
+     0.30000000000000004),
+    (9.746614198286093, [1.5609783949726925, 0.0], 2.436653549571523, "",
+     [-0.5999578484570015, 0.6601663130603562], 0.4),
+]
+
+
+def pinned_json() -> str:
+    keys = ("g", "input", "sigma_max_sq", "skip_flag", "state", "t")
+    doc = {"domain_descriptor": {"scheme": "list"}, "policy": "flow_aligned",
+           "samples": [dict(zip(keys, row)) for row in PINNED_JSON_SAMPLES]}
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+class TestColumns:
+    def field(self):
+        """A valid, a domain, an equilibrium, a non-finite and a valid point."""
+        pts = rotation_points(5)
+        pts[1][1][1] = -0.5
+        pts[2] = (np.zeros(2), pts[2][1], pts[2][2])
+        pts[3] = (np.array([1e200, 1e200]), pts[3][1], pts[3][2])
+        return pts, evaluate_field(RotationStub(), pts, domain_descriptor={"scheme": "list"})
+
+    def test_columns(self):
+        pts, field = self.field()
+        assert len(field) == 5
+        assert np.array_equal(field.states, [p[0] for p in pts])
+        assert np.array_equal(field.inputs, [p[1] for p in pts])
+        assert np.array_equal(field.times, [p[2] for p in pts])
+        assert field.skip.tolist() == ["", "domain: u[1]=-0.5", "equilibrium", "nonfinite", ""]
+        valid = field.valid_mask()
+        assert valid.tolist() == [True, False, False, False, True]
+        for col in (field.g, field.sigma_max_sq, field.du):
+            assert np.isnan(col[~valid]).all() and np.isfinite(col[valid]).all()
+        assert field.g_values() is field.g
+        assert np.linalg.norm(field.du[valid], axis=1) == pytest.approx(1.0, abs=1e-15)
+
+    def test_samples_view_agrees_with_columns(self):
+        _, field = self.field()
+        samples = field.samples
+        assert samples is field.samples  # built once, then cached
+        assert [s.skip for s in samples] == field.skip.tolist()
+        for i, smp in enumerate(samples):
+            assert np.array_equal(smp.state, field.states[i])
+            assert np.array_equal(smp.input, field.inputs[i])
+            assert smp.t == field.times[i]
+            assert np.array_equal([smp.g, smp.sigma_max_sq],
+                                  [field.g[i], field.sigma_max_sq[i]], equal_nan=True)
+            if smp.skipped:
+                assert smp.direction is None
+            else:
+                assert np.array_equal(smp.direction.du, field.du[i])
+                assert smp.direction.policy == "flow_aligned"
+
+    def test_fixed_policy_fills_the_direction_column(self):
+        du = PerturbationDirection(np.array([0.6, 0.8]))
+        field = evaluate_field(RotationStub(), rotation_points(3), policy=du)
+        assert field.du.tolist() == [[0.6, 0.8]] * 3
+        assert all(np.array_equal(s.direction.du, du.du) and s.direction.policy == "fixed"
+                   for s in field.samples)
+
+    def test_serialization_is_byte_identical_to_pinned_output(self, tmp_path):
+        _, field = self.field()
+        field.to_csv(tmp_path / "field.csv")
+        field.to_json(tmp_path / "field.json")
+        assert (tmp_path / "field.csv").read_text() == PINNED_CSV
+        assert (tmp_path / "field.json").read_text() == pinned_json()
+
+    def test_empty_point_list(self, tmp_path):
+        field = evaluate_field(RotationStub(), [])
+        assert len(field) == 0 and field.samples == [] and field.valid_mask().size == 0
+        field.to_csv(tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_text() == "g,sigma_max_sq,skip_flag\n"
+        assert field.to_json_dict()["samples"] == []

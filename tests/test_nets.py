@@ -383,6 +383,26 @@ class TestLearnedDynamicsModel:
         with pytest.raises(ValueError, match=r"weights\[0\] holds a non-finite value"):
             LearnedDynamicsModel.from_checkpoint_dict(doc)
 
+    def test_checkpoint_nonfinite_scale_is_named(self):
+        doc = self.make().to_checkpoint_dict()
+        doc["scale"][2] = float("nan")
+        with pytest.raises(ValueError, match=r"input scale \[100.0, 10.0, nan, .* is not 5 finite"):
+            LearnedDynamicsModel.from_checkpoint_dict(doc)
+        doc = self.make().to_checkpoint_dict()
+        doc["offset"][0] = float("inf")
+        with pytest.raises(ValueError, match=r"input offset \[inf, .* is not 5 finite"):
+            LearnedDynamicsModel.from_checkpoint_dict(doc)
+
+    def test_checkpoint_short_offset_is_named(self):
+        doc = self.make().to_checkpoint_dict()
+        doc["offset"].pop()
+        with pytest.raises(ValueError, match=r"input offset \[0.0, 0.0, 0.0, 2.5\] is not 5"):
+            LearnedDynamicsModel.from_checkpoint_dict(doc)
+        doc = self.make().to_checkpoint_dict()
+        doc["scale"].append(1.0)
+        with pytest.raises(ValueError, match=r"input scale \[.*, 1.0\] is not 5 finite"):
+            LearnedDynamicsModel.from_checkpoint_dict(doc)
+
     def test_corrupt_checkpoint(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
