@@ -2,8 +2,8 @@
 
 Circular reference paths, a pure-pursuit look-ahead controller, closed-loop
 RK4 rollouts (controller re-evaluated every step, disturbance forces held
-within a step like the inputs), and CSV dataset files that round-trip
-bit-exactly.
+within a step like the inputs), and dataset files that round-trip
+bit-exactly: a CSV per trajectory and a JSON manifest, written by ``_codec``.
 
 ``simulate`` steps a stack of runs together: each time step makes one
 controller call on all (n, d) states and one ``rhs`` and one RK4 call on the
@@ -18,14 +18,15 @@ applied only inside controller geometry.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._codec import read_csv, read_json, require_keys, write_csv, write_json
 from .dynamics import DELTA_MAX, DomainError, ConfigError, wrap_angle
+from .fisher import stack_points
 from .numerics import rk4_step
 
 __all__ = [
@@ -244,129 +245,68 @@ def simulate(model, controller, cfg: SimulationConfig, initial_states) -> list:
 
 
 # ---------------------------------------------------------------------------
-# dataset files
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def _traj_to_csv(traj: Trajectory) -> str:
-    s_names = traj.state_names or tuple(f"s{i}" for i in range(traj.states.shape[1]))
-    i_names = traj.input_names or tuple(f"u{i}" for i in range(traj.inputs.shape[1]))
-    header = (["t"] + list(s_names) + list(i_names)
-              + [f"xdot_{n}" for n in s_names] + ["disturbance_kind"])
-    lines = [",".join(header)]
-    for k in range(len(traj)):
-        row = ([_fmt(traj.times[k])]
-               + [_fmt(v) for v in traj.states[k]]
-               + [_fmt(v) for v in traj.inputs[k]]
-               + [_fmt(v) for v in traj.derivs[k]]
-               + [traj.disturbance_kind])
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _traj_from_csv(text: str, path: str) -> Trajectory:
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines:
-        raise ConfigError(f"{path}: empty file, expected a header line")
-    header = lines[0].split(",")
-    n_total = len(header)
-    try:
-        first_xdot = next(i for i, h in enumerate(header) if h.startswith("xdot_"))
-    except StopIteration:
-        raise ConfigError(f"{path}:1: missing xdot columns in header")
-    # layout: t | states | inputs | xdot (one per state) | disturbance_kind
-    n_state = n_total - 1 - first_xdot
-    s_names = tuple(header[1:1 + n_state])
-    i_names = tuple(header[1 + n_state:first_xdot])
-
-    times, states, inputs, derivs, kind = [], [], [], [], "none"
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != n_total:
-            raise ConfigError(f"{path}:{lineno}: expected {n_total} fields, got {len(parts)}")
-        try:
-            vals = [float(v) for v in parts[:-1]]
-        except ValueError as err:
-            raise ConfigError(f"{path}:{lineno}: {err}")
-        times.append(vals[0])
-        states.append(vals[1:1 + n_state])
-        inputs.append(vals[1 + n_state:first_xdot])
-        derivs.append(vals[first_xdot:n_total - 1])
-        kind = parts[-1]
-    return Trajectory(np.array(times), np.array(states), np.array(inputs),
-                      np.array(derivs), disturbance_kind=kind,
-                      state_names=s_names, input_names=i_names)
+# dataset files: one CSV per trajectory, t | states | inputs | xdot (one per
+# state) | disturbance_kind, plus a JSON manifest
 
 
 def write_dataset(trajectories, directory, manifest_extra: dict | None = None) -> list:
     """Write one CSV per trajectory plus a provenance manifest; returns paths."""
     os.makedirs(directory, exist_ok=True)
-    paths = []
-    entries = []
+    paths, entries = [], []
     for i, traj in enumerate(trajectories):
-        name = f"traj_{i:03d}.csv"
-        path = os.path.join(directory, name)
-        with open(path, "w") as fh:
-            fh.write(_traj_to_csv(traj))
-        paths.append(path)
-        entries.append({"file": name, "samples": len(traj),
+        s_names = traj.state_names or [f"s{k}" for k in range(traj.states.shape[1])]
+        i_names = traj.input_names or [f"u{k}" for k in range(traj.inputs.shape[1])]
+        paths.append(os.path.join(directory, f"traj_{i:03d}.csv"))
+        write_csv(paths[-1], ["t", *s_names, *i_names, *(f"xdot_{n}" for n in s_names),
+                              "disturbance_kind"],
+                  [traj.times, traj.states, traj.inputs, traj.derivs,
+                   [traj.disturbance_kind] * len(traj)])
+        entries.append({"file": os.path.basename(paths[-1]), "samples": len(traj),
                         "disturbance_kind": traj.disturbance_kind,
                         "exit_reason": traj.exit_reason})
-    manifest = {"trajectories": entries}
-    if manifest_extra:
-        manifest.update(manifest_extra)
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(directory, "manifest.json"),
+               {"trajectories": entries, **(manifest_extra or {})})
     return paths
 
 
 def read_dataset(directory) -> list:
+    """The manifest's trajectories, each file checked against its ``samples``."""
     manifest_path = os.path.join(directory, "manifest.json")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(manifest_path)
+    require_keys(manifest, manifest_path, ["trajectories"])
     out = []
-    for entry in manifest["trajectories"]:
+    for i, entry in enumerate(manifest["trajectories"]):
+        require_keys(entry, f"{manifest_path} trajectories[{i}]", ["file", "samples"])
         path = os.path.join(directory, entry["file"])
-        with open(path) as fh:
-            traj = _traj_from_csv(fh.read(), path)
-        traj.exit_reason = entry.get("exit_reason", "")
-        out.append(traj)
+        header, block, kinds = read_csv(path, text_last=True)
+        n_state = sum(h.startswith("xdot_") for h in header)
+        if not n_state:
+            raise ConfigError(f"{path}:1: missing xdot columns in header")
+        if len(block) != entry["samples"]:
+            raise ConfigError(f"{path}: {len(block)} rows, the manifest says "
+                              f"{entry['samples']} samples")
+        times, states, inputs, derivs = (c.copy() for c in np.split(
+            block, [1, 1 + n_state, block.shape[1] - n_state], axis=1))
+        out.append(Trajectory(times[:, 0], states, inputs, derivs,
+                              kinds[-1] if kinds else entry.get("disturbance_kind", "none"),
+                              entry.get("exit_reason", ""), tuple(header[1:1 + n_state]),
+                              tuple(header[1 + n_state:-1 - n_state])))
     return out
 
 
 def write_points(points, path) -> None:
     """Collocation samples [(state, input), ...] to a two-block CSV."""
-    points = list(points)
-    if not points:
+    states, inputs, _ = stack_points(points)
+    if not len(states):
         raise ConfigError("refusing to write an empty collocation file")
-    ns, ni = len(points[0][0]), len(points[0][1])
-    header = [f"state_{i}" for i in range(ns)] + [f"input_{i}" for i in range(ni)]
-    lines = [",".join(header)]
-    for s, u in points:
-        lines.append(",".join([_fmt(v) for v in s] + [_fmt(v) for v in u]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, [*(f"state_{i}" for i in range(states.shape[1])),
+                     *(f"input_{i}" for i in range(inputs.shape[1]))], [states, inputs])
 
 
 def read_points(path) -> list:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln.strip()]
-    if not lines:
-        raise ConfigError(f"{path}: empty file, expected a header line")
-    header = lines[0].split(",")
+    header, block, _ = read_csv(path)
     ns = sum(1 for h in header if h.startswith("state_"))
-    out = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        try:
-            vals = [float(v) for v in ln.split(",")]
-        except ValueError as err:
-            raise ConfigError(f"{path}:{lineno}: {err}")
-        out.append((np.array(vals[:ns]), np.array(vals[ns:])))
-    return out
+    return list(zip(block[:, :ns], block[:, ns:]))
 
 
 def derivative_samples(trajectories, noise_sigma: float = 0.0, seed: int = 0):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._codec import csv_text
 from .fisher import AlignmentError, FisherField, stack_points
 
 __all__ = [
@@ -116,10 +117,8 @@ class ParameterBiasTable:
         return [self.names[i] for i in order]
 
     def to_csv(self) -> str:
-        lines = ["parameter,mean,std,true"]
-        for row in zip(self.names, self.means, self.stds, self.true_values):
-            lines.append(",".join([row[0]] + [repr(float(v)) for v in row[1:]]))
-        return "\n".join(lines) + "\n"
+        return csv_text(["parameter", "mean", "std", "true"],
+                        [self.names, self.means, self.stds, self.true_values])
 
 
 def parameter_bias_table(names, records, true_values) -> ParameterBiasTable:

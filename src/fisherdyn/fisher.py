@@ -35,7 +35,6 @@ columns on first read, so its cost falls on whoever reads it.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -43,6 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._codec import write_csv, write_json
 from .dynamics import DomainError
 from .numerics import largest_singular_value
 
@@ -204,14 +204,10 @@ class FisherField:
             self.times.tolist(), self.skip.tolist())))
 
     def to_csv(self, path) -> None:
-        header = ([f"state_{i}" for i in range(self.states.shape[1])]
-                  + [f"input_{i}" for i in range(self.inputs.shape[1])]
-                  + ["g", "sigma_max_sq", "skip_flag"])
-        block = np.column_stack([self.states, self.inputs, self.g, self.sigma_max_sq])
-        lines = [",".join(header)] + [",".join(map(repr, row)) + "," + skip for row, skip
-                                      in zip(block.tolist(), self.skip.tolist())]
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, [*(f"state_{i}" for i in range(self.states.shape[1])),
+                         *(f"input_{i}" for i in range(self.inputs.shape[1])),
+                         "g", "sigma_max_sq", "skip_flag"],
+                  [self.states, self.inputs, self.g, self.sigma_max_sq, self.skip])
 
     def to_json_dict(self) -> dict:
         valid = self.valid_mask().tolist()
@@ -227,9 +223,7 @@ class FisherField:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
 
 def _fixed_direction(policy, dim) -> PerturbationDirection:

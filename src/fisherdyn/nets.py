@@ -14,10 +14,11 @@ format.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._codec import read_json, require_keys, write_json
 
 __all__ = [
     "LayerSpec",
@@ -406,12 +407,6 @@ def gru_backward(spec: GruSpec, steps, grad_h):
 # learned dynamics wrapper + checkpoints
 
 
-def _require_keys(doc: dict, where: str, keys) -> None:
-    missing = [key for key in keys if key not in doc]
-    if missing:
-        raise ValueError(f"{where} is missing key {missing[0]!r}")
-
-
 def _layer_array(doc: dict, key: str, i: int, shape: tuple) -> np.ndarray:
     """Layer ``i``'s entry of the checkpoint list ``key``: finite, of ``shape``."""
     a = np.asarray(doc[key][i], dtype=float)
@@ -488,20 +483,18 @@ class LearnedDynamicsModel:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_checkpoint_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_checkpoint_dict())
 
     @classmethod
     def from_checkpoint_dict(cls, doc: dict) -> "LearnedDynamicsModel":
-        if doc.get("format") != CHECKPOINT_FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint")
         if doc.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
-        _require_keys(doc, "checkpoint", ("state_dim", "input_dim", "offset", "scale",
-                                          "layers", "weights", "biases"))
+        require_keys(doc, "checkpoint", ("state_dim", "input_dim", "offset", "scale",
+                                         "layers", "weights", "biases"))
         for i, layer in enumerate(doc["layers"]):
-            _require_keys(layer, f"checkpoint layers[{i}]", ("width", "activation"))
+            require_keys(layer, f"checkpoint layers[{i}]", ("width", "activation"))
         layers = tuple(LayerSpec(l["width"], l["activation"]) for l in doc["layers"])
         for key in ("weights", "biases"):
             if len(doc[key]) != len(layers):
@@ -520,9 +513,4 @@ class LearnedDynamicsModel:
 
     @classmethod
     def load(cls, path) -> "LearnedDynamicsModel":
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"corrupt checkpoint {path}: {err}") from err
-        return cls.from_checkpoint_dict(doc)
+        return cls.from_checkpoint_dict(read_json(path))

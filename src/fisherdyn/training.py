@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._codec import csv_text
 from .nets import (LayerSpec, LearnedDynamicsModel, NetworkParams, adam_step,
                    init_adam, init_network, mlp_forward, mlp_forward_cache,
                    mlp_param_gradient, mlp_vjp)
@@ -144,11 +145,9 @@ class TrainReport:
         return doc
 
     def curve_csv(self) -> str:
-        lines = ["epoch,total,physics,data"]
-        lines.append("0," + ",".join(repr(float(v)) for v in self.initial_losses))
-        for i, row in enumerate(self.loss_curve, start=1):
-            lines.append(f"{i}," + ",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        rows = [self.initial_losses, *self.loss_curve]
+        return csv_text(["epoch", "total", "physics", "data"],
+                        [list(map(str, range(len(rows)))), rows])
 
 
 @dataclass

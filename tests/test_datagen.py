@@ -227,6 +227,39 @@ class TestDatasetIO:
         with pytest.raises(ConfigError, match="pts.csv: empty file"):
             read_points(tmp_path / "pts.csv")
 
+    def test_ragged_points_row_names_its_line(self, tmp_path):
+        (tmp_path / "pts.csv").write_text(
+            "state_0,state_1,state_2,input_0,input_1\n1,2,3,4,5\n1,2,3,4\n")
+        with pytest.raises(ConfigError, match=r"pts.csv:3: expected 5 fields, got 4"):
+            read_points(tmp_path / "pts.csv")
+
+    def test_truncated_trajectory_file_names_the_path(self, tmp_path):
+        (path,) = write_dataset([self.make_traj()], tmp_path / "ds")
+        with open(path) as fh:
+            head = fh.readlines()[:5]
+        with open(path, "w") as fh:
+            fh.writelines(head)
+        with pytest.raises(ConfigError, match="traj_000.csv: 4 rows, the manifest "
+                                              "says 311 samples"):
+            read_dataset(tmp_path / "ds")
+
+    def test_corrupt_manifest_names_the_path(self, tmp_path):
+        write_dataset([], tmp_path / "ds")
+        (tmp_path / "ds" / "manifest.json").write_text('{"trajectories": [')
+        with pytest.raises(ConfigError, match="manifest.json: cannot decode JSON"):
+            read_dataset(tmp_path / "ds")
+
+    def test_manifest_missing_keys_name_the_path(self, tmp_path):
+        write_dataset([self.make_traj()], tmp_path / "ds", {"seed": 0})
+        manifest = tmp_path / "ds" / "manifest.json"
+        manifest.write_text('{"seed": 0}\n')
+        with pytest.raises(ConfigError, match="manifest.json is missing key 'trajectories'"):
+            read_dataset(tmp_path / "ds")
+        manifest.write_text('{"trajectories": [{"file": "traj_000.csv"}]}\n')
+        with pytest.raises(ConfigError, match=r"manifest.json trajectories\[0\] is missing "
+                                              "key 'samples'"):
+            read_dataset(tmp_path / "ds")
+
     def test_points_round_trip(self, tmp_path):
         pts = [(np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.1]))]
         write_points(pts, tmp_path / "pts.csv")

@@ -403,6 +403,12 @@ class TestLearnedDynamicsModel:
         with pytest.raises(ValueError, match=r"input scale \[.*, 1.0\] is not 5 finite"):
             LearnedDynamicsModel.from_checkpoint_dict(doc)
 
+    def test_checkpoint_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(ValueError, match="not a fisherdyn-net checkpoint"):
+            LearnedDynamicsModel.load(path)
+
     def test_corrupt_checkpoint(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

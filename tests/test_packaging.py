@@ -134,3 +134,37 @@ def test_dead_definition_detector():
     elsewhere = "from m import used, A\nx = A().size + used()\n"
     assert dead_definitions({"m.py": module}, [elsewhere]) == [
         "m.py:dead (line 2)", "m.py:recursive (line 3)", "m.py:unused (line 8)"]
+
+
+def file_io_calls(source: str) -> list:
+    """Calls in a module that open a file or use ``json``: ``open`` as a name
+    or a method, and every ``json.<name>``."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            calls.append((node.lineno, "open"))
+        elif isinstance(func, ast.Attribute) and (
+                func.attr == "open"
+                or isinstance(func.value, ast.Name) and func.value.id == "json"):
+            calls.append((node.lineno, ast.unparse(func)))
+    return [f"{name} (line {line})" for line, name in sorted(calls)]
+
+
+def test_file_io_stays_in_the_codec():
+    io = {path.name: file_io_calls(path.read_text())
+          for path in sorted(PACKAGE.glob("*.py")) if path.name != "_codec.py"}
+    assert io
+    assert {name: calls for name, calls in io.items() if calls} == {}
+
+
+def test_file_io_detector():
+    source = ("import json, gzip\n"
+              "with open(p) as fh:\n    doc = json.load(fh)\n"
+              "text = json.dumps(doc)\n"
+              "gzip.open(p).read()\n"
+              "fh.write(text)\n")
+    assert file_io_calls(source) == ["open (line 2)", "json.load (line 3)",
+                                     "json.dumps (line 4)", "gzip.open (line 5)"]
