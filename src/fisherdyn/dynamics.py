@@ -23,13 +23,12 @@ either one point, states (d,) and inputs (m,), or a stack of n points, states
 (n, d)/(n, d, d). Out-of-envelope points raise :class:`DomainError`, whose
 ``rows`` and ``reasons`` name every offending point of the stack.
 
-The dynamic model's tire, slip, disturbance and drivetrain laws are written
-once over stacks (``velocity_rates`` and ``dynamic_jacobian``); a single point
-is a stack of one.
-
-``velocity_rate_partials`` gives the disturbance-free velocity rates together
-with their exact partials in the velocities and in the twelve coefficients,
-for the gradient of the coefficient estimator.
+The dynamic model's laws are written once over stacks; a single point is a
+stack of one. ``velocity_rates`` is the only rate law and the private
+``_velocity_jacobian`` its only velocity Jacobian, shared by
+``dynamic_jacobian`` and ``velocity_rate_partials``; the latter adds the
+rates' partials in the twelve coefficients, for the gradient of the
+coefficient estimator.
 """
 
 from __future__ import annotations
@@ -87,6 +86,17 @@ class ConfigError(ValueError):
     """Malformed model or disturbance configuration."""
 
 
+def _check_fields(owner: str, values: dict, rules: dict) -> None:
+    """Raise :class:`ConfigError` naming the first of ``values`` that is not
+    finite or breaks its rule in ``rules`` ("> 0" or ">= 0")."""
+    for name, val in values.items():
+        rule = rules.get(name)
+        if not math.isfinite(val):
+            raise ConfigError(f"{owner}{name} must be finite, got {val}")
+        if rule == "> 0" and val <= 0 or rule == ">= 0" and val < 0:
+            raise ConfigError(f"{owner}{name} must be {rule}")
+
+
 def _check_envelope(bad, values, reason: str) -> None:
     """Raise :class:`DomainError` for the points where ``bad`` holds;
     ``reason`` is formatted with each point's entry of ``values``."""
@@ -122,9 +132,7 @@ class VehicleParams:
     Ts: float = 0.02
 
     def __post_init__(self):
-        for name in ("m", "Iz", "lf", "lr", "L", "Ts"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"VehicleParams.{name} must be > 0")
+        _check_fields("VehicleParams.", vars(self), dict.fromkeys(vars(self), "> 0"))
 
     @classmethod
     def kinematic_default(cls) -> "VehicleParams":
@@ -150,8 +158,7 @@ class PacejkaCoefficients:
     K: float = 0.0
 
     def __post_init__(self):
-        if self.B <= 0 or self.C <= 0 or self.D < 0:
-            raise ConfigError("PacejkaCoefficients require B > 0, C > 0, D >= 0")
+        _check_fields("PacejkaCoefficients.", vars(self), {"B": "> 0", "C": "> 0", "D": ">= 0"})
 
 
 @dataclass(frozen=True)
@@ -175,9 +182,7 @@ class DrivetrainCoefficients:
     Cd: float = 0.00035
 
     def __post_init__(self):
-        for name in ("Cm1", "Cm2", "Cr0", "Cd"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"DrivetrainCoefficients.{name} must be >= 0")
+        _check_fields("DrivetrainCoefficients.", vars(self), dict.fromkeys(vars(self), ">= 0"))
 
 
 # Layout of the coefficient vectors the stacked dynamic code reads (one per
@@ -220,14 +225,17 @@ class DisturbanceConfig:
     def __post_init__(self):
         if self.kind not in _DISTURBANCE_KEYS:
             raise ConfigError(f"unknown disturbance kind {self.kind!r}")
-        missing = [k for k in _DISTURBANCE_KEYS[self.kind] if k not in self.params]
+        keys = _DISTURBANCE_KEYS[self.kind]
+        missing = [k for k in keys if k not in self.params]
         if missing:
             raise ConfigError(f"disturbance {self.kind!r} missing parameters {missing}")
-        for key, val in self.params.items():
-            if key in ("beta", "T_initial", "T_rate", "T0"):
-                continue  # signed quantities
-            if val < 0:
-                raise ConfigError(f"disturbance {self.kind!r} parameter {key} must be >= 0")
+        unknown = [k for k in self.params if k not in keys]
+        if unknown:
+            raise ConfigError(f"disturbance {self.kind!r} has unknown parameters {unknown}")
+        # beta and the temperatures are signed; k_phi divides the roll angle
+        signed = ("beta", "T_initial", "T_rate", "T0")
+        _check_fields(f"disturbance {self.kind!r} parameter ", self.params,
+                      {k: "> 0" if k == "k_phi" else ">= 0" for k in keys if k not in signed})
 
     @classmethod
     def wind(cls, rho: float, area: float, Cw: float, vw: float) -> "DisturbanceConfig":
@@ -289,9 +297,12 @@ def kinematic_jacobian(s, u, p: VehicleParams) -> np.ndarray:
 # dynamic bicycle: stacked laws
 
 
-def _check_speed(vx) -> None:
-    _check_envelope(vx <= VX_MIN, vx,
+def _dynamic_point(s, u):
+    """Envelope-checked (s, u, vx, vy, sin theta, cos theta) of dynamic points."""
+    s, u = np.asarray(s, dtype=float), np.asarray(u, dtype=float)
+    _check_envelope(s[..., 3] <= VX_MIN, s[..., 3],
                     f"vx={{:.3f}} <= vx_min={VX_MIN}; slip angles undefined")
+    return s, u, s[..., 3], s[..., 4], np.sin(s[..., 2]), np.cos(s[..., 2])
 
 
 def _slip_terms(vx, vy, omega, delta, p: VehicleParams):
@@ -301,18 +312,32 @@ def _slip_terms(vx, vy, omega, delta, p: VehicleParams):
     return qf, qr, delta - np.arctan(qf), -np.arctan(qr)
 
 
-def _tire_terms(alpha, B, C, E, G):
-    """(B a, psi, C arctan(psi)) of the magic formula; F = K + D sin(C arctan(psi))."""
+def _tire_terms(alpha, B, E, G):
+    """(B a, arctan(B a G), psi, arctan(psi)) of the magic formula
+    F = K + D sin(C arctan(psi)), psi = B a - E (B a - arctan(B a G))."""
     ba = B * alpha
-    psi = ba - E * (ba - np.arctan(ba * G))
-    return ba, psi, C * np.arctan(psi)
+    atan_bag = np.arctan(ba * G)
+    psi = ba - E * (ba - atan_bag)
+    return ba, atan_bag, psi, np.arctan(psi)
 
 
-def _tire_slope(alpha, c: PacejkaCoefficients):
-    """sin(C arctan(psi)) and its alpha-derivative over stacked slip angles."""
-    ba, psi, arg = _tire_terms(alpha, c.B, c.C, c.E, c.G)
-    dpsi = c.B * (1.0 - c.E * (1.0 - c.G / (1.0 + (ba * c.G) ** 2)))
-    return np.sin(arg), np.cos(arg) * c.C * dpsi / (1.0 + psi * psi)
+def _tire_slope(alpha, B, C, E, G):
+    """sin and cos of C arctan(psi), the sine's alpha-derivative, and the
+    :func:`_tire_terms`. The formula reads alpha and B only through their
+    product, so the call with the two swapped gives the B-derivative."""
+    ba, _, psi, atan_psi = terms = _tire_terms(alpha, B, E, G)
+    arg = C * atan_psi
+    cos_arg = np.cos(arg)
+    dpsi = B * (1.0 - E * (1.0 - G / (1.0 + (ba * G) ** 2)))
+    return np.sin(arg), cos_arg, cos_arg * C * dpsi / (1.0 + psi * psi), terms
+
+
+def _tire_coef_partials(alpha, B, C, D, E, G):
+    """The B, C, D and E partials of the force D sin(C arctan(psi)); the B one
+    is :func:`_tire_slope` with alpha and B swapped."""
+    sin_arg, cos_arg, dsin_dB, (ba, atan_bag, psi, atan_psi) = _tire_slope(B, alpha, C, E, G)
+    return (D * dsin_dB, D * cos_arg * atan_psi, sin_arg,
+            -D * cos_arg * C / (1.0 + psi * psi) * (ba - atan_bag))
 
 
 def _scale_factor(dist: DisturbanceConfig, vx, omega, t, p: VehicleParams):
@@ -325,19 +350,6 @@ def _scale_factor(dist: DisturbanceConfig, vx, omega, t, p: VehicleParams):
         return np.maximum(0.0, 1.0 - q["stiffness_sensitivity"] * np.abs(phi))
     T_tire = q["T_initial"] + q["T_rate"] * t
     return np.maximum(0.0, 1.0 - np.exp(-q["kT"] * (T_tire - q["T0"])))
-
-
-def _scale_slope(dist: DisturbanceConfig, vx, omega, p: VehicleParams):
-    """(dS/dvx, dS/domega) of one scale factor; the temperature factor is
-    time-only, and the roll factor is flat where it is clamped."""
-    q = dist.params
-    if dist.kind != "roll":
-        return 0.0, 0.0
-    phi = p.m * vx * omega / q["k_phi"]
-    unclamped = 1.0 - q["stiffness_sensitivity"] * np.abs(phi) > 0.0
-    coef = np.where(unclamped,
-                    -q["stiffness_sensitivity"] * np.sign(phi) * p.m / q["k_phi"], 0.0)
-    return coef * omega, coef * vx
 
 
 def _lateral_forcing(disturbances, vy, t, p: VehicleParams):
@@ -378,10 +390,10 @@ def velocity_rates(vel, u, p: VehicleParams, coef, tires: TirePair,
         if dist.kind in SCALE_KINDS:
             scale = scale * _scale_factor(dist, vx, omega, t, p)
     f, r = tires.front, tires.rear
-    arg_f = _tire_terms(alpha_f, coef[..., 0], coef[..., 1], coef[..., 3], f.G)[2]
-    arg_r = _tire_terms(alpha_r, coef[..., 4], coef[..., 5], coef[..., 7], r.G)[2]
-    F_fy = f.K + scale * coef[..., 2] * np.sin(arg_f)
-    F_ry = r.K + scale * coef[..., 6] * np.sin(arg_r)
+    atan_f = _tire_terms(alpha_f, coef[..., 0], coef[..., 3], f.G)[3]
+    atan_r = _tire_terms(alpha_r, coef[..., 4], coef[..., 7], r.G)[3]
+    F_fy = f.K + scale * coef[..., 2] * np.sin(coef[..., 1] * atan_f)
+    F_ry = r.K + scale * coef[..., 6] * np.sin(coef[..., 5] * atan_r)
     F_rx = (coef[..., 8] * throttle - coef[..., 9] * vx) - coef[..., 10] - coef[..., 11] * vx * vx
     F_lat = _lateral_forcing(disturbances, vy, t, p)
     sd, cd = np.sin(delta), np.cos(delta)
@@ -392,17 +404,57 @@ def velocity_rates(vel, u, p: VehicleParams, coef, tires: TirePair,
     ], axis=-1)
 
 
-def _tire_partials(alpha, B, C, D, E, G):
-    """Magic-formula force D sin(C arctan(psi)) (K excluded), its
-    alpha-derivative and the tuple of its B, C, D and E partials."""
-    ba, psi, arg = _tire_terms(alpha, B, C, E, G)
-    sin_arg, cos_arg = np.sin(arg), np.cos(arg)
-    w = D * cos_arg * C / (1.0 + psi * psi)  # dF/dpsi
-    shape = 1.0 - E * (1.0 - G / (1.0 + (ba * G) ** 2))  # dpsi/d(B a)
-    return D * sin_arg, w * B * shape, (w * alpha * shape,
-                                        D * cos_arg * np.arctan(psi),
-                                        sin_arg,
-                                        -w * (ba - np.arctan(ba * G)))
+def _velocity_jacobian(vel, u, p: VehicleParams, coef, tires: TirePair,
+                       disturbances=(), t=0.0) -> np.ndarray:
+    """d(:func:`velocity_rates`)/d(vx, vy, omega), (..., 3, 3), for the same
+    arguments: the tire forces through the slip angles and the tire scale,
+    the wind drag, and the drivetrain and coupling terms."""
+    vx, vy, omega = vel[..., 0], vel[..., 1], vel[..., 2]
+    delta = u[..., 1]
+    qf, qr, alpha_f, alpha_r = _slip_terms(vx, vy, omega, delta, p)
+
+    # tire scale and its (vx, omega) gradient, composed by the product rule;
+    # the temperature factor is time-only, the roll factor flat where clamped
+    scale, dscale_vx, dscale_om = 1.0, 0.0, 0.0
+    for dist in disturbances:
+        if dist.kind in SCALE_KINDS:
+            factor = _scale_factor(dist, vx, omega, t, p)
+            g_vx = g_om = 0.0
+            if dist.kind == "roll":
+                q = dist.params
+                g = np.where(factor > 0.0, -q["stiffness_sensitivity"] * p.m / q["k_phi"]
+                             * np.sign(vx * omega), 0.0)
+                g_vx, g_om = g * omega, g * vx
+            dscale_vx = dscale_vx * factor + scale * g_vx
+            dscale_om = dscale_om * factor + scale * g_om
+            scale = scale * factor
+
+    # each axle's lateral force over (vx, vy, omega), through its slip angle
+    # alpha = (delta or 0) - arctan(q), q = (vy +- l omega) / vx
+    c = [coef[..., k] for k in range(12)]
+    dF_fy, dF_ry = [], []
+    for dF, alpha, q, arm, (B, C, D, E), G in (
+            (dF_fy, alpha_f, qf, -p.lf, c[0:4], tires.front.G),
+            (dF_ry, alpha_r, qr, p.lr, c[4:8], tires.rear.G)):
+        sin_arg, _, dsin, _ = _tire_slope(alpha, B, C, E, G)
+        F, k, vx_q = D * sin_arg, scale * D * dsin, vx * (1.0 + q * q)
+        dF += [k * (q / vx_q) + F * dscale_vx, k * (-1.0 / vx_q),
+               k * (arm / vx_q) + F * dscale_om]
+
+    # the rates' own (vx, vy, omega) terms: drivetrain drag and the coupling
+    dF_rx = (-c[9] - 2.0 * c[11] * vx, 0.0, 0.0)
+    coupling = ((0.0, omega, vy), (-omega, 0.0, -vx))
+    sd, cd = np.sin(delta), np.cos(delta)
+    jac = np.empty(vx.shape + (3, 3))
+    for j in range(3):
+        jac[..., 0, j] = (dF_rx[j] - sd * dF_fy[j]) / p.m + coupling[0][j]
+        jac[..., 1, j] = (dF_ry[j] + cd * dF_fy[j]) / p.m + coupling[1][j]
+        jac[..., 2, j] = (p.lf * cd * dF_fy[j] - p.lr * dF_ry[j]) / p.Iz
+    for dist in disturbances:
+        if dist.kind == "wind":
+            q = dist.params
+            jac[..., 1, 1] -= q["rho"] * q["area"] * q["Cw"] * np.abs(q["vw"] - vy) / p.m
+    return jac
 
 
 def velocity_rate_partials(vel, u, p: VehicleParams, coef, tires: TirePair):
@@ -410,52 +462,27 @@ def velocity_rate_partials(vel, u, p: VehicleParams, coef, tires: TirePair):
 
     Returns (rates (n, 3), d(rates)/d(vel) (n, 3, 3), d(rates)/d(coef)
     (n, 3, 12)) over stacked velocities (n, 3) and inputs (n, 2); ``coef`` is
-    (12,) or (n, 12) in :data:`COEFFICIENT_NAMES` order. The tire partials in
-    B, C, D and E are closed-form, the drivetrain terms are linear. Like
+    (12,) or (n, 12) in :data:`COEFFICIENT_NAMES` order. The velocity block is
+    the one of :func:`dynamic_jacobian`, the tire partials in B, C, D and E
+    are closed-form, the drivetrain terms are linear. Like
     :func:`velocity_rates`, there is no envelope check.
     """
     vx, vy, omega = vel[..., 0], vel[..., 1], vel[..., 2]
     throttle, delta = u[..., 0], u[..., 1]
-    qf, qr, alpha_f, alpha_r = _slip_terms(vx, vy, omega, delta, p)
-    # one contiguous row per coefficient
-    c = np.ascontiguousarray(np.moveaxis(np.broadcast_to(coef, vx.shape + (12,)), -1, 0))
-    f, r = tires.front, tires.rear
-    Ff, dFf_da, dFf_dc = _tire_partials(alpha_f, c[0], c[1], c[2], c[3], f.G)
-    Fr, dFr_da, dFr_dc = _tire_partials(alpha_r, c[4], c[5], c[6], c[7], r.G)
-    F_fy, F_ry = f.K + Ff, r.K + Fr
-    F_rx = (c[8] * throttle - c[9] * vx) - c[10] - c[11] * vx * vx
-    sd, cd = np.sin(delta), np.cos(delta)
-    rates = np.stack([
-        (F_rx - F_fy * sd) / p.m + vy * omega,
-        (F_ry + F_fy * cd) / p.m - vx * omega,
-        (F_fy * p.lf * cd - F_ry * p.lr) / p.Iz,
-    ], axis=-1)
-
+    _, _, alpha_f, alpha_r = _slip_terms(vx, vy, omega, delta, p)
+    c = [coef[..., k] for k in range(8)]
+    dFf = np.stack(_tire_coef_partials(alpha_f, *c[:4], tires.front.G))
+    dFr = np.stack(_tire_coef_partials(alpha_r, *c[4:], tires.rear.G))
     # weights of each axle's lateral force in the (vx, vy, omega) rates
-    front = (-sd / p.m, cd / p.m, p.lf * cd / p.Iz)
-    rear = (0.0, 1.0 / p.m, -p.lr / p.Iz)
-    # the lateral forces over (vx, vy, omega), through the slip angles
-    k_f = dFf_da / (vx * (1.0 + qf * qf))
-    k_r = dFr_da / (vx * (1.0 + qr * qr))
-    dF_fy = (k_f * qf, -k_f, -p.lf * k_f)
-    dF_ry = (k_r * qr, -k_r, p.lr * k_r)
-
-    # filled as (3, 3, n) and (3, 12, n), returned as (n, 3, 3) and (n, 3, 12) views
-    d_vel = np.empty((3, 3) + vx.shape)
+    sd, cd = np.sin(delta), np.cos(delta)
+    front = np.stack([-sd / p.m, cd / p.m, p.lf * cd / p.Iz])
+    rear = np.array([0.0, 1.0 / p.m, -p.lr / p.Iz])
+    # filled as (3, 12, n) with n innermost, returned as an (n, 3, 12) view
     d_coef = np.zeros((3, 12) + vx.shape)
-    for i in range(3):
-        for k in range(3):
-            d_vel[i, k] = front[i] * dF_fy[k] + rear[i] * dF_ry[k]
-        for k in range(4):
-            d_coef[i, k] = front[i] * dFf_dc[k]
-            d_coef[i, 4 + k] = rear[i] * dFr_dc[k]
-    d_vel[0, 0] += (-c[9] - 2.0 * c[11] * vx) / p.m
-    d_vel[0, 1] += omega
-    d_vel[0, 2] += vy
-    d_vel[1, 0] -= omega
-    d_vel[1, 2] -= vx
+    d_coef[:, :4] = front[:, None] * dFf
+    d_coef[:, 4:8] = np.multiply.outer(rear, dFr)
     d_coef[0, 8:] = np.stack([throttle, -vx, np.full_like(vx, -1.0), -vx * vx]) / p.m
-    return (rates, np.moveaxis(d_vel, (0, 1), (-2, -1)),
+    return (velocity_rates(vel, u, p, coef, tires), _velocity_jacobian(vel, u, p, coef, tires),
             np.moveaxis(d_coef, (0, 1), (-2, -1)))
 
 
@@ -464,10 +491,7 @@ def dynamic_rhs(s, u, p: VehicleParams, tires: TirePair,
                 disturbances=(), t=0.0) -> np.ndarray:
     """Continuous-time derivatives of (x, y, theta, vx, vy, omega): (6,) for
     one point, (n, 6) for stacked points."""
-    s, u = np.asarray(s, dtype=float), np.asarray(u, dtype=float)
-    theta, vx, vy = s[..., 2], s[..., 3], s[..., 4]
-    _check_speed(vx)
-    st, ct = np.sin(theta), np.cos(theta)
+    s, u, vx, vy, st, ct = _dynamic_point(s, u)
     pose = np.stack([vx * ct - vy * st, vx * st + vy * ct, s[..., 5]], axis=-1)
     vel = velocity_rates(s[..., 3:], u, p, coefficient_vector(tires, drivetrain),
                          tires, disturbances, t)
@@ -479,39 +503,7 @@ def dynamic_jacobian(s, u, p: VehicleParams, tires: TirePair,
                      disturbances=(), t=0.0) -> np.ndarray:
     """Exact state Jacobian of :func:`dynamic_rhs` (inputs held): (6, 6) for
     one point, (n, 6, 6) for stacked points."""
-    s, u = np.asarray(s, dtype=float), np.asarray(u, dtype=float)
-    theta, vx, vy, omega = s[..., 2], s[..., 3], s[..., 4], s[..., 5]
-    delta = u[..., 1]
-    _check_speed(vx)
-    qf, qr, alpha_f, alpha_r = _slip_terms(vx, vy, omega, delta, p)
-
-    # tire scale and its (vx, omega) gradient, composed by the product rule
-    scale, dscale_vx, dscale_om = 1.0, 0.0, 0.0
-    for dist in disturbances:
-        if dist.kind in SCALE_KINDS:
-            factor = _scale_factor(dist, vx, omega, t, p)
-            g_vx, g_om = _scale_slope(dist, vx, omega, p)
-            dscale_vx = dscale_vx * factor + scale * g_vx
-            dscale_om = dscale_om * factor + scale * g_om
-            scale = scale * factor
-
-    # tire force partials over (vx, vy, omega) through the slip angles
-    f, r = tires.front, tires.rear
-    sin_f, dsin_f = _tire_slope(alpha_f, f)
-    sin_r, dsin_r = _tire_slope(alpha_r, r)
-    vx_f = vx * (1.0 + qf * qf)
-    vx_r = vx * (1.0 + qr * qr)
-    k_f, k_r = scale * f.D * dsin_f, scale * r.D * dsin_r
-    dF_fy = (k_f * (qf / vx_f) + f.D * sin_f * dscale_vx,
-             k_f * (-1.0 / vx_f),
-             k_f * (-p.lf / vx_f) + f.D * sin_f * dscale_om)
-    dF_ry = (k_r * (qr / vx_r) + r.D * sin_r * dscale_vx,
-             k_r * (-1.0 / vx_r),
-             k_r * (p.lr / vx_r) + r.D * sin_r * dscale_om)
-    dF_rx_dvx = -drivetrain.Cm2 - 2.0 * drivetrain.Cd * vx
-
-    sd, cd = np.sin(delta), np.cos(delta)
-    st, ct = np.sin(theta), np.cos(theta)
+    s, u, vx, vy, st, ct = _dynamic_point(s, u)
     jac = np.zeros(vx.shape + (6, 6))
     jac[..., 0, 2] = -vx * st - vy * ct
     jac[..., 0, 3] = ct
@@ -520,21 +512,8 @@ def dynamic_jacobian(s, u, p: VehicleParams, tires: TirePair,
     jac[..., 1, 3] = st
     jac[..., 1, 4] = ct
     jac[..., 2, 5] = 1.0
-
-    jac[..., 3, 3] = (dF_rx_dvx - sd * dF_fy[0]) / p.m
-    jac[..., 3, 4] = -sd * dF_fy[1] / p.m + omega
-    jac[..., 3, 5] = -sd * dF_fy[2] / p.m + vy
-
-    jac[..., 4, 3] = (dF_ry[0] + cd * dF_fy[0]) / p.m - omega
-    jac[..., 4, 4] = (dF_ry[1] + cd * dF_fy[1]) / p.m
-    jac[..., 4, 5] = (dF_ry[2] + cd * dF_fy[2]) / p.m - vx
-    for dist in disturbances:
-        if dist.kind == "wind":
-            q = dist.params
-            jac[..., 4, 4] -= q["rho"] * q["area"] * q["Cw"] * np.abs(q["vw"] - vy) / p.m
-
-    for k in range(3):
-        jac[..., 5, 3 + k] = (p.lf * cd * dF_fy[k] - p.lr * dF_ry[k]) / p.Iz
+    jac[..., 3:, 3:] = _velocity_jacobian(s[..., 3:], u, p, coefficient_vector(tires, drivetrain),
+                                          tires, disturbances, t)
     return jac
 
 

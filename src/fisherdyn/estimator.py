@@ -8,7 +8,10 @@ squared (vx, vy, omega) prediction error.
 
 The physics step is ``numerics.rk4``: over ``dynamics.velocity_rates`` for
 plain predictions, and in training over ``dynamics.velocity_rate_partials``,
-whose stages give both the prediction and their closed-form rate partials.
+whose stages give the same rates with their closed-form partials. The
+velocity partials are the dynamic model's own Jacobian block; the coefficient
+partials are the magic formula's B, C, D, E partials and the linear
+drivetrain terms.
 Gradients are exact throughout: through the physics step by
 ``numerics.rk4_adjoint`` over those partials, then through guard, head and
 GRU (backprop through time).

@@ -127,23 +127,6 @@ class TrainReport:
     diverged: bool = False
     rank: int = 0
 
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        doc = {
-            "regime": self.regime,
-            "seed": self.seed,
-            "architecture": self.architecture,
-            "epochs": self.epochs,
-            "initial_losses": list(self.initial_losses),
-            "loss_curve": [list(row) for row in self.loss_curve],
-            "validation_loss": self.validation_loss,
-            "grad_check_rel_err": self.grad_check_rel_err,
-            "diverged": self.diverged,
-            "rank": self.rank,
-        }
-        if include_timing:
-            doc["wall_time_s"] = self.wall_time_s
-        return doc
-
     def curve_csv(self) -> str:
         rows = [self.initial_losses, *self.loss_curve]
         return csv_text(["epoch", "total", "physics", "data"],

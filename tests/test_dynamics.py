@@ -403,6 +403,25 @@ class TestParamValidation:
         with pytest.raises(ConfigError):
             PacejkaCoefficients(B=-1.0, C=1.0, D=1.0, E=0.0)
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: VehicleParams(Iz=math.inf), r"VehicleParams\.Iz"),
+        (lambda: PacejkaCoefficients(B=math.nan, C=1.0, D=1.0, E=0.0),
+         r"PacejkaCoefficients\.B"),
+        (lambda: DrivetrainCoefficients(Cd=math.nan), r"DrivetrainCoefficients\.Cd"),
+        (lambda: DisturbanceConfig.bank(math.nan), "parameter beta must be finite"),
+        (lambda: DisturbanceConfig.tire_temperature(mu0=1.0, kT=0.05, T0=math.inf,
+                                                    T_initial=60.0),
+         "parameter T0 must be finite"),
+        (lambda: DisturbanceConfig.roll(k_phi=0.0, c_phi=1.0, stiffness_sensitivity=3.0),
+         "parameter k_phi must be > 0"),
+        (lambda: DisturbanceConfig("bank", {"beta": 0.05, "betta": 0.05}),
+         r"unknown parameters \['betta'\]"),
+    ], ids=["vehicle-inf", "pacejka-nan", "drivetrain-nan", "bank-nan",
+            "temperature-inf", "roll-k_phi-zero", "unknown-key"])
+    def test_bad_config_is_rejected_naming_the_field(self, make, field):
+        with pytest.raises(ConfigError, match=field):
+            make()
+
     def test_model_wrappers_match_functions(self):
         model = DynamicModel()
         s = np.array([0, 0, 0.2, 2.0, 0.1, 0.5])

@@ -18,7 +18,7 @@ from fisherdyn.numerics import rk4_step
 from fisherdyn.training import ddm_loss
 
 from oracles import scalar_dynamic_rhs
-from test_dynamics import TIRE_PAIRS
+from test_dynamics import DISTURBANCE_SETS, TIRE_PAIRS
 
 
 def velocity_batch(rng, n):
@@ -51,9 +51,8 @@ class TestPredictNextVelocities:
         def forbidden(*args):
             raise AssertionError("a Jacobian partial was computed")
 
-        monkeypatch.setattr(dynamics, "_tire_slope", forbidden)
-        monkeypatch.setattr(dynamics, "_scale_slope", forbidden)
-        monkeypatch.setattr(dynamics, "_tire_partials", forbidden)
+        for name in ("_velocity_jacobian", "_tire_slope", "_tire_coef_partials"):
+            monkeypatch.setattr(dynamics, name, forbidden)
         states, coef = velocity_batch(np.random.default_rng(52), 8)
         predict_next_velocities(states, coef, self.p, self.template, 0.02)
         s = np.column_stack([np.zeros((8, 3)), states[:, :3]])
@@ -63,6 +62,18 @@ class TestPredictNextVelocities:
         with pytest.raises(AssertionError, match="partial"):
             dynamics.dynamic_jacobian(s, states[:, 3:], self.p, self.template,
                                       DrivetrainCoefficients(), roll)
+
+    def test_jacobian_computes_no_rates_or_coefficient_partials(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("rates or coefficient partials were computed")
+
+        for name in ("velocity_rates", "_lateral_forcing", "_tire_coef_partials"):
+            monkeypatch.setattr(dynamics, name, forbidden)
+        states, _ = velocity_batch(np.random.default_rng(53), 8)
+        s = np.column_stack([np.zeros((8, 3)), states[:, :3]])
+        every_kind = [d for dists in DISTURBANCE_SETS[1:6] for d in dists]
+        dynamics.dynamic_jacobian(s, states[:, 3:], self.p, self.template,
+                                  DrivetrainCoefficients(), every_kind)
 
 
 # ---------------------------------------------------------------------------

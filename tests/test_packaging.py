@@ -1,5 +1,6 @@
 import ast
 import importlib
+import runpy
 from collections import Counter
 from pathlib import Path
 
@@ -39,6 +40,25 @@ def test_resolve_rejects_a_missing_module():
     assert resolve("fisherdyn.training:train_regime") is not None
     with pytest.raises(ModuleNotFoundError):
         resolve("fisherdyn.cli:main")
+
+
+def traced_functions() -> list:
+    """The fisherdyn functions ("module.function") that the benchmark's span
+    tracer rebinds: every layer's ``functions`` and ``_EXTRA_FUNCTIONS``."""
+    tracer = runpy.run_path(str(PYPROJECT.parent / "perfbench" / "tracer.py"))
+    return ([name for layer in tracer["LAYERS"] for name in layer.functions]
+            + [name for _, name, _ in tracer["_EXTRA_FUNCTIONS"]])
+
+
+def test_every_traced_function_resolves():
+    names = traced_functions()
+    assert "datagen.read_dataset" in names
+    missing = []
+    for name in names:
+        module, function = name.split(".")
+        if not callable(getattr(importlib.import_module(f"fisherdyn.{module}"), function, None)):
+            missing.append(name)
+    assert missing == []
 
 
 def unused_imports(source: str) -> list:

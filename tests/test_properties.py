@@ -1,6 +1,7 @@
 """Property tests of the Fisher scalar and the sigma_max kernel over generated
-stacks, and of the dataset and checkpoint file round trips. The examples are
-derandomized, so every run checks the same ones."""
+stacks, of the dynamic model's velocity Jacobian, and of the dataset and
+checkpoint file round trips. The examples are derandomized, so every run
+checks the same ones."""
 
 import tempfile
 from pathlib import Path
@@ -14,11 +15,16 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from fisherdyn.datagen import Trajectory, read_dataset, write_dataset  # noqa: E402
+from fisherdyn.dynamics import (DELTA_MAX, DrivetrainCoefficients,  # noqa: E402
+                                VehicleParams, velocity_rate_partials,
+                                velocity_rates)
+from fisherdyn.estimator import default_guard_bounds  # noqa: E402
 from fisherdyn.fisher import classical_fisher, curvature_fisher  # noqa: E402
 from fisherdyn.nets import LayerSpec, LearnedDynamicsModel, NetworkParams  # noqa: E402
 from fisherdyn.numerics import largest_singular_value  # noqa: E402
 
 from oracles import random_orthogonal  # noqa: E402
+from test_dynamics import TIRE_PAIRS  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 ENTRIES = st.floats(-1e3, 1e3, allow_nan=False)
@@ -101,6 +107,39 @@ def test_sigma_max_matches_svd_across_scales(stack):
     assert np.all(np.abs(sigma - svd) <= 1e-13 * svd)
     for one, ref in zip(stack, svd):
         assert largest_singular_value(one) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+# (vx, vy, omega, throttle, delta) box of the dynamic model's tests
+VELOCITY_LOWER = np.array([1.0, -0.6, -4.0, 0.0, -DELTA_MAX])
+VELOCITY_UPPER = np.array([3.5, 0.6, 4.0, 1.0, DELTA_MAX])
+
+
+@st.composite
+def velocity_points(draw):
+    """(rows (n, 5) in the box above, fractions (n, 12) of the way through
+    each coefficient's guard bracket)."""
+    n = draw(st.integers(1, 6))
+    unit = lambda cols: draw(arrays(float, (n, cols), elements=st.floats(0.0, 1.0)))
+    return VELOCITY_LOWER + (VELOCITY_UPPER - VELOCITY_LOWER) * unit(5), unit(12)
+
+
+@PROPERTY
+@given(velocity_points())
+def test_velocity_block_matches_central_differences(points):
+    rows, frac = points
+    vel, u, p = rows[:, :3], rows[:, 3:], VehicleParams.dynamic_default()
+    for tires in TIRE_PAIRS:
+        bounds = default_guard_bounds(tires, DrivetrainCoefficients())
+        coef = bounds.lower + (bounds.upper - bounds.lower) * frac
+        _, d_vel, _ = velocity_rate_partials(vel, u, p, coef, tires)
+        fd = np.empty_like(d_vel)
+        for k in range(3):
+            h = np.zeros(3)
+            h[k] = 1e-6
+            fd[..., k] = (velocity_rates(vel + h, u, p, coef, tires)
+                          - velocity_rates(vel - h, u, p, coef, tires)) / 2e-6
+        scale = np.max(np.abs(fd), axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(d_vel - fd) <= 1e-6 * scale)
 
 
 # Any finite float64, with -0.0, subnormals and +-1e308 drawn often.
