@@ -26,7 +26,6 @@ import numpy as np
 
 from ._codec import read_csv, read_json, require_keys, write_csv, write_json
 from .dynamics import DELTA_MAX, DomainError, ConfigError, wrap_angle
-from .fisher import stack_points
 from .numerics import rk4_step
 
 __all__ = [
@@ -40,8 +39,6 @@ __all__ = [
     "simulate",
     "write_dataset",
     "read_dataset",
-    "write_points",
-    "read_points",
     "derivative_samples",
     "generate_kinematic_dataset",
     "generate_dynamic_dataset",
@@ -292,21 +289,6 @@ def read_dataset(directory) -> list:
                               entry.get("exit_reason", ""), tuple(header[1:1 + n_state]),
                               tuple(header[1 + n_state:-1 - n_state])))
     return out
-
-
-def write_points(points, path) -> None:
-    """Collocation samples [(state, input), ...] to a two-block CSV."""
-    states, inputs, _ = stack_points(points)
-    if not len(states):
-        raise ConfigError("refusing to write an empty collocation file")
-    write_csv(path, [*(f"state_{i}" for i in range(states.shape[1])),
-                     *(f"input_{i}" for i in range(inputs.shape[1]))], [states, inputs])
-
-
-def read_points(path) -> list:
-    header, block, _ = read_csv(path)
-    ns = sum(1 for h in header if h.startswith("state_"))
-    return list(zip(block[:, :ns], block[:, ns:]))
 
 
 def derivative_samples(trajectories, noise_sigma: float = 0.0, seed: int = 0):

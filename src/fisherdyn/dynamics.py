@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -217,12 +218,16 @@ class DisturbanceConfig:
     The tire-temperature profile is linear in time,
     T_tire(t) = T_initial + T_rate * t, and the bump road profile is
     z(t) = z_amplitude * sin(2 pi z_frequency t).
+
+    ``params`` is stored as a read-only copy, so the checks below hold for
+    the config's lifetime whatever happens to the caller's dict.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         if self.kind not in _DISTURBANCE_KEYS:
             raise ConfigError(f"unknown disturbance kind {self.kind!r}")
         keys = _DISTURBANCE_KEYS[self.kind]

@@ -46,7 +46,7 @@ def _aligned_valid(true_field: FisherField, learned_field: FisherField):
         if mine.shape != theirs.shape or np.any(np.abs(mine - theirs) > 1e-12):
             raise AlignmentError("fields were not evaluated at identical points")
     mask = true_field.valid_mask() & learned_field.valid_mask()
-    return true_field.g_values()[mask], learned_field.g_values()[mask]
+    return true_field.g[mask], learned_field.g[mask]
 
 
 def fisher_discrepancy(true_field: FisherField, learned_field: FisherField,

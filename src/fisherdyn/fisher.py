@@ -7,8 +7,9 @@ Abar = A - <A> I:
     g = 4 (<A^T A> - <A>^2),     <X> = du^T X du.
 
 Under the flow-aligned direction du = xdot/|xdot| this equals
-4 kappa^2 |xdot|^2 with kappa the phase-space trajectory curvature, and it is
-always bounded by 0 <= g/4 <= sigma_max(A)^2.
+4 kappa^2 |xdot|^2 with kappa the phase-space trajectory curvature (the
+tests check g against that curvature form, written in ``tests/oracles.py``),
+and it is always bounded by 0 <= g/4 <= sigma_max(A)^2.
 
 ``evaluate_field`` sweeps a system's (rhs, jacobian) pair over a point set and
 returns a :class:`FisherField` that stores g together with sigma_max^2 so the
@@ -47,15 +48,12 @@ from .dynamics import DomainError
 from .numerics import largest_singular_value
 
 __all__ = [
-    "EquilibriumError",
     "AlignmentError",
     "FLOW_FLOOR",
     "PerturbationDirection",
     "FisherSample",
     "FisherField",
     "classical_fisher",
-    "flow_direction",
-    "curvature_fisher",
     "stack_points",
     "evaluate_field",
 ]
@@ -63,10 +61,6 @@ __all__ = [
 # Below this flow norm a point is treated as an equilibrium: the flow-aligned
 # direction (and with it g) is undefined there.
 FLOW_FLOOR = 1e-8
-
-
-class EquilibriumError(ValueError):
-    """Flow-aligned direction requested at (numerically) zero flow."""
 
 
 class AlignmentError(ValueError):
@@ -124,33 +118,6 @@ def classical_fisher(a, du):
                              - np.einsum("...i,...i->...", du, adu) ** 2), 0.0)
 
 
-def flow_direction(xdot, flow_floor: float = FLOW_FLOOR) -> PerturbationDirection:
-    """Unit direction along the flow; equilibria are rejected."""
-    xdot = np.asarray(xdot, dtype=float)
-    norm = np.linalg.norm(xdot)
-    if norm <= flow_floor:
-        raise EquilibriumError(f"|xdot| = {norm:.3e} <= flow floor {flow_floor:.1e}")
-    return PerturbationDirection(xdot / norm, policy="flow_aligned")
-
-
-def curvature_fisher(a, xdot, flow_floor: float = FLOW_FLOOR) -> float:
-    """g via the curvature form 4 kappa^2 |xdot|^2 with xddot = A xdot.
-
-    Algebraically identical to ``classical_fisher(a, flow_direction(xdot).du)``;
-    kept separate as the geometric cross-check.
-    """
-    a = np.asarray(a, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
-    speed = np.linalg.norm(xdot)
-    if speed <= flow_floor:
-        raise EquilibriumError(f"|xdot| = {speed:.3e} <= flow floor {flow_floor:.1e}")
-    u = xdot / speed
-    xddot = a @ xdot
-    perp = xddot - (u @ xddot) * u
-    kappa = np.linalg.norm(perp) / speed**2
-    return 4.0 * kappa**2 * speed**2
-
-
 class FisherSample(NamedTuple):
     """g and the singular-value bound at one (state, input) point."""
 
@@ -184,10 +151,6 @@ class FisherField:
 
     def __len__(self) -> int:
         return self.times.size
-
-    def g_values(self) -> np.ndarray:
-        """g per point; NaN where skipped."""
-        return self.g
 
     def valid_mask(self) -> np.ndarray:
         return self.skip == ""

@@ -120,14 +120,6 @@ class NetworkParams:
             out.extend((w, b))
         return out
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(self.input_dim, self.layers,
-                             [w.copy() for w in self.weights],
-                             [b.copy() for b in self.biases])
-
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 def init_network(input_dim: int, layers, seed: int = 0) -> NetworkParams:
     """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases."""

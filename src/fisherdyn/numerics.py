@@ -1,4 +1,4 @@
-"""Dense small-matrix kernels: finite-difference Jacobians, RK4, dominant singular value.
+"""Dense small-matrix kernels: RK4, its adjoint, dominant singular value.
 
 Matrices and vectors are plain float64 numpy arrays. Everything here is a pure
 function, safe to call concurrently.
@@ -21,54 +21,14 @@ import numpy as np
 
 __all__ = [
     "EvaluationError",
-    "central_difference_jacobian",
     "rk4",
     "rk4_adjoint",
     "rk4_step",
     "largest_singular_value",
 ]
 
-# Finite-difference step; per-coordinate it is scaled by max(1, |x_j|) to balance
-# truncation against round-off in double precision.
-DEFAULT_FD_STEP = 1e-5
-
-
 class EvaluationError(ValueError):
     """A model evaluation produced a non-finite value."""
-
-
-def _as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    return v
-
-
-def central_difference_jacobian(f, x, u=None, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Second-order central-difference Jacobian of ``f`` w.r.t. ``x``.
-
-    ``f(x, u)`` (or ``f(x)`` when ``u`` is None) must return a 1-d array.
-    Entry (i, j) is (f(x + h_j e_j)_i - f(x - h_j e_j)_i) / (2 h_j) with
-    h_j = h * max(1, |x_j|).
-    """
-    if h <= 0:
-        raise ValueError("step size h must be positive")
-    x = _as_vector(x)
-    call = (lambda xx: f(xx)) if u is None else (lambda xx: f(xx, u))
-
-    cols = []
-    for j in range(x.size):
-        hj = h * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += hj
-        xm[j] -= hj
-        fp = np.asarray(call(xp), dtype=float)
-        fm = np.asarray(call(xm), dtype=float)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise EvaluationError(f"non-finite evaluation while differencing coordinate {j}")
-        cols.append((fp - fm) / (2.0 * hj))
-    return np.column_stack(cols)
 
 
 def rk4(f, x, dt: float):

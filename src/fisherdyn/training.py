@@ -10,23 +10,22 @@ lambda_d * L_data:
   from unrolling Fhat with RK4 over short windows and gradients flow through
   the unrolled integration.
 
-Also here: collocation sampling, the coefficient estimator's velocity-component
-loss, and architecture sweeps ranked by validation residual.
+One function, ``_composite_grad``, writes the lambda-weighted gradient of that
+objective: the minibatch step calls it on batch rows and the gradient check on
+all rows. Also here: collocation sampling and the training-data bundle.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._codec import csv_text
-from .nets import (LayerSpec, LearnedDynamicsModel, NetworkParams, adam_step,
-                   init_adam, init_network, mlp_forward, mlp_forward_cache,
-                   mlp_param_gradient, mlp_vjp)
+from .nets import (LearnedDynamicsModel, adam_step, init_adam, init_network,
+                   mlp_forward, mlp_forward_cache, mlp_param_gradient, mlp_vjp)
 from .numerics import rk4, rk4_adjoint
 
 __all__ = [
@@ -38,10 +37,7 @@ __all__ = [
     "sample_collocation",
     "data_loss",
     "trajectory_loss",
-    "ddm_loss",
     "train_regime",
-    "architecture_sweep",
-    "default_architectures",
     "build_kinematic_net",
     "build_training_data",
 ]
@@ -81,13 +77,14 @@ class CollocationBounds:
 
 
 def sample_collocation(bounds: CollocationBounds, n: int, seed: int = 0,
-                       state_dim: int = 3) -> list:
-    """n i.i.d. uniform (state, input) samples inside the bounds."""
+                       state_dim: int = 3):
+    """n i.i.d. uniform samples inside the bounds as (states (n, d), inputs
+    (n, m)) arrays."""
     if n < 1:
         raise ValueError("need n >= 1 collocation samples")
     rng = np.random.default_rng(seed)
     raw = rng.uniform(bounds.lower, bounds.upper, size=(n, bounds.lower.size))
-    return [(row[:state_dim].copy(), row[state_dim:].copy()) for row in raw]
+    return raw[:, :state_dim].copy(), raw[:, state_dim:].copy()
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,6 @@ class RegimeConfig:
     lambda_d: float = 1.0
     epochs: int = 1000
     batch_size: int = 256
-    collocation_count: int = 2048
     horizon: int = 5
     lr: float = 1e-3
     seed: int = 0
@@ -116,16 +112,13 @@ class RegimeConfig:
 class TrainReport:
     regime: str
     seed: int
-    architecture: str
     epochs: int
     initial_losses: tuple  # (total, physics, data) before the first update
     loss_curve: list  # one (total, physics, data) triple per epoch
-    final_params: NetworkParams
     wall_time_s: float
     validation_loss: float = math.nan
     grad_check_rel_err: float = math.nan
     diverged: bool = False
-    rank: int = 0
 
     def curve_csv(self) -> str:
         rows = [self.initial_losses, *self.loss_curve]
@@ -169,15 +162,6 @@ def trajectory_loss(model: LearnedDynamicsModel, win_states, win_inputs,
     loss, _, _ = _rollout_loss_grad(model, win_states, win_inputs, horizon, dt,
                                     want_grad=False)
     return loss
-
-
-def ddm_loss(predicted, observed) -> float:
-    """Mean of the squared (vx, vy, omega) component errors."""
-    pred = np.asarray(predicted, dtype=float)
-    obs = np.asarray(observed, dtype=float)
-    if pred.shape != obs.shape or pred.shape[-1] != 3:
-        raise ValueError("ddm loss expects matching (..., 3) velocity blocks")
-    return float(np.mean((pred - obs) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +218,6 @@ def _rollout_loss_grad(model: LearnedDynamicsModel, win_states, win_inputs,
     return loss, list(zip(grads, gbias)), preds
 
 
-def _scale_add(acc, grads, w):
-    if acc is None:
-        return [(w * dw, w * db) for dw, db in grads]
-    return [(aw + w * dw, ab + w * db) for (aw, ab), (dw, db) in zip(acc, grads)]
-
-
 # ---------------------------------------------------------------------------
 # the training loop
 
@@ -261,6 +239,33 @@ def _composite_losses(model, cfg, data):
     return total, phys, dterm
 
 
+def _composite_grad(model, cfg, data, p_idx, d_idx):
+    """The lambda-weighted parameter gradient of the composite loss on rows
+    ``p_idx`` of the physics block and rows ``d_idx`` of the data block
+    (``d_idx=None``: no data term), flat in ``param_list`` order; None when
+    no term has a positive weight."""
+    terms = []
+    if cfg.lambda_p > 0:
+        _, g = mlp_param_gradient(
+            model.params, model.normalize(data.phys_states[p_idx], data.phys_inputs[p_idx]),
+            data.phys_targets[p_idx])
+        terms.append((cfg.lambda_p, g))
+    if cfg.lambda_d > 0 and d_idx is not None:
+        if cfg.regime == "hybrid":
+            _, g = mlp_param_gradient(
+                model.params, model.normalize(data.data_states[d_idx], data.data_inputs[d_idx]),
+                data.data_xdot[d_idx])
+        else:
+            _, g, _ = _rollout_loss_grad(model, data.win_states[d_idx], data.win_inputs[d_idx],
+                                         cfg.horizon, data.dt)
+        terms.append((cfg.lambda_d, g))
+    grads = None
+    for w, g in terms:
+        scaled = [w * a for pair in g for a in pair]
+        grads = scaled if grads is None else [acc + a for acc, a in zip(grads, scaled)]
+    return grads
+
+
 def _check_gradient(model, cfg, data, rng) -> float:
     """Central-difference spot check of the composite gradient on 10 random
     parameter entries; returns the max relative error."""
@@ -268,23 +273,9 @@ def _check_gradient(model, cfg, data, rng) -> float:
         t, _, _ = _composite_losses(model, cfg, data)
         return t
 
-    grads = None
-    _, g_phys = mlp_param_gradient(
-        model.params, model.normalize(data.phys_states, data.phys_inputs),
-        data.phys_targets)
-    grads = _scale_add(grads, g_phys, cfg.lambda_p)
-    if cfg.regime == "hybrid" and cfg.lambda_d > 0:
-        _, g_data = mlp_param_gradient(
-            model.params, model.normalize(data.data_states, data.data_inputs),
-            data.data_xdot)
-        grads = _scale_add(grads, g_data, cfg.lambda_d)
-    elif cfg.regime == "inverse" and cfg.lambda_d > 0:
-        _, g_traj, _ = _rollout_loss_grad(model, data.win_states, data.win_inputs,
-                                          cfg.horizon, data.dt)
-        grads = _scale_add(grads, g_traj, cfg.lambda_d)
-
     flat_params = model.params.param_list()
-    flat_grads = [a for pair in grads for a in pair]
+    flat_grads = (_composite_grad(model, cfg, data, slice(None), slice(None))
+                  or [np.zeros_like(a) for a in flat_params])
     worst = 0.0
     for _ in range(10):
         gi = rng.integers(len(flat_params))
@@ -306,14 +297,14 @@ def _check_gradient(model, cfg, data, rng) -> float:
 
 def train_regime(model: LearnedDynamicsModel, cfg: RegimeConfig,
                  data: TrainingData) -> TrainReport:
-    """Minibatch Adam over the composite regime loss; deterministic per seed."""
+    """Minibatch Adam over the composite regime loss, updating ``model``'s
+    weights in place; deterministic per seed."""
     if cfg.regime == "hybrid" and data.data_states is None:
         raise ValueError("hybrid regime needs derivative data")
     if cfg.regime == "inverse" and data.win_states is None:
         raise ValueError("inverse regime needs trajectory windows")
 
     start = time.perf_counter()
-    arch = "-".join(f"{sp.activation}{sp.width}" for sp in model.params.layers)
     rng = np.random.default_rng(cfg.seed)
     params = model.params.param_list()
     opt = init_adam(params, lr=cfg.lr)
@@ -328,39 +319,20 @@ def train_regime(model: LearnedDynamicsModel, cfg: RegimeConfig,
         erng = np.random.default_rng(cfg.seed * 1_000_003 + epoch + 1)
         p_batches = _epoch_batches(n_p, cfg.batch_size, erng)
         if cfg.regime == "hybrid":
-            n_d = data.data_states.shape[0]
-            d_batches = _epoch_batches(n_d, cfg.batch_size, erng)
+            d_batches = _epoch_batches(data.data_states.shape[0], cfg.batch_size, erng)
         elif cfg.regime == "inverse":
-            n_d = data.win_states.shape[0]
-            d_batches = _epoch_batches(n_d, max(1, cfg.batch_size // cfg.horizon), erng)
+            d_batches = _epoch_batches(data.win_states.shape[0],
+                                       max(1, cfg.batch_size // cfg.horizon), erng)
         else:
             d_batches = []
         n_steps = max(len(p_batches), len(d_batches)) or 1
 
         try:
             for step in range(n_steps):
-                grads = None
-                if cfg.lambda_p > 0:
-                    bi = p_batches[step % len(p_batches)]
-                    _, g = mlp_param_gradient(
-                        model.params,
-                        model.normalize(data.phys_states[bi], data.phys_inputs[bi]),
-                        data.phys_targets[bi])
-                    grads = _scale_add(grads, g, cfg.lambda_p)
-                if cfg.lambda_d > 0 and d_batches:
-                    bi = d_batches[step % len(d_batches)]
-                    if cfg.regime == "hybrid":
-                        _, g = mlp_param_gradient(
-                            model.params,
-                            model.normalize(data.data_states[bi], data.data_inputs[bi]),
-                            data.data_xdot[bi])
-                    else:
-                        _, g, _ = _rollout_loss_grad(model, data.win_states[bi],
-                                                     data.win_inputs[bi],
-                                                     cfg.horizon, data.dt)
-                    grads = _scale_add(grads, g, cfg.lambda_d)
+                grads = _composite_grad(model, cfg, data, p_batches[step % len(p_batches)],
+                                        d_batches[step % len(d_batches)] if d_batches else None)
                 if grads is not None:
-                    adam_step(params, [a for pair in grads for a in pair], opt)
+                    adam_step(params, grads, opt)
             losses = _composite_losses(model, cfg, data)
         except (FloatingPointError, DivergedRolloutError):
             diverged = True
@@ -374,26 +346,13 @@ def train_regime(model: LearnedDynamicsModel, cfg: RegimeConfig,
     val = math.nan
     if data.val_states is not None and not diverged:
         val = data_loss(model, data.val_states, data.val_inputs, data.val_targets)
-    return TrainReport(cfg.regime, cfg.seed, arch, cfg.epochs, initial, curve,
-                       model.params.copy(), time.perf_counter() - start,
-                       validation_loss=val, grad_check_rel_err=grad_err,
-                       diverged=diverged)
+    return TrainReport(cfg.regime, cfg.seed, cfg.epochs, initial, curve,
+                       time.perf_counter() - start, validation_loss=val,
+                       grad_check_rel_err=grad_err, diverged=diverged)
 
 
 # ---------------------------------------------------------------------------
-# architecture sweeps
-
-
-def default_architectures(output_dim: int = 3) -> list:
-    """Widths {16, 32, 64} x depths {2, 3} x activations {tanh, sigmoid, mish},
-    always capped with a linear output layer."""
-    archs = []
-    for width in (16, 32, 64):
-        for depth in (2, 3):
-            for act in ("tanh", "sigmoid", "mish"):
-                hidden = tuple(LayerSpec(width, act) for _ in range(depth))
-                archs.append(hidden + (LayerSpec(output_dim, "linear"),))
-    return archs
+# building nets and data
 
 
 def build_kinematic_net(layers, bounds: CollocationBounds, seed: int,
@@ -414,14 +373,9 @@ def build_training_data(analytic_model, bounds: CollocationBounds,
     The physics targets of each point set come from one ``rhs`` call on the
     stacked points.
     """
-    pts = sample_collocation(bounds, n_collocation, seed, state_dim)
-    phys_states = np.stack([p[0] for p in pts])
-    phys_inputs = np.stack([p[1] for p in pts])
+    phys_states, phys_inputs = sample_collocation(bounds, n_collocation, seed, state_dim)
     phys_targets = analytic_model.rhs(phys_states, phys_inputs)
-
-    vpts = sample_collocation(bounds, n_validation, seed + 7919, state_dim)
-    val_states = np.stack([p[0] for p in vpts])
-    val_inputs = np.stack([p[1] for p in vpts])
+    val_states, val_inputs = sample_collocation(bounds, n_validation, seed + 7919, state_dim)
     val_targets = analytic_model.rhs(val_states, val_inputs)
 
     bundle = TrainingData(phys_states, phys_inputs, phys_targets,
@@ -442,36 +396,3 @@ def build_training_data(analytic_model, bounds: CollocationBounds,
             bundle.dt = float(traj.times[1] - traj.times[0])
     return bundle
 
-
-def _train_candidate(args):
-    layers, cfg, data, bounds, state_dim, input_dim = args
-    model = build_kinematic_net(layers, bounds, cfg.seed, state_dim, input_dim)
-    return train_regime(model, cfg, data)
-
-
-def architecture_sweep(candidates, cfg: RegimeConfig, data: TrainingData,
-                       bounds: CollocationBounds, state_dim: int = 3,
-                       input_dim: int = 2, jobs: int = 1) -> list:
-    """Train every candidate with a per-candidate seed derived from the
-    master seed; rank by validation loss (ties: parameter count, then order)."""
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("need at least one candidate architecture")
-    tasks = [(tuple(layers), replace(cfg, seed=cfg.seed + 101 * i), data,
-              bounds, state_dim, input_dim)
-             for i, layers in enumerate(candidates)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_train_candidate, tasks))
-    else:
-        reports = [_train_candidate(t) for t in tasks]
-
-    def sort_key(item):
-        i, rep = item
-        val = rep.validation_loss if math.isfinite(rep.validation_loss) else math.inf
-        return (val, rep.final_params.n_params(), i)
-
-    ranked = sorted(enumerate(reports), key=sort_key)
-    for rank, (_, rep) in enumerate(ranked, start=1):
-        rep.rank = rank
-    return [rep for _, rep in ranked]

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they verify: the eigenvalue oracle is
 a cyclic Jacobi sweep (no power iteration or LAPACK), the summation oracles
 are plain Python loops, the Fisher expectation and logarithmic derivative are
-written for one point, and the dynamic bicycle's rhs and Jacobian are written
-point by point in scalar ``math`` arithmetic.
+written for one point, g has a geometric curvature form, derivatives have a
+central-difference Jacobian, and the dynamic bicycle's rhs and Jacobian are
+written point by point in scalar ``math`` arithmetic.
 """
 
 import math
@@ -12,6 +13,8 @@ import math
 import numpy as np
 
 from fisherdyn.dynamics import GRAVITY, VX_MIN, DomainError
+from fisherdyn.fisher import FLOW_FLOOR, PerturbationDirection
+from fisherdyn.numerics import EvaluationError
 
 SCALE_KINDS = ("roll", "tire_temperature")
 
@@ -78,6 +81,79 @@ def log_derivative(a, direction):
     mean = expectation(a, direction)
     a_bar = a - mean * np.eye(a.shape[0])
     return a_bar, 2.0 * a_bar
+
+
+class EquilibriumError(ValueError):
+    """Flow-aligned direction requested at (numerically) zero flow."""
+
+
+def flow_direction(xdot, flow_floor: float = FLOW_FLOOR) -> PerturbationDirection:
+    """Unit direction along the flow; equilibria are rejected."""
+    xdot = np.asarray(xdot, dtype=float)
+    norm = np.linalg.norm(xdot)
+    if norm <= flow_floor:
+        raise EquilibriumError(f"|xdot| = {norm:.3e} <= flow floor {flow_floor:.1e}")
+    return PerturbationDirection(xdot / norm, policy="flow_aligned")
+
+
+def curvature_fisher(a, xdot, flow_floor: float = FLOW_FLOOR) -> float:
+    """g via the curvature form 4 kappa^2 |xdot|^2 with xddot = A xdot.
+
+    Algebraically identical to ``classical_fisher(a, flow_direction(xdot).du)``;
+    the geometric cross-check of the library's one formula for g.
+    """
+    a = np.asarray(a, dtype=float)
+    xdot = np.asarray(xdot, dtype=float)
+    speed = np.linalg.norm(xdot)
+    if speed <= flow_floor:
+        raise EquilibriumError(f"|xdot| = {speed:.3e} <= flow floor {flow_floor:.1e}")
+    u = xdot / speed
+    xddot = a @ xdot
+    perp = xddot - (u @ xddot) * u
+    kappa = np.linalg.norm(perp) / speed**2
+    return 4.0 * kappa**2 * speed**2
+
+
+# ---------------------------------------------------------------------------
+# central differences
+
+# Finite-difference step; per-coordinate it is scaled by max(1, |x_j|) to balance
+# truncation against round-off in double precision.
+DEFAULT_FD_STEP = 1e-5
+
+
+def _as_vector(x) -> np.ndarray:
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
+    return v
+
+
+def central_difference_jacobian(f, x, u=None, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Second-order central-difference Jacobian of ``f`` w.r.t. ``x``.
+
+    ``f(x, u)`` (or ``f(x)`` when ``u`` is None) must return a 1-d array.
+    Entry (i, j) is (f(x + h_j e_j)_i - f(x - h_j e_j)_i) / (2 h_j) with
+    h_j = h * max(1, |x_j|).
+    """
+    if h <= 0:
+        raise ValueError("step size h must be positive")
+    x = _as_vector(x)
+    call = (lambda xx: f(xx)) if u is None else (lambda xx: f(xx, u))
+
+    cols = []
+    for j in range(x.size):
+        hj = h * max(1.0, abs(x[j]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += hj
+        xm[j] -= hj
+        fp = np.asarray(call(xp), dtype=float)
+        fm = np.asarray(call(xm), dtype=float)
+        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+            raise EvaluationError(f"non-finite evaluation while differencing coordinate {j}")
+        cols.append((fp - fm) / (2.0 * hj))
+    return np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------

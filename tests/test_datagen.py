@@ -8,8 +8,7 @@ from fisherdyn.datagen import (ManeuverController, PurePursuitController,
                                circular_path, derivative_samples,
                                generate_dynamic_dataset,
                                generate_kinematic_dataset, lookahead_steer,
-                               read_dataset, read_points, simulate,
-                               write_dataset, write_points)
+                               read_dataset, simulate, write_dataset)
 from fisherdyn.dynamics import (ConfigError, DisturbanceConfig, DynamicModel,
                                 KinematicModel)
 
@@ -222,16 +221,17 @@ class TestDatasetIO:
         with pytest.raises(ConfigError, match="traj_000.csv: empty file"):
             read_dataset(tmp_path / "ds")
 
-    def test_empty_points_file_names_the_path(self, tmp_path):
-        (tmp_path / "pts.csv").write_text("")
-        with pytest.raises(ConfigError, match="pts.csv: empty file"):
-            read_points(tmp_path / "pts.csv")
-
-    def test_ragged_points_row_names_its_line(self, tmp_path):
-        (tmp_path / "pts.csv").write_text(
-            "state_0,state_1,state_2,input_0,input_1\n1,2,3,4,5\n1,2,3,4\n")
-        with pytest.raises(ConfigError, match=r"pts.csv:3: expected 5 fields, got 4"):
-            read_points(tmp_path / "pts.csv")
+    def test_ragged_trajectory_row_names_its_line(self, tmp_path):
+        (path,) = write_dataset([self.make_traj()], tmp_path / "ds")
+        with open(path) as fh:
+            lines = fh.readlines()
+        n_fields = lines[0].count(",") + 1
+        lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(ConfigError, match=rf"traj_000.csv:3: expected {n_fields} "
+                                              rf"fields, got {n_fields - 1}"):
+            read_dataset(tmp_path / "ds")
 
     def test_truncated_trajectory_file_names_the_path(self, tmp_path):
         (path,) = write_dataset([self.make_traj()], tmp_path / "ds")
@@ -259,13 +259,6 @@ class TestDatasetIO:
         with pytest.raises(ConfigError, match=r"manifest.json trajectories\[0\] is missing "
                                               "key 'samples'"):
             read_dataset(tmp_path / "ds")
-
-    def test_points_round_trip(self, tmp_path):
-        pts = [(np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.1]))]
-        write_points(pts, tmp_path / "pts.csv")
-        back = read_points(tmp_path / "pts.csv")
-        assert np.array_equal(back[0][0], pts[0][0])
-        assert np.array_equal(back[0][1], pts[0][1])
 
 
 class TestDerivativeSamples:

@@ -9,10 +9,9 @@ from fisherdyn.dynamics import (DELTA_MAX, ConfigError, DisturbanceConfig,
                                 PacejkaCoefficients, TirePair, VehicleParams,
                                 dynamic_jacobian, dynamic_rhs,
                                 kinematic_jacobian, kinematic_rhs)
-from fisherdyn.numerics import central_difference_jacobian
 
-from oracles import (disturbance_lateral_force, longitudinal_force,
-                     pacejka_derivative, pacejka_lateral_force,
+from oracles import (central_difference_jacobian, disturbance_lateral_force,
+                     longitudinal_force, pacejka_derivative, pacejka_lateral_force,
                      scalar_dynamic_jacobian, scalar_dynamic_rhs, slip_angles)
 
 
@@ -421,6 +420,19 @@ class TestParamValidation:
     def test_bad_config_is_rejected_naming_the_field(self, make, field):
         with pytest.raises(ConfigError, match=field):
             make()
+
+    def test_disturbance_params_are_a_read_only_copy(self):
+        raw = {"k_phi": 80.0, "c_phi": 5.0, "stiffness_sensitivity": 3.0}
+        d = DisturbanceConfig("roll", raw)
+        model = DynamicModel(disturbances=[d])
+        s = np.array([0.0, 0.0, 0.2, 2.0, 0.1, 0.5])
+        u = np.array([0.3, 0.1])
+        before = model.rhs(s, u)
+        raw["k_phi"] = 0.0
+        assert np.array_equal(model.rhs(s, u), before)
+        with pytest.raises(TypeError):
+            d.params["k_phi"] = 0.0
+        assert d.params["k_phi"] == 80.0
 
     def test_model_wrappers_match_functions(self):
         model = DynamicModel()

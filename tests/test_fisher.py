@@ -6,13 +6,12 @@ import pytest
 
 from fisherdyn.dynamics import DomainError, DynamicModel, KinematicModel
 from fisherdyn.nets import LayerSpec, LearnedDynamicsModel, init_network
-from fisherdyn.fisher import (EquilibriumError, PerturbationDirection,
-                              basis_axis, classical_fisher, curvature_fisher,
-                              evaluate_field, flow_direction)
+from fisherdyn.fisher import (PerturbationDirection, basis_axis, classical_fisher,
+                              evaluate_field)
 from fisherdyn.numerics import largest_singular_value
 
-from oracles import (expectation, log_derivative, random_orthogonal,
-                     sigma_max_oracle)
+from oracles import (EquilibriumError, curvature_fisher, expectation, flow_direction,
+                     log_derivative, random_orthogonal, sigma_max_oracle)
 from test_dynamics import (DISTURBANCE_SETS, sample_dynamic_input,
                            sample_dynamic_state)
 
@@ -168,7 +167,7 @@ class TestEvaluateField:
         pts = [(np.array([x, 0.0, 0.0]), np.array([2.0, 0.0])) for x in (0.0, 5.0, 9.0)]
         field = evaluate_field(model, pts)
         assert len(field) == 3
-        assert np.allclose(field.g_values(), 0.0, atol=1e-18)
+        assert np.allclose(field.g, 0.0, atol=1e-18)
 
     def test_single_point_bound(self):
         model = DynamicModel()
@@ -324,7 +323,7 @@ class TestStackedField:
         assert system.calls == 2  # the full stack, then the rest
         assert [smp.skip for smp in field.samples] == [
             "", "domain: u[1]=-0.5", "", "", "domain: u[1]=-2.0", ""]
-        assert np.isfinite(field.g_values()[[0, 2, 3, 5]]).all()
+        assert np.isfinite(field.g[[0, 2, 3, 5]]).all()
 
     def test_domain_error_without_rows_propagates(self):
         class Pointwise(RotationStub):
@@ -346,7 +345,7 @@ class TestStackedField:
         pts[3][1][1] = 1.0
         field = evaluate_field(NanJacobianStub(), pts)
         assert [smp.skip for smp in field.samples] == ["", "", "", "nonfinite", ""]
-        assert np.isnan(field.g_values()[3]) and field.samples[3].direction is None
+        assert np.isnan(field.g[3]) and field.samples[3].direction is None
 
     def test_huge_finite_jacobian_row_is_nonfinite(self):
         rng = np.random.default_rng(33)
@@ -455,7 +454,6 @@ class TestColumns:
         assert valid.tolist() == [True, False, False, False, True]
         for col in (field.g, field.sigma_max_sq, field.du):
             assert np.isnan(col[~valid]).all() and np.isfinite(col[valid]).all()
-        assert field.g_values() is field.g
         assert np.linalg.norm(field.du[valid], axis=1) == pytest.approx(1.0, abs=1e-15)
 
     def test_samples_view_agrees_with_columns(self):

@@ -12,7 +12,8 @@ from fisherdyn.nets import (AdamState, GruSpec, LayerSpec,
                             mlp_forward_cache, mlp_input_jacobian,
                             mlp_param_gradient, mlp_vjp, physics_guard,
                             physics_guard_derivative)
-from fisherdyn.numerics import central_difference_jacobian
+
+from oracles import central_difference_jacobian
 
 ACTIVATIONS = ["tanh", "sigmoid", "mish", "relu"]
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fisherdyn.numerics import (EvaluationError, central_difference_jacobian,
-                                largest_singular_value, rk4, rk4_adjoint, rk4_step)
+from fisherdyn.numerics import (EvaluationError, largest_singular_value, rk4,
+                                rk4_adjoint, rk4_step)
 
-from oracles import random_orthogonal, sigma_max_oracle
+from oracles import central_difference_jacobian, random_orthogonal, sigma_max_oracle
 
 
 class TestCentralDifferenceJacobian:

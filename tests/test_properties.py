@@ -19,11 +19,11 @@ from fisherdyn.dynamics import (DELTA_MAX, DrivetrainCoefficients,  # noqa: E402
                                 VehicleParams, velocity_rate_partials,
                                 velocity_rates)
 from fisherdyn.estimator import default_guard_bounds  # noqa: E402
-from fisherdyn.fisher import classical_fisher, curvature_fisher  # noqa: E402
+from fisherdyn.fisher import classical_fisher  # noqa: E402
 from fisherdyn.nets import LayerSpec, LearnedDynamicsModel, NetworkParams  # noqa: E402
 from fisherdyn.numerics import largest_singular_value  # noqa: E402
 
-from oracles import random_orthogonal  # noqa: E402
+from oracles import curvature_fisher, random_orthogonal  # noqa: E402
 from test_dynamics import TIRE_PAIRS  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
