@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,15 @@ class ReferencePath:
         if np.any(np.all(np.diff(pts, axis=0) == 0.0, axis=1)):
             raise ConfigError("consecutive waypoints must be distinct")
         object.__setattr__(self, "waypoints", pts)
+
+    @cached_property
+    def segment_lengths(self) -> np.ndarray:
+        """Length of the segment from each waypoint to the next (closing the
+        loop when ``closed``), computed once per path."""
+        pts = self.waypoints
+        nxt = np.roll(pts, -1, axis=0) if self.closed else pts[1:]
+        base = pts if self.closed else pts[:-1]
+        return np.linalg.norm(nxt - base, axis=1)
 
 
 @dataclass(frozen=True)
@@ -103,13 +113,6 @@ def circular_path(radius: float, n: int) -> ReferencePath:
                                           radius * np.sin(theta)]), closed=True)
 
 
-def _segment_lengths(path: ReferencePath) -> np.ndarray:
-    pts = path.waypoints
-    nxt = np.roll(pts, -1, axis=0) if path.closed else pts[1:]
-    base = pts if path.closed else pts[:-1]
-    return np.linalg.norm(nxt - base, axis=1)
-
-
 def lookahead_steer(state, path: ReferencePath, d_lookahead: float, L: float,
                     delta_max: float = DELTA_MAX) -> float:
     """Pure-pursuit steering toward the path point >= d_lookahead ahead.
@@ -120,7 +123,7 @@ def lookahead_steer(state, path: ReferencePath, d_lookahead: float, L: float,
     x, y, theta = state[0], state[1], state[2]
     pts = path.waypoints
     nearest = int(np.argmin(np.hypot(pts[:, 0] - x, pts[:, 1] - y)))
-    seg = _segment_lengths(path)
+    seg = path.segment_lengths
     n = pts.shape[0]
 
     target = pts[-1]

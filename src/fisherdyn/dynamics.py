@@ -108,6 +108,14 @@ def _check_envelope(bad, values, reason: str) -> None:
         raise DomainError(reasons[0] + more, rows, reasons)
 
 
+def _check_point_shapes(model: str, s, u, d: int, m: int) -> None:
+    """Raise ``ValueError`` unless the states are (..., d) and the inputs
+    (..., m)."""
+    if s.shape[-1:] != (d,) or u.shape[-1:] != (m,):
+        raise ValueError(f"the {model} model takes states of shape (..., {d}) and inputs "
+                         f"of shape (..., {m}), got {s.shape} and {u.shape}")
+
+
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     w = math.fmod(theta + math.pi, 2.0 * math.pi)
@@ -272,8 +280,10 @@ class DisturbanceConfig:
 
 
 def _kinematic_point(s, u):
-    """(theta, v, delta) of one or stacked kinematic points, envelope-checked."""
+    """(theta, v, delta) of one or stacked kinematic points, shape- and
+    envelope-checked."""
     s, u = np.asarray(s, dtype=float), np.asarray(u, dtype=float)
+    _check_point_shapes("kinematic", s, u, 3, 2)
     steer = np.abs(u[..., 1])
     _check_envelope(steer >= math.pi / 2, steer, "|delta|={:.3f} >= pi/2")
     return s[..., 2], u[..., 0], u[..., 1]
@@ -303,8 +313,10 @@ def kinematic_jacobian(s, u, p: VehicleParams) -> np.ndarray:
 
 
 def _dynamic_point(s, u):
-    """Envelope-checked (s, u, vx, vy, sin theta, cos theta) of dynamic points."""
+    """Shape- and envelope-checked (s, u, vx, vy, sin theta, cos theta) of
+    dynamic points."""
     s, u = np.asarray(s, dtype=float), np.asarray(u, dtype=float)
+    _check_point_shapes("dynamic", s, u, 6, 2)
     _check_envelope(s[..., 3] <= VX_MIN, s[..., 3],
                     f"vx={{:.3f}} <= vx_min={VX_MIN}; slip angles undefined")
     return s, u, s[..., 3], s[..., 4], np.sin(s[..., 2]), np.cos(s[..., 2])

@@ -14,7 +14,9 @@ partials are the magic formula's B, C, D, E partials and the linear
 drivetrain terms.
 Gradients are exact throughout: through the physics step by
 ``numerics.rk4_adjoint`` over those partials, then through guard, head and
-GRU (backprop through time).
+GRU (backprop through time). Only training keeps that backward state:
+inference, such as the final estimate over every window, runs GRU and head
+forward-only.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from .dynamics import (COEFFICIENT_NAMES, DrivetrainCoefficients,
                        coefficient_vector, velocity_rate_partials,
                        velocity_rates)
 from .nets import (LayerSpec, PhysicsGuardBounds, adam_step, gru_backward,
-                   gru_forward_cache, init_adam, init_gru, init_network,
-                   mlp_forward_cache, mlp_vjp, physics_guard,
-                   physics_guard_derivative)
+                   gru_forward, gru_forward_cache, init_adam, init_gru,
+                   init_network, mlp_forward, mlp_forward_cache, mlp_vjp,
+                   physics_guard, physics_guard_derivative)
 from .numerics import rk4, rk4_adjoint
 
 __all__ = [
@@ -220,13 +222,21 @@ class EstimatorModel:
         return (features - self.feat_offset) / self.feat_scale
 
     def estimate(self, features, with_cache: bool = False):
-        """Guarded coefficient estimates for a (n, tau, 7) feature batch."""
-        h, gru_cache = gru_forward_cache(self.gru, self._normalize(features))
+        """Guarded coefficient estimates for a (n, tau, 7) feature batch.
+
+        With ``with_cache`` it also returns the cache of ``backward``; without
+        it, GRU and head keep no backward state (``gru_forward``,
+        ``mlp_forward``), so inference over n windows holds a few (n, hidden)
+        arrays, not the 4 tau of backprop through time. Both give the same
+        estimates, bit for bit.
+        """
+        x = self._normalize(features)
+        if not with_cache:
+            z = mlp_forward(self.head, gru_forward(self.gru, x), check_finite=False)
+            return physics_guard(z, self.bounds)
+        h, gru_cache = gru_forward_cache(self.gru, x)
         z, head_cache = mlp_forward_cache(self.head, h)
-        phi = physics_guard(z, self.bounds)
-        if with_cache:
-            return phi, (z, gru_cache, head_cache)
-        return phi
+        return physics_guard(z, self.bounds), (z, gru_cache, head_cache)
 
     def backward(self, cache, grad_phi):
         """Gradients for ``param_list()`` given dLoss/dPhi."""

@@ -68,6 +68,8 @@ def jacobian_baseline(system_true, system_learned, points) -> float:
     dependent comparison the Fisher metric is held against). Each system's
     Jacobian is evaluated once, on the stacked points."""
     states, inputs, times = stack_points(points)
+    if times.size == 0:
+        raise ValueError("jacobian_baseline needs at least one point; the point list is empty")
     diff = system_true.jacobian(states, inputs, times)
     diff -= system_learned.jacobian(states, inputs, times)
     return float(np.mean(np.sqrt(np.einsum("nij,nij->n", diff, diff))))
@@ -76,14 +78,15 @@ def jacobian_baseline(system_true, system_learned, points) -> float:
 def well_trained_verdict(traj_err: float, physics_resid: float,
                          e_fi_relative: float, tolerances: dict | None = None) -> dict:
     """Pass iff all three strict inequalities hold; echoes values and
-    thresholds and names the failing criteria."""
+    thresholds and names the failing criteria. A negative or NaN value
+    raises ``ValueError``."""
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
     for name, val in (("traj_err", traj_err), ("physics_resid", physics_resid),
                       ("e_fi_relative", e_fi_relative)):
-        if val < 0:
-            raise ValueError(f"{name} must be >= 0")
+        if not val >= 0:
+            raise ValueError(f"{name} must be >= 0, got {val}")
     failing = []
     if not traj_err < tol["eps_d"]:
         failing.append("trajectory_error")

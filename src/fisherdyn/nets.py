@@ -6,6 +6,12 @@ optimizer, the sigmoid Physics Guard rescaling layer, and a single gated
 recurrent cell with backprop-through-time. Everything runs on float64 numpy;
 no external autodiff.
 
+Forward passes come in two kinds with the same arithmetic, bit for bit:
+``mlp_forward`` and ``gru_forward`` keep nothing but their output, for
+inference and loss evaluation; ``mlp_forward_cache`` and
+``gru_forward_cache`` also keep what ``mlp_vjp`` and ``gru_backward`` read,
+for training.
+
 ``LearnedDynamicsModel`` wraps an MLP behind the same (rhs, jacobian) surface
 as the analytical models, including the fixed affine input normalization the
 Jacobian has to be corrected for, and owns the versioned JSON checkpoint
@@ -37,6 +43,7 @@ __all__ = [
     "physics_guard",
     "physics_guard_derivative",
     "init_gru",
+    "gru_forward",
     "gru_forward_cache",
     "gru_backward",
     "LearnedDynamicsModel",
@@ -72,17 +79,18 @@ def _activation(name, z):
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _activation_deriv(name, z):
+def _activation_deriv(name, z, a):
+    """d(activation)/dz at pre-activations ``z`` with outputs ``a``, taken
+    from ``a`` where it can be (only mish needs ``z``); None for linear,
+    whose derivative is 1."""
     if name == "linear":
-        return np.ones_like(z)
+        return None
     if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
+        return 1.0 - a * a
     if name == "sigmoid":
-        s = sigmoid(z)
-        return s * (1.0 - s)
+        return a * (1.0 - a)
     if name == "relu":
-        return (z > 0.0).astype(float)
+        return a > 0.0
     if name == "mish":
         t = np.tanh(np.logaddexp(0.0, z))
         return t + z * (1.0 - t * t) * sigmoid(z)
@@ -148,6 +156,9 @@ def _as_batch(x, dim):
 def mlp_forward(params: NetworkParams, x, check_finite: bool = True):
     """Forward pass; accepts (d,) or (n, d) and matches the output shape.
 
+    It keeps no layer outputs: use it wherever no backward pass follows, and
+    ``mlp_forward_cache`` (the same arithmetic, bit for bit) where one does.
+
     A non-finite output raises ``FloatingPointError`` unless
     ``check_finite`` is false, in which case it is returned as it is.
     """
@@ -161,7 +172,9 @@ def mlp_forward(params: NetworkParams, x, check_finite: bool = True):
 
 
 def mlp_forward_cache(params: NetworkParams, x):
-    """Forward pass keeping pre-activations for the backward pass."""
+    """Forward pass keeping what ``mlp_vjp`` reads: the network input and
+    every layer's output (``acts``) and pre-activation (``pres``); returns
+    (output, (acts, pres))."""
     xb, _ = _as_batch(x, params.input_dim)
     acts = [xb]
     pres = []
@@ -175,12 +188,18 @@ def mlp_forward_cache(params: NetworkParams, x):
 
 
 def mlp_vjp(params: NetworkParams, cache, grad_out):
-    """Backprop an upstream gradient; returns (grad_input, [(dW, db), ...])."""
+    """Backprop an upstream gradient; returns (grad_input, [(dW, db), ...]).
+
+    Activation derivatives come from the cached layer outputs, so no
+    activation is evaluated again (mish, whose derivative needs the
+    pre-activation, excepted)."""
     acts, pres = cache
     delta = np.asarray(grad_out, dtype=float)
     grads = [None] * len(params.weights)
     for l in range(len(params.weights) - 1, -1, -1):
-        delta = delta * _activation_deriv(params.layers[l].activation, pres[l])
+        deriv = _activation_deriv(params.layers[l].activation, pres[l], acts[l + 1])
+        if deriv is not None:
+            delta = delta * deriv
         grads[l] = (delta.T @ acts[l], delta.sum(axis=0))
         delta = delta @ params.weights[l]
     return delta, grads
@@ -216,8 +235,13 @@ def mlp_input_jacobian(params: NetworkParams, x, input_indices=None) -> np.ndarr
     a = xb
     for spec, w, b in zip(params.layers, params.weights, params.biases):
         z = a @ w.T + b
-        tangent = _activation_deriv(spec.activation, z)[:, :, None] * (w @ tangent)
         a = _activation(spec.activation, z)
+        tangent = w @ tangent
+        deriv = _activation_deriv(spec.activation, z, a)
+        if deriv is not None:
+            tangent = deriv[:, :, None] * tangent
+    if tangent.ndim == 2:  # every layer linear: one Jacobian for all points
+        tangent = np.repeat(tangent[None], xb.shape[0], axis=0)
     return tangent[0] if single else tangent
 
 
@@ -346,20 +370,37 @@ def _history_batch(history, input_size):
     return h, single
 
 
+def _gru_step(spec: GruSpec, x, h):
+    """One step of the cell: (h', z, r, n) from the input rows ``x`` and the
+    hidden rows ``h``."""
+    z = sigmoid(x @ spec.Wz.T + h @ spec.Uz.T + spec.bz)
+    r = sigmoid(x @ spec.Wr.T + h @ spec.Ur.T + spec.br)
+    n = np.tanh(x @ spec.Wn.T + (r * h) @ spec.Un.T + spec.bn)
+    return (1.0 - z) * n + z * h, z, r, n
+
+
+def gru_forward(spec: GruSpec, history):
+    """Final hidden state of the recurrence over a (tau, d) history (or a
+    (n, tau, d) batch), keeping no per-step state: memory is a few (n, hidden)
+    arrays whatever tau is. Bit-identical to ``gru_forward_cache``'s state."""
+    hist, single = _history_batch(history, spec.input_size)
+    n_batch, tau, _ = hist.shape
+    h = np.zeros((n_batch, spec.hidden_size))
+    for t in range(tau):
+        h = _gru_step(spec, hist[:, t, :], h)[0]
+    return h[0] if single else h
+
+
 def gru_forward_cache(spec: GruSpec, history):
-    """Run the recurrence over a (tau, d) history (or a (n, tau, d) batch);
-    returns the final hidden state and the per-step cache of
-    ``gru_backward``."""
+    """``gru_forward`` that also returns the per-step cache of
+    ``gru_backward``: (x, h, z, r, n) per step, 4 tau (n, hidden) arrays."""
     hist, single = _history_batch(history, spec.input_size)
     n_batch, tau, _ = hist.shape
     h = np.zeros((n_batch, spec.hidden_size))
     steps = []
     for t in range(tau):
         x = hist[:, t, :]
-        z = sigmoid(x @ spec.Wz.T + h @ spec.Uz.T + spec.bz)
-        r = sigmoid(x @ spec.Wr.T + h @ spec.Ur.T + spec.br)
-        n = np.tanh(x @ spec.Wn.T + (r * h) @ spec.Un.T + spec.bn)
-        h_new = (1.0 - z) * n + z * h
+        h_new, z, r, n = _gru_step(spec, x, h)
         steps.append((x, h, z, r, n))
         h = h_new
     return (h[0] if single else h), steps

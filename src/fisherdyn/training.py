@@ -168,20 +168,28 @@ def trajectory_loss(model: LearnedDynamicsModel, win_states, win_inputs,
 # fused loss + gradient kernels
 
 
-def _stage_forward(model, x_stage, u):
+def _stage(model, x_stage, u, keep_cache: bool):
+    """The net's rate at RK4 stage states ``x_stage`` with inputs ``u``, and
+    the ``mlp_vjp`` cache when ``keep_cache`` (else None)."""
     xn = (np.concatenate([x_stage, u], axis=1) - model.offset) / model.scale
-    return mlp_forward_cache(model.params, xn)
+    if keep_cache:
+        return mlp_forward_cache(model.params, xn)
+    return mlp_forward(model.params, xn, check_finite=False), None
 
 
 def _rollout_loss_grad(model: LearnedDynamicsModel, win_states, win_inputs,
                        horizon: int, dt: float, want_grad: bool = True):
     """Loss (and exact gradient) of RK4 rollouts over all windows at once: one
     ``rk4`` call per step, whose stages keep their MLP caches, then one
-    ``rk4_adjoint`` call per step, last first, whose vjp sums the weight gradients."""
+    ``rk4_adjoint`` call per step, last first, whose vjp sums the weight
+    gradients. With ``want_grad`` false the stages keep no caches, and the
+    loss is the same to the bit."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    d = model.state_dim
     n_w = win_states.shape[0]
+    if n_w == 0:
+        raise ValueError("no trajectory windows to roll out")
+    d = model.state_dim
     state_scale = model.scale[:d]
 
     xhat = win_states[:, 0, :].copy()
@@ -189,11 +197,12 @@ def _rollout_loss_grad(model: LearnedDynamicsModel, win_states, win_inputs,
     preds = []
     for k in range(horizon):
         u = win_inputs[:, k, :]
-        xhat, caches = rk4(lambda x: _stage_forward(model, x, u), xhat, dt)
+        xhat, caches = rk4(lambda x: _stage(model, x, u, want_grad), xhat, dt)
         if not np.all(np.isfinite(xhat)):
             bad = int(np.argwhere(~np.isfinite(xhat).all(axis=1))[0, 0])
             raise DivergedRolloutError(f"rollout diverged in window {bad} at step {k}")
-        steps.append(caches)
+        if want_grad:
+            steps.append(caches)
         preds.append(xhat)
 
     norm = n_w * horizon

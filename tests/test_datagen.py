@@ -52,6 +52,22 @@ class TestLookaheadSteer:
         assert delta == pytest.approx(0.5236)
         assert math.atan(2 * 2.5 / 3.0) == pytest.approx(1.0304, abs=2e-4)
 
+    def test_segment_lengths_are_computed_once_per_path(self, monkeypatch):
+        open_path = ReferencePath(np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 5.0]]))
+        assert open_path.segment_lengths.tolist() == [5.0, 1.0]
+        closed = circular_path(10.0, 6)
+        loop = [math.dist(closed.waypoints[i], closed.waypoints[(i + 1) % 6])
+                for i in range(6)]
+        assert np.allclose(closed.segment_lengths, loop, rtol=1e-15, atol=0)
+        lengths = closed.segment_lengths
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("segment lengths computed again")
+
+        monkeypatch.setattr(np.linalg, "norm", recomputed)
+        lookahead_steer(np.array([10.0, 0.0, 1.6]), closed, 3.0, 2.5)
+        assert closed.segment_lengths is lengths
+
     def test_mirror_symmetry(self):
         rng = np.random.default_rng(0)
         pts = np.column_stack([np.linspace(0, 50, 120),

@@ -393,6 +393,24 @@ class TestStackedKinematic:
         assert err.value.reasons == ["|delta|=1.571 >= pi/2"]
 
 
+class TestPointShapes:
+    @pytest.mark.parametrize("model,d", [(KinematicModel(), 3), (DynamicModel(), 6)])
+    @pytest.mark.parametrize("method", ["rhs", "jacobian"])
+    def test_wrong_trailing_dimension_names_the_expected_shapes(self, model, d, method):
+        call = getattr(model, method)
+        expected = rf"\(\.\.\., {d}\) and inputs of shape \(\.\.\., 2\)"
+        for s, u in ((np.ones(d - 1), np.ones(2)), (np.ones((4, d)), np.ones((4, 3))),
+                     (np.ones((4, d + 1)), np.ones((4, 2))), (np.float64(1.0), np.ones(2))):
+            with pytest.raises(ValueError, match=expected) as err:
+                call(s, u)
+            assert not isinstance(err.value, DomainError)
+
+    def test_field_of_wrongly_shaped_points_fails_loudly(self):
+        from fisherdyn.fisher import evaluate_field
+        with pytest.raises(ValueError, match=r"got \(1, 5\) and \(1, 2\)"):
+            evaluate_field(DynamicModel(), [(np.ones(5), np.ones(2))])
+
+
 class TestParamValidation:
     def test_positive_params(self):
         with pytest.raises(ConfigError):

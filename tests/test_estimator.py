@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -201,6 +202,32 @@ class TestEstimatorModel:
                 fd = (up - dn) / (2.0 * h)
                 assert abs(grads[k][i] - fd) <= 1e-5 * max(abs(fd), np.max(np.abs(grads[k])))
 
+    def test_estimate_without_cache_is_the_cached_estimate_bit_for_bit(self):
+        model = stub_model(EstimatorConfig(seed=3))
+        model.head.weights[-1] *= 100.0
+        feats = np.random.default_rng(3).normal(size=(300, 5, 7))
+        phi = model.estimate(feats)
+        assert np.array_equal(phi, model.estimate(feats, with_cache=True)[0])
+
+    def test_inference_peaks_below_one_gru_cache(self):
+        """Backprop through time keeps 4 (n, hidden) arrays per step; the
+        inference pass keeps none of them."""
+        cfg = EstimatorConfig(seed=2)
+        model = stub_model(cfg)
+        n = 2000
+        feats = np.random.default_rng(2).normal(size=(n, cfg.tau, 7))
+        gru_cache_bytes = cfg.tau * 4 * n * cfg.hidden_size * 8
+
+        def peak(**kwargs):
+            tracemalloc.start()
+            try:
+                model.estimate(feats, **kwargs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak() < gru_cache_bytes < peak(with_cache=True)
+
     def test_guard_stays_inside_bounds_for_large_z(self):
         model = stub_model()
         for z in (-800.0, -40.0, 40.0, 800.0):
@@ -240,6 +267,25 @@ class TestTraining:
         assert len(build_windows(clean_trajectories, cfg.tau)) <= cfg.batch_size
         train_coefficient_estimator(cfg, clean_trajectories, P, TEMPLATE)
         assert calls == {"velocity_rate_partials": 4, "velocity_rates": 0}
+
+    def test_final_estimate_keeps_no_backward_state(self, clean_trajectories, monkeypatch):
+        """Only training batches run the cached GRU forward; the final
+        estimate over every window runs ``gru_forward``."""
+        windows = {"cached": 0, "plain": 0}
+
+        def counted(kind, original):
+            def wrapper(spec, history):
+                windows[kind] += len(history)
+                return original(spec, history)
+            return wrapper
+
+        monkeypatch.setattr(estimator, "gru_forward_cache",
+                            counted("cached", estimator.gru_forward_cache))
+        monkeypatch.setattr(estimator, "gru_forward", counted("plain", estimator.gru_forward))
+        cfg = EstimatorConfig(epochs=2, batch_size=128, hidden_size=4, head_width=4)
+        run = train_coefficient_estimator(cfg, clean_trajectories, P, TEMPLATE)
+        n = len(build_windows(clean_trajectories, cfg.tau))
+        assert windows == {"cached": 2 * n, "plain": n} and len(run.phi_records) == n
 
     def test_short_run_lowers_the_loss(self, clean_trajectories):
         cfg = EstimatorConfig(epochs=5, batch_size=128, seed=1)

@@ -101,6 +101,11 @@ class TestJacobianBaseline:
             true_model, nominal, timed)
 
 
+    def test_empty_point_list_is_rejected(self):
+        with pytest.raises(ValueError, match="point list is empty"):
+            jacobian_baseline(DynamicModel(), DynamicModel(), [])
+
+
 CRITERIA = (("traj_err", "eps_d", "trajectory_error"),
             ("physics_resid", "eps_p", "physics_residual"),
             ("e_fi_relative", "eps", "fisher_discrepancy"))
@@ -130,6 +135,11 @@ class TestWellTrainedVerdict:
     def test_negative_value_raises(self, arg, tol, label):
         with pytest.raises(ValueError, match=arg):
             verdict_at(**{arg: -1e-300})
+
+    @pytest.mark.parametrize("arg,tol,label", CRITERIA)
+    def test_nan_value_raises(self, arg, tol, label):
+        with pytest.raises(ValueError, match=f"{arg} must be >= 0, got nan"):
+            verdict_at(**{arg: math.nan})
 
     def test_tolerance_override(self):
         assert verdict_at(e_fi_relative=0.3)["verdict"] == "fail"

@@ -7,7 +7,7 @@ import pytest
 from fisherdyn.nets import (AdamState, GruSpec, LayerSpec,
                             LearnedDynamicsModel, NetworkParams,
                             PhysicsGuardBounds, adam_step, gru_backward,
-                            gru_forward_cache, init_adam,
+                            gru_forward, gru_forward_cache, init_adam,
                             init_gru, init_network, mish, mlp_forward,
                             mlp_forward_cache, mlp_input_jacobian,
                             mlp_param_gradient, mlp_vjp, physics_guard,
@@ -127,7 +127,63 @@ class TestParamGradient:
             assert abs(an - fd_val) <= 1e-5 * max(abs(an), abs(fd_val), 1e-6)
 
 
+def vjp_from_pre_activations(params, cache, grad_out):
+    """``mlp_vjp`` with the tanh, sigmoid and relu derivatives evaluated
+    afresh at the pre-activations, linear layers multiplied by ones."""
+    acts, pres = cache
+    delta = np.asarray(grad_out, dtype=float)
+    grads = [None] * len(params.weights)
+    for l in range(len(params.weights) - 1, -1, -1):
+        z, act = pres[l], params.layers[l].activation
+        if act == "tanh":
+            deriv = 1.0 - np.tanh(z) * np.tanh(z)
+        elif act == "sigmoid":
+            s = 0.5 * (1.0 + np.tanh(0.5 * z))
+            deriv = s * (1.0 - s)
+        elif act == "relu":
+            deriv = (z > 0.0).astype(float)
+        else:
+            deriv = np.ones_like(z)
+        delta = delta * deriv
+        grads[l] = (delta.T @ acts[l], delta.sum(axis=0))
+        delta = delta @ params.weights[l]
+    return delta, grads
+
+
+class TestVjpFromOutputs:
+    @pytest.mark.parametrize("act", ["tanh", "sigmoid", "relu", "linear"])
+    def test_bit_identical_to_derivatives_of_pre_activations(self, act):
+        params = init_network(4, (LayerSpec(9, act), LayerSpec(7, act),
+                                  LayerSpec(3, "linear")), seed=12)
+        rng = np.random.default_rng(12)
+        xs = rng.normal(size=(30, 4))
+        xs[0] = 0.0  # relu at its kink, sigmoid and tanh at 0
+        _, cache = mlp_forward_cache(params, xs)
+        grad_out = rng.normal(size=(30, 3))
+        got = mlp_vjp(params, cache, grad_out)
+        want = vjp_from_pre_activations(params, cache, grad_out)
+        assert np.array_equal(got[0], want[0])
+        for (dw, db), (rw, rb) in zip(got[1], want[1]):
+            assert np.array_equal(dw, rw) and np.array_equal(db, rb)
+
+    def test_does_not_evaluate_tanh_again(self, monkeypatch):
+        params = init_network(4, (LayerSpec(9, "tanh"), LayerSpec(3, "linear")), seed=14)
+        _, cache = mlp_forward_cache(params, np.ones((5, 4)))
+
+        def no_tanh(*args, **kwargs):
+            raise AssertionError("mlp_vjp evaluated tanh")
+
+        monkeypatch.setattr(np, "tanh", no_tanh)
+        mlp_vjp(params, cache, np.ones((5, 3)))
+
+
 class TestInputJacobian:
+    def test_all_linear_net_keeps_the_point_axis(self):
+        params = init_network(3, (LayerSpec(4, "linear"), LayerSpec(2, "linear")), seed=2)
+        jac = mlp_input_jacobian(params, np.ones((5, 3)), [0, 2])
+        assert jac.shape == (5, 2, 2)
+        assert np.allclose(jac, (params.weights[1] @ params.weights[0])[:, [0, 2]])
+
     def test_linear_layer_columns(self):
         params = init_network(3, (LayerSpec(2, "linear"),), seed=2)
         jac = mlp_input_jacobian(params, np.array([0.1, 0.2, 0.3]), [0, 2])
@@ -276,6 +332,16 @@ class TestGru:
             n = np.tanh(spec.Wn @ x + spec.Un @ (r * h) + spec.bn)
             h = (1 - z) * n + z * h
         assert np.allclose(gru_forward_cache(spec, xs)[0], h, atol=1e-12)
+
+    def test_forward_is_the_cached_forwards_state_bit_for_bit(self):
+        spec = init_gru(7, 16, seed=21)
+        hist = np.random.default_rng(21).normal(size=(40, 5, 7))
+        assert np.array_equal(gru_forward(spec, hist), gru_forward_cache(spec, hist)[0])
+        single = gru_forward(spec, hist[3])
+        assert single.shape == (16,)
+        assert np.array_equal(single, gru_forward_cache(spec, hist[3])[0])
+        with pytest.raises(ValueError, match="history shape"):
+            gru_forward(spec, np.zeros((4, 5, 6)))
 
     def test_backward_vs_finite_difference(self):
         spec = init_gru(3, 5, seed=11)

@@ -4,6 +4,7 @@ import runpy
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 tomllib = pytest.importorskip("tomllib")
@@ -112,12 +113,32 @@ def definitions(tree) -> list:
     return out
 
 
+# Attribute names of the containers the package passes around. ``x.copy()``
+# is as likely an array's or a dict's call as a package method's, so an
+# attribute use of these names keeps a method alive only through a receiver
+# that names its class: ``self``, ``cls``, a capitalised class name or a
+# call of one (``A().size``).
+AMBIGUOUS = frozenset(name for kind in (np.ndarray, dict, list) for name in dir(kind))
+
+
+def _counts_as_use(node) -> bool:
+    if isinstance(node, ast.Name):
+        return True
+    if not isinstance(node, ast.Attribute):
+        return False
+    if node.attr not in AMBIGUOUS:
+        return True
+    receiver = node.value.func if isinstance(node.value, ast.Call) else node.value
+    return isinstance(receiver, ast.Name) and (receiver.id in ("self", "cls")
+                                               or receiver.id[:1].isupper())
+
+
 def name_uses(tree) -> Counter:
-    """How often each name is read as a bare name or as an attribute; the
-    strings of ``__all__`` and the ``def`` lines themselves do not count."""
+    """How often each name is read as a bare name or as an attribute (for
+    the ``AMBIGUOUS`` names, only through a class receiver); the strings of
+    ``__all__`` and the ``def`` lines themselves do not count."""
     return Counter(node.id if isinstance(node, ast.Name) else node.attr
-                   for node in ast.walk(tree)
-                   if isinstance(node, (ast.Name, ast.Attribute)))
+                   for node in ast.walk(tree) if _counts_as_use(node))
 
 
 def dead_definitions(package: dict, others: list) -> list:
@@ -186,6 +207,18 @@ def test_dead_definition_detector():
     elsewhere = "from m import used, A\nx = A().size + used()\n"
     assert dead_definitions({"m.py": module}, [elsewhere]) == [
         "m.py:dead (line 2)", "m.py:recursive (line 3)", "m.py:unused (line 8)"]
+
+
+def test_dead_definition_detector_sees_methods_named_like_array_calls():
+    module = ("import numpy as np\n"
+              "class P:\n"
+              "    def copy(self): pass\n"
+              "    def mean(self): pass\n"
+              "    def total(self): return self.mean()\n"
+              "    def keys(self): pass\n"
+              "def use(p): return np.zeros(2).copy().mean() + {}.keys() + p.total()\n")
+    elsewhere = "from m import P, use\nuse(P())\nP.keys\n"
+    assert dead_definitions({"m.py": module}, [elsewhere]) == ["m.py:copy (line 3)"]
 
 
 def file_io_calls(source: str) -> list:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fisherdyn import training
 from fisherdyn.datagen import SimulationConfig, generate_kinematic_dataset
 from fisherdyn.dynamics import KinematicModel
 from fisherdyn.nets import LayerSpec, LearnedDynamicsModel, init_network, mlp_forward
@@ -156,6 +157,27 @@ class TestTrajectoryLoss:
         net = exact_linear_net(LinearSystem())
         with pytest.raises(ValueError):
             trajectory_loss(net, np.zeros((1, 1, 3)), np.zeros((1, 1, 2)), 0, 0.1)
+
+    def test_loss_is_the_gradient_passs_loss_bit_for_bit(self):
+        net = build_kinematic_net((LayerSpec(8, "tanh"), LayerSpec(3, "linear")),
+                                  SMALL_BOUNDS, seed=9)
+        ws, wi = make_windows(KinematicModel(), n_windows=6, horizon=4)
+        loss, _, _ = _rollout_loss_grad(net, ws, wi, 4, 0.1)
+        assert trajectory_loss(net, ws, wi, 4, 0.1) == loss
+
+    def test_loss_keeps_no_stage_caches(self, monkeypatch):
+        def no_cache(*args):
+            raise AssertionError("trajectory_loss kept a backward cache")
+
+        monkeypatch.setattr(training, "mlp_forward_cache", no_cache)
+        net = exact_linear_net(LinearSystem())
+        ws, wi = make_windows(LinearSystem(), horizon=3)
+        assert trajectory_loss(net, ws, wi, 3, 0.1) == pytest.approx(0.0, abs=1e-22)
+
+    def test_zero_windows_rejected(self):
+        net = exact_linear_net(LinearSystem())
+        with pytest.raises(ValueError, match="no trajectory windows"):
+            trajectory_loss(net, np.zeros((0, 4, 3)), np.zeros((0, 4, 2)), 3, 0.1)
 
     def test_rollout_gradient_vs_finite_difference(self):
         model = KinematicModel()
