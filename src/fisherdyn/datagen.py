@@ -6,10 +6,11 @@ within a step like the inputs), and dataset files that round-trip
 bit-exactly: a CSV per trajectory and a JSON manifest, written by ``_codec``.
 
 ``simulate`` steps a stack of runs together: each time step makes one
-controller call on all (n, d) states and one ``rhs`` and one RK4 call on the
-runs still inside the model's envelope. A run that leaves the envelope (a
-``DomainError`` naming its row) is truncated there with the reason recorded,
-and the step is redone for the others.
+controller call on all (n, d) states and, on the runs still inside the
+model's envelope, 1 + 3 ``rhs`` calls: the recorded derivative, which is also
+the first RK4 stage, then the RK4 step's three later stages. A run that
+leaves the envelope (a ``DomainError`` naming its row) is truncated there
+with the reason recorded, and the step is redone for the others.
 
 Recorded headings are left unwrapped (continuous) so that rollout losses and
 finite differences across a lap stay smooth; the (-pi, pi] convention is
@@ -229,7 +230,8 @@ def simulate(model, controller, cfg: SimulationConfig, initial_states) -> list:
             break
         new, live = _on_running_rows(
             lambda rows: rk4_step(lambda xx, uu: model.rhs(xx, uu, t), state[rows],
-                                  inputs[i, rows], cfg.dt), live, t + cfg.dt, exits)
+                                  inputs[i, rows], cfg.dt, derivs[i, rows]),
+            live, t + cfg.dt, exits)
         if not live.size:
             break
         state[live] = new

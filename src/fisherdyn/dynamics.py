@@ -24,16 +24,19 @@ either one point, states (d,) and inputs (m,), or a stack of n points, states
 ``rows`` and ``reasons`` name every offending point of the stack.
 
 The dynamic model's laws are written once over stacks; a single point is a
-stack of one. ``velocity_rates`` is the only rate law and the private
-``_velocity_jacobian`` its only velocity Jacobian, shared by
-``dynamic_jacobian`` and ``velocity_rate_partials``; the latter adds the
-rates' partials in the twelve coefficients, for the gradient of the
-coefficient estimator.
+stack of one. The private ``_VelocityTerms`` holds the only rate law, its
+only velocity Jacobian and the rates' partials in the twelve coefficients,
+over intermediates (slip angles, tire terms and slopes, sin/cos delta) that
+it evaluates once per call. ``dynamic_rhs`` and ``velocity_rates`` read its
+rates, ``dynamic_jacobian`` its velocity Jacobian, and
+``velocity_rate_partials``, for the gradient of the coefficient estimator,
+all three from one evaluation.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -338,23 +341,16 @@ def _tire_terms(alpha, B, E, G):
     return ba, atan_bag, psi, np.arctan(psi)
 
 
-def _tire_slope(alpha, B, C, E, G):
-    """sin and cos of C arctan(psi), the sine's alpha-derivative, and the
-    :func:`_tire_terms`. The formula reads alpha and B only through their
-    product, so the call with the two swapped gives the B-derivative."""
-    ba, _, psi, atan_psi = terms = _tire_terms(alpha, B, E, G)
-    arg = C * atan_psi
-    cos_arg = np.cos(arg)
-    dpsi = B * (1.0 - E * (1.0 - G / (1.0 + (ba * G) ** 2)))
-    return np.sin(arg), cos_arg, cos_arg * C * dpsi / (1.0 + psi * psi), terms
-
-
-def _tire_coef_partials(alpha, B, C, D, E, G):
-    """The B, C, D and E partials of the force D sin(C arctan(psi)); the B one
-    is :func:`_tire_slope` with alpha and B swapped."""
-    sin_arg, cos_arg, dsin_dB, (ba, atan_bag, psi, atan_psi) = _tire_slope(B, alpha, C, E, G)
-    return (D * dsin_dB, D * cos_arg * atan_psi, sin_arg,
-            -D * cos_arg * C / (1.0 + psi * psi) * (ba - atan_bag))
+def _tire_slope(axle):
+    """The :class:`_Axle` ``axle`` and cos(arg), cos(arg) C, X and 1 + psi^2
+    for its arg = C arctan(psi), where X = d psi/d(B a). psi reads alpha and
+    B only through their product, so the alpha-slope of sin(arg) is
+    cos(arg) C (B X) / (1 + psi^2) and its B-slope the same with alpha for B."""
+    ba, _, psi, _ = axle.terms
+    cos_arg = np.cos(axle.arg)
+    E, G = axle.E, axle.tire.G
+    return axle, (cos_arg, cos_arg * axle.C, 1.0 - E * (1.0 - G / (1.0 + (ba * G) ** 2)),
+                  1.0 + psi * psi)
 
 
 def _scale_factor(dist: DisturbanceConfig, vx, omega, t, p: VehicleParams):
@@ -389,6 +385,127 @@ def _lateral_forcing(disturbances, vy, t, p: VehicleParams):
     return force
 
 
+# One axle of a _VelocityTerms: slip angle alpha = (delta or 0) - arctan(q),
+# q = (vy +- l omega) / vx, arm = -lf or lr in d(alpha)/d(omega) =
+# arm / (vx (1 + q^2)), its coefficients, its tire (for G and K), the
+# _tire_terms, arg = C arctan(psi) and sin(arg).
+_Axle = namedtuple("_Axle", "alpha q arm B C D E tire terms arg sin_arg")
+
+
+class _VelocityTerms:
+    """The velocity laws at stacked velocities (..., 3) and inputs (..., 2),
+    ``coef`` (12,) or (..., 12) in :data:`COEFFICIENT_NAMES` order.
+
+    The rates, their velocity Jacobian and their coefficient partials read
+    the slip angles and sin/cos delta, evaluated here, and each axle's tire
+    terms, which :meth:`axles` evaluates. The rates take the axles, the
+    partials their :func:`_tire_slope` pairs, as an iterable: a lazy one when
+    one law reads them, so that only one axle's arrays are alive at a time
+    (which measurably speeds up a Jacobian over a thousand points), or a
+    list evaluated once when several laws share them."""
+
+    def __init__(self, vel, u, p: VehicleParams, coef, tires: TirePair):
+        self.p, self.coef, self.tires = p, coef, tires
+        self.vx, self.vy, self.omega = vx, vy, omega = vel[..., 0], vel[..., 1], vel[..., 2]
+        self.throttle, delta = u[..., 0], u[..., 1]
+        self.slip = _slip_terms(vx, vy, omega, delta, p)
+        self.sd, self.cd = np.sin(delta), np.cos(delta)
+
+    def axles(self):
+        """Each axle's :class:`_Axle`, evaluated as the iterator is read."""
+        qf, qr, alpha_f, alpha_r = self.slip
+        coef, p = self.coef, self.p
+        for alpha, q, arm, k, tire in ((alpha_f, qf, -p.lf, 0, self.tires.front),
+                                       (alpha_r, qr, p.lr, 4, self.tires.rear)):
+            B, C, D, E = coef[..., k], coef[..., k + 1], coef[..., k + 2], coef[..., k + 3]
+            terms = _tire_terms(alpha, B, E, tire.G)
+            arg = C * terms[3]
+            yield _Axle(alpha, q, arm, B, C, D, E, tire, terms, arg, np.sin(arg))
+
+    def rates(self, axles, disturbances=(), t=0.0, out=None):
+        """(vx-dot, vy-dot, omega-dot) (..., 3), written into ``out`` if given."""
+        p, c, vx, vy, omega = self.p, self.coef, self.vx, self.vy, self.omega
+        scale = 1.0
+        for dist in disturbances:
+            if dist.kind in SCALE_KINDS:
+                scale = scale * _scale_factor(dist, vx, omega, t, p)
+        F_fy, F_ry = (a.tire.K + scale * a.D * a.sin_arg for a in axles)
+        F_rx = (c[..., 8] * self.throttle - c[..., 9] * vx) - c[..., 10] - c[..., 11] * vx * vx
+        F_lat = _lateral_forcing(disturbances, vy, t, p)
+        sd, cd = self.sd, self.cd
+        out = np.empty(vx.shape + (3,)) if out is None else out
+        out[..., 0] = (F_rx - F_fy * sd) / p.m + vy * omega
+        out[..., 1] = (F_ry + F_fy * cd + F_lat) / p.m - vx * omega
+        out[..., 2] = (F_fy * p.lf * cd - F_ry * p.lr) / p.Iz
+        return out
+
+    def jacobian(self, slopes, disturbances=(), t=0.0):
+        """d(rates)/d(vx, vy, omega) (..., 3, 3) from the axles'
+        :func:`_tire_slope`: the tire forces through the slip angles and the
+        tire scale, the wind drag, and the drivetrain and coupling terms."""
+        p, c, vx, vy, omega = self.p, self.coef, self.vx, self.vy, self.omega
+
+        # tire scale and its (vx, omega) gradient, composed by the product rule;
+        # the temperature factor is time-only, the roll factor flat where clamped
+        scale, dscale_vx, dscale_om = 1.0, 0.0, 0.0
+        for dist in disturbances:
+            if dist.kind in SCALE_KINDS:
+                factor = _scale_factor(dist, vx, omega, t, p)
+                g_vx = g_om = 0.0
+                if dist.kind == "roll":
+                    q = dist.params
+                    g = np.where(factor > 0.0, -q["stiffness_sensitivity"] * p.m / q["k_phi"]
+                                 * np.sign(vx * omega), 0.0)
+                    g_vx, g_om = g * omega, g * vx
+                dscale_vx = dscale_vx * factor + scale * g_vx
+                dscale_om = dscale_om * factor + scale * g_om
+                scale = scale * factor
+
+        # each axle's lateral force over (vx, vy, omega), through its slip angle
+        dF_fy, dF_ry = [], []
+        for dF, (a, (_, cos_c, x, den)) in zip((dF_fy, dF_ry), slopes):
+            F, k = a.D * a.sin_arg, scale * a.D * (cos_c * (a.B * x) / den)
+            vx_q = vx * (1.0 + a.q * a.q)
+            dF += [k * (a.q / vx_q) + F * dscale_vx, k * (-1.0 / vx_q),
+                   k * (a.arm / vx_q) + F * dscale_om]
+
+        # the rates' own (vx, vy, omega) terms: drivetrain drag and the coupling
+        dF_rx = (-c[..., 9] - 2.0 * c[..., 11] * vx, 0.0, 0.0)
+        coupling = ((0.0, omega, vy), (-omega, 0.0, -vx))
+        sd, cd = self.sd, self.cd
+        jac = np.empty(vx.shape + (3, 3))
+        for j in range(3):
+            jac[..., 0, j] = (dF_rx[j] - sd * dF_fy[j]) / p.m + coupling[0][j]
+            jac[..., 1, j] = (dF_ry[j] + cd * dF_fy[j]) / p.m + coupling[1][j]
+            jac[..., 2, j] = (p.lf * cd * dF_fy[j] - p.lr * dF_ry[j]) / p.Iz
+        for dist in disturbances:
+            if dist.kind == "wind":
+                q = dist.params
+                jac[..., 1, 1] -= q["rho"] * q["area"] * q["Cw"] * np.abs(q["vw"] - vy) / p.m
+        return jac
+
+    def coefficient_partials(self, slopes):
+        """d(rates)/d(coef) (..., 3, 12) without disturbances, from the axles'
+        :func:`_tire_slope`: the magic formula's closed-form B, C, D and E
+        partials and the linear drivetrain terms."""
+        p, vx = self.p, self.vx
+        dF = []
+        for a, (cos_arg, cos_c, x, den) in slopes:
+            (ba, atan_bag, _, atan_psi), D = a.terms, a.D
+            dF.append(np.stack((D * (cos_c * (a.alpha * x) / den), D * cos_arg * atan_psi,
+                                a.sin_arg, -D * cos_arg * a.C / den * (ba - atan_bag))))
+        # weights of each axle's lateral force in the (vx, vy, omega) rates
+        sd, cd = self.sd, self.cd
+        front = np.stack([-sd / p.m, cd / p.m, p.lf * cd / p.Iz])
+        rear = np.array([0.0, 1.0 / p.m, -p.lr / p.Iz])
+        # filled as (3, 12, n) with n innermost, returned as an (n, 3, 12) view
+        d_coef = np.zeros((3, 12) + vx.shape)
+        d_coef[:, :4] = front[:, None] * dF[0]
+        d_coef[:, 4:8] = np.multiply.outer(rear, dF[1])
+        d_coef[0, 8:] = np.stack([self.throttle, -vx, np.full_like(vx, -1.0), -vx * vx]) / p.m
+        return np.moveaxis(d_coef, (0, 1), (-2, -1))
+
+
 def velocity_rates(vel, u, p: VehicleParams, coef, tires: TirePair,
                    disturbances=(), t=0.0) -> np.ndarray:
     """(vx-dot, vy-dot, omega-dot) over stacked velocities (..., 3) and
@@ -399,79 +516,15 @@ def velocity_rates(vel, u, p: VehicleParams, coef, tires: TirePair,
     come from ``tires``. There is no envelope check: callers make sure that
     vx > 0.
     """
-    vx, vy, omega = vel[..., 0], vel[..., 1], vel[..., 2]
-    throttle, delta = u[..., 0], u[..., 1]
-    _, _, alpha_f, alpha_r = _slip_terms(vx, vy, omega, delta, p)
-    scale = 1.0
-    for dist in disturbances:
-        if dist.kind in SCALE_KINDS:
-            scale = scale * _scale_factor(dist, vx, omega, t, p)
-    f, r = tires.front, tires.rear
-    atan_f = _tire_terms(alpha_f, coef[..., 0], coef[..., 3], f.G)[3]
-    atan_r = _tire_terms(alpha_r, coef[..., 4], coef[..., 7], r.G)[3]
-    F_fy = f.K + scale * coef[..., 2] * np.sin(coef[..., 1] * atan_f)
-    F_ry = r.K + scale * coef[..., 6] * np.sin(coef[..., 5] * atan_r)
-    F_rx = (coef[..., 8] * throttle - coef[..., 9] * vx) - coef[..., 10] - coef[..., 11] * vx * vx
-    F_lat = _lateral_forcing(disturbances, vy, t, p)
-    sd, cd = np.sin(delta), np.cos(delta)
-    return np.stack([
-        (F_rx - F_fy * sd) / p.m + vy * omega,
-        (F_ry + F_fy * cd + F_lat) / p.m - vx * omega,
-        (F_fy * p.lf * cd - F_ry * p.lr) / p.Iz,
-    ], axis=-1)
+    terms = _VelocityTerms(vel, u, p, coef, tires)
+    return terms.rates(terms.axles(), disturbances, t)
 
 
 def _velocity_jacobian(vel, u, p: VehicleParams, coef, tires: TirePair,
                        disturbances=(), t=0.0) -> np.ndarray:
-    """d(:func:`velocity_rates`)/d(vx, vy, omega), (..., 3, 3), for the same
-    arguments: the tire forces through the slip angles and the tire scale,
-    the wind drag, and the drivetrain and coupling terms."""
-    vx, vy, omega = vel[..., 0], vel[..., 1], vel[..., 2]
-    delta = u[..., 1]
-    qf, qr, alpha_f, alpha_r = _slip_terms(vx, vy, omega, delta, p)
-
-    # tire scale and its (vx, omega) gradient, composed by the product rule;
-    # the temperature factor is time-only, the roll factor flat where clamped
-    scale, dscale_vx, dscale_om = 1.0, 0.0, 0.0
-    for dist in disturbances:
-        if dist.kind in SCALE_KINDS:
-            factor = _scale_factor(dist, vx, omega, t, p)
-            g_vx = g_om = 0.0
-            if dist.kind == "roll":
-                q = dist.params
-                g = np.where(factor > 0.0, -q["stiffness_sensitivity"] * p.m / q["k_phi"]
-                             * np.sign(vx * omega), 0.0)
-                g_vx, g_om = g * omega, g * vx
-            dscale_vx = dscale_vx * factor + scale * g_vx
-            dscale_om = dscale_om * factor + scale * g_om
-            scale = scale * factor
-
-    # each axle's lateral force over (vx, vy, omega), through its slip angle
-    # alpha = (delta or 0) - arctan(q), q = (vy +- l omega) / vx
-    c = [coef[..., k] for k in range(12)]
-    dF_fy, dF_ry = [], []
-    for dF, alpha, q, arm, (B, C, D, E), G in (
-            (dF_fy, alpha_f, qf, -p.lf, c[0:4], tires.front.G),
-            (dF_ry, alpha_r, qr, p.lr, c[4:8], tires.rear.G)):
-        sin_arg, _, dsin, _ = _tire_slope(alpha, B, C, E, G)
-        F, k, vx_q = D * sin_arg, scale * D * dsin, vx * (1.0 + q * q)
-        dF += [k * (q / vx_q) + F * dscale_vx, k * (-1.0 / vx_q),
-               k * (arm / vx_q) + F * dscale_om]
-
-    # the rates' own (vx, vy, omega) terms: drivetrain drag and the coupling
-    dF_rx = (-c[9] - 2.0 * c[11] * vx, 0.0, 0.0)
-    coupling = ((0.0, omega, vy), (-omega, 0.0, -vx))
-    sd, cd = np.sin(delta), np.cos(delta)
-    jac = np.empty(vx.shape + (3, 3))
-    for j in range(3):
-        jac[..., 0, j] = (dF_rx[j] - sd * dF_fy[j]) / p.m + coupling[0][j]
-        jac[..., 1, j] = (dF_ry[j] + cd * dF_fy[j]) / p.m + coupling[1][j]
-        jac[..., 2, j] = (p.lf * cd * dF_fy[j] - p.lr * dF_ry[j]) / p.Iz
-    for dist in disturbances:
-        if dist.kind == "wind":
-            q = dist.params
-            jac[..., 1, 1] -= q["rho"] * q["area"] * q["Cw"] * np.abs(q["vw"] - vy) / p.m
-    return jac
+    """d(:func:`velocity_rates`)/d(vx, vy, omega) (..., 3, 3) for the same arguments."""
+    terms = _VelocityTerms(vel, u, p, coef, tires)
+    return terms.jacobian(map(_tire_slope, terms.axles()), disturbances, t)
 
 
 def velocity_rate_partials(vel, u, p: VehicleParams, coef, tires: TirePair):
@@ -479,28 +532,16 @@ def velocity_rate_partials(vel, u, p: VehicleParams, coef, tires: TirePair):
 
     Returns (rates (n, 3), d(rates)/d(vel) (n, 3, 3), d(rates)/d(coef)
     (n, 3, 12)) over stacked velocities (n, 3) and inputs (n, 2); ``coef`` is
-    (12,) or (n, 12) in :data:`COEFFICIENT_NAMES` order. The velocity block is
-    the one of :func:`dynamic_jacobian`, the tire partials in B, C, D and E
-    are closed-form, the drivetrain terms are linear. Like
-    :func:`velocity_rates`, there is no envelope check.
+    (12,) or (n, 12) in :data:`COEFFICIENT_NAMES` order. All three share one
+    evaluation of the slip angles, the tire terms and their slopes, and
+    sin/cos delta. The velocity block is the one of :func:`dynamic_jacobian`,
+    the tire partials in B, C, D and E are closed-form, the drivetrain terms
+    are linear. Like :func:`velocity_rates`, there is no envelope check.
     """
-    vx, vy, omega = vel[..., 0], vel[..., 1], vel[..., 2]
-    throttle, delta = u[..., 0], u[..., 1]
-    _, _, alpha_f, alpha_r = _slip_terms(vx, vy, omega, delta, p)
-    c = [coef[..., k] for k in range(8)]
-    dFf = np.stack(_tire_coef_partials(alpha_f, *c[:4], tires.front.G))
-    dFr = np.stack(_tire_coef_partials(alpha_r, *c[4:], tires.rear.G))
-    # weights of each axle's lateral force in the (vx, vy, omega) rates
-    sd, cd = np.sin(delta), np.cos(delta)
-    front = np.stack([-sd / p.m, cd / p.m, p.lf * cd / p.Iz])
-    rear = np.array([0.0, 1.0 / p.m, -p.lr / p.Iz])
-    # filled as (3, 12, n) with n innermost, returned as an (n, 3, 12) view
-    d_coef = np.zeros((3, 12) + vx.shape)
-    d_coef[:, :4] = front[:, None] * dFf
-    d_coef[:, 4:8] = np.multiply.outer(rear, dFr)
-    d_coef[0, 8:] = np.stack([throttle, -vx, np.full_like(vx, -1.0), -vx * vx]) / p.m
-    return (velocity_rates(vel, u, p, coef, tires), _velocity_jacobian(vel, u, p, coef, tires),
-            np.moveaxis(d_coef, (0, 1), (-2, -1)))
+    terms = _VelocityTerms(vel, u, p, coef, tires)
+    slopes = [_tire_slope(a) for a in terms.axles()]
+    return (terms.rates(a for a, _ in slopes), terms.jacobian(slopes),
+            terms.coefficient_partials(slopes))
 
 
 def dynamic_rhs(s, u, p: VehicleParams, tires: TirePair,
@@ -509,10 +550,13 @@ def dynamic_rhs(s, u, p: VehicleParams, tires: TirePair,
     """Continuous-time derivatives of (x, y, theta, vx, vy, omega): (6,) for
     one point, (n, 6) for stacked points."""
     s, u, vx, vy, st, ct = _dynamic_point(s, u)
-    pose = np.stack([vx * ct - vy * st, vx * st + vy * ct, s[..., 5]], axis=-1)
-    vel = velocity_rates(s[..., 3:], u, p, coefficient_vector(tires, drivetrain),
-                         tires, disturbances, t)
-    return np.concatenate([pose, vel], axis=-1)
+    out = np.empty(vx.shape + (6,))
+    out[..., 0] = vx * ct - vy * st
+    out[..., 1] = vx * st + vy * ct
+    out[..., 2] = s[..., 5]
+    terms = _VelocityTerms(s[..., 3:], u, p, coefficient_vector(tires, drivetrain), tires)
+    terms.rates(terms.axles(), disturbances, t, out[..., 3:])
+    return out
 
 
 def dynamic_jacobian(s, u, p: VehicleParams, tires: TirePair,

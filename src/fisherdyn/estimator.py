@@ -25,11 +25,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import (COEFFICIENT_NAMES, DrivetrainCoefficients,
                        PacejkaCoefficients, TirePair, VehicleParams,
-                       coefficient_vector, velocity_rate_partials,
-                       velocity_rates)
+                       _check_fields, coefficient_vector,
+                       velocity_rate_partials, velocity_rates)
 from .nets import (LayerSpec, PhysicsGuardBounds, adam_step, gru_backward,
                    gru_forward, gru_forward_cache, init_adam, init_gru,
                    init_network, mlp_forward, mlp_forward_cache, mlp_vjp,
@@ -156,22 +157,25 @@ class WindowSet:
 
 def build_windows(trajectories, tau: int) -> WindowSet:
     """Assemble histories from dynamic-model trajectories (states include
-    (.., vx, vy, omega), inputs are (throttle, delta))."""
+    (.., vx, vy, omega), inputs are (throttle, delta)): one window per sample
+    t >= tau - 1 that has a successor, whose history is steps t - tau + 1..t."""
     feats, bases, targets, sources = [], [], [], []
     for ti, traj in enumerate(trajectories):
+        n = len(traj)
+        if n - 1 < tau:
+            continue
         vel = traj.states[:, 3:6]
         u = traj.inputs
         du = np.diff(u, axis=0)  # du[k] applied at step k
-        n = len(traj)
         step_feats = np.column_stack([vel[:-1], u[:-1], du])
-        for t in range(tau - 1, n - 1):
-            feats.append(step_feats[t - tau + 1:t + 1])
-            bases.append(np.concatenate([vel[t], u[t]]))
-            targets.append(vel[t + 1])
-            sources.append((ti, t))
+        feats.append(sliding_window_view(step_feats, (tau, step_feats.shape[1]))[:, 0])
+        bases.append(np.column_stack([vel, u])[tau - 1:n - 1])
+        targets.append(vel[tau:])
+        sources.extend((ti, t) for t in range(tau - 1, n - 1))
     if not feats:
         raise ValueError("trajectories too short for the requested history length")
-    return WindowSet(np.stack(feats), np.stack(bases), np.stack(targets), sources)
+    return WindowSet(np.concatenate(feats), np.concatenate(bases), np.concatenate(targets),
+                     sources)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +193,9 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau < 1:
-            raise ValueError("history length tau must be >= 1")
+        fields = ("tau", "hidden_size", "head_width", "lr", "epochs", "batch_size")
+        _check_fields("EstimatorConfig.", {k: getattr(self, k) for k in fields},
+                      {**dict.fromkeys(fields, "> 0"), "epochs": ">= 0"})
 
 
 class EstimatorModel:
@@ -266,6 +271,8 @@ def train_coefficient_estimator(cfg: EstimatorConfig, trajectories,
     import time as _time
     start = _time.perf_counter()
 
+    if not len(trajectories):
+        raise ValueError("no trajectories were given")
     windows = build_windows(trajectories, cfg.tau)
     if Ts is None:
         Ts = float(trajectories[0].times[1] - trajectories[0].times[0])

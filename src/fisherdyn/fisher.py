@@ -202,10 +202,23 @@ def _fixed_direction(policy, dim) -> PerturbationDirection:
 
 def stack_points(points):
     """(states (n, d), inputs (n, m), times (n,)) from (state, input[, t])
-    tuples; t defaults to 0."""
+    tuples; t defaults to 0. A point with fewer than 2 entries, or whose
+    state or input length differs from point 0's, raises ``ValueError``
+    naming the first such point."""
     points = list(points)
-    states = np.array([p[0] for p in points], dtype=float)
-    inputs = np.array([p[1] for p in points], dtype=float)
+    try:
+        states = np.array([p[0] for p in points], dtype=float)
+        inputs = np.array([p[1] for p in points], dtype=float)
+    except (IndexError, ValueError) as err:
+        for i, p in enumerate(points):
+            if len(p) < 2:
+                raise ValueError(f"point {i} has {len(p)} entries, expected "
+                                 "(state, input[, t])") from err
+            for k, what in ((0, "a state"), (1, "an input")):
+                if np.size(p[k]) != np.size(points[0][k]):
+                    raise ValueError(f"point {i} has {what} of length {np.size(p[k])}, "
+                                     f"point 0 one of length {np.size(points[0][k])}") from err
+        raise
     times = np.array([float(p[2]) if len(p) > 2 else 0.0 for p in points])
     return states, inputs, times
 

@@ -5,7 +5,9 @@ function, safe to call concurrently.
 
 ``rk4`` is the package's one Runge-Kutta step and ``rk4_adjoint`` its one
 reverse-mode pass: simulation (``rk4_step``), the inverse-regime rollout
-gradient and the coefficient estimator's physics step all call them.
+gradient and the coefficient estimator's physics step all call them. A caller
+that already holds the first-stage rate f(x), as simulation does once it has
+recorded the derivative at x, passes it as ``k1`` and saves that evaluation.
 
 ``largest_singular_value`` takes one matrix or a (..., m, n) stack of them
 and reads sigma_max off the largest eigenvalue of the smaller Gram matrix
@@ -31,10 +33,13 @@ class EvaluationError(ValueError):
     """A model evaluation produced a non-finite value."""
 
 
-def rk4(f, x, dt: float):
+def rk4(f, x, dt: float, k1=None):
     """One classical RK4 step of ``x`` under ``f``, where ``f(x)`` returns a
-    (rate, aux) pair; returns the new state and the four stage auxes."""
-    k1, a1 = f(x)
+    (rate, aux) pair; returns the new state and the four stage auxes.
+
+    ``k1``, when given, is the first-stage rate f(x)[0] and is used instead of
+    calling ``f`` at ``x``; that stage's aux is then None."""
+    k1, a1 = f(x) if k1 is None else (k1, None)
     k2, a2 = f(x + 0.5 * dt * k1)
     k3, a3 = f(x + 0.5 * dt * k2)
     k4, a4 = f(x + dt * k3)
@@ -54,13 +59,14 @@ def rk4_adjoint(vjp, auxes, lam, dt: float):
     return lam + g4 + g3 + g2 + g1
 
 
-def rk4_step(f, x, u=None, dt: float = 0.1) -> np.ndarray:
-    """Classical 4th-order Runge-Kutta update of ``x`` under ``f`` with ``u`` held."""
+def rk4_step(f, x, u=None, dt: float = 0.1, k1=None) -> np.ndarray:
+    """Classical 4th-order Runge-Kutta update of ``x`` under ``f`` with ``u``
+    held; ``k1``, when given, is the rate ``f`` has at ``x``."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     call = (lambda xx: (np.asarray(f(xx), dtype=float), None)) if u is None else (
         lambda xx: (np.asarray(f(xx, u), dtype=float), None))
-    out, _ = rk4(call, np.asarray(x, dtype=float), dt)
+    out, _ = rk4(call, np.asarray(x, dtype=float), dt, k1)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("non-finite intermediate in rk4 step")
     return out

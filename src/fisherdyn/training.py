@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._codec import csv_text
+from .dynamics import _check_fields
 from .nets import (LearnedDynamicsModel, adam_step, init_adam, init_network,
                    mlp_forward, mlp_forward_cache, mlp_param_gradient, mlp_vjp)
 from .numerics import rk4, rk4_adjoint
@@ -104,6 +105,9 @@ class RegimeConfig:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.lambda_p < 0 or self.lambda_d < 0:
             raise ValueError("loss weights must be >= 0")
+        _check_fields("RegimeConfig.", {"batch_size": self.batch_size, "horizon": self.horizon,
+                                        "epochs": self.epochs, "lr": self.lr},
+                      {"batch_size": "> 0", "horizon": "> 0", "epochs": ">= 0", "lr": "> 0"})
         if self.regime == "physics_only" and self.lambda_d != 0.0:
             object.__setattr__(self, "lambda_d", 0.0)
 

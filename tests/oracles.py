@@ -4,8 +4,9 @@ These deliberately avoid the code paths they verify: the eigenvalue oracle is
 a cyclic Jacobi sweep (no power iteration or LAPACK), the summation oracles
 are plain Python loops, the Fisher expectation and logarithmic derivative are
 written for one point, g has a geometric curvature form, derivatives have a
-central-difference Jacobian, and the dynamic bicycle's rhs and Jacobian are
-written point by point in scalar ``math`` arithmetic.
+central-difference Jacobian, the dynamic bicycle's rhs and Jacobian are
+written point by point in scalar ``math`` arithmetic, and the estimator's
+history windows are cut one at a time.
 """
 
 import math
@@ -300,3 +301,20 @@ def scalar_dynamic_jacobian(s, u, p, tires, drivetrain, disturbances=(), t=0.0):
     for k in range(3):
         jac[5, 3 + k] = (p.lf * cd * dF_fy[k] - p.lr * dF_ry[k]) / p.Iz
     return jac
+
+
+def loop_windows(trajectories, tau: int):
+    """(features, base states, targets, sources) of ``estimator.build_windows``,
+    one window per loop turn."""
+    feats, bases, targets, sources = [], [], [], []
+    for ti, traj in enumerate(trajectories):
+        vel = traj.states[:, 3:6]
+        u = traj.inputs
+        du = np.diff(u, axis=0)  # du[k] applied at step k
+        step_feats = np.column_stack([vel[:-1], u[:-1], du])
+        for t in range(tau - 1, len(traj) - 1):
+            feats.append(step_feats[t - tau + 1:t + 1])
+            bases.append(np.concatenate([vel[t], u[t]]))
+            targets.append(vel[t + 1])
+            sources.append((ti, t))
+    return np.stack(feats), np.stack(bases), np.stack(targets), sources

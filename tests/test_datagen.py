@@ -179,7 +179,9 @@ class TestSimulate:
         model = CountingModel(DynamicModel())
         trajs = generate_dynamic_dataset(model, n_runs=8, duration=4.0, dt=0.02, seed=1)
         assert [len(t) for t in trajs] == [201] * 8
-        assert model.calls == 201 + 4 * 200
+        # one recorded derivative per sample, which is also the first RK4
+        # stage, and three more stages per step
+        assert model.calls == 201 + 3 * 200
 
     def test_disturbance_divergence_timing(self):
         # bump force is zero at t=0, so the first integration step matches
@@ -224,7 +226,8 @@ class TestDatasetIO:
     def test_parse_error_has_line_number(self, tmp_path):
         traj = self.make_traj()
         (paths,) = write_dataset([traj], tmp_path / "ds")
-        lines = open(paths).read().split("\n")
+        with open(paths) as fh:
+            lines = fh.read().split("\n")
         lines[3] = lines[3].replace(",", ",junk", 1)
         with open(paths, "w") as fh:
             fh.write("\n".join(lines))

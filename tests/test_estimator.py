@@ -17,7 +17,7 @@ from fisherdyn.estimator import (EstimatorConfig, EstimatorModel,
 from fisherdyn.nets import physics_guard, physics_guard_derivative
 from fisherdyn.numerics import rk4_step
 
-from oracles import scalar_dynamic_rhs
+from oracles import loop_windows, scalar_dynamic_rhs
 from test_dynamics import DISTURBANCE_SETS, TIRE_PAIRS
 
 
@@ -51,8 +51,9 @@ class TestPredictNextVelocities:
         def forbidden(*args):
             raise AssertionError("a Jacobian partial was computed")
 
-        for name in ("_velocity_jacobian", "_tire_slope", "_tire_coef_partials"):
+        for name in ("_velocity_jacobian", "_tire_slope"):
             monkeypatch.setattr(dynamics, name, forbidden)
+        monkeypatch.setattr(dynamics._VelocityTerms, "coefficient_partials", forbidden)
         states, coef = velocity_batch(np.random.default_rng(52), 8)
         predict_next_velocities(states, coef, self.p, self.template, 0.02)
         s = np.column_stack([np.zeros((8, 3)), states[:, :3]])
@@ -67,8 +68,10 @@ class TestPredictNextVelocities:
         def forbidden(*args):
             raise AssertionError("rates or coefficient partials were computed")
 
-        for name in ("velocity_rates", "_lateral_forcing", "_tire_coef_partials"):
+        for name in ("velocity_rates", "_lateral_forcing"):
             monkeypatch.setattr(dynamics, name, forbidden)
+        for name in ("rates", "coefficient_partials"):
+            monkeypatch.setattr(dynamics._VelocityTerms, name, forbidden)
         states, _ = velocity_batch(np.random.default_rng(53), 8)
         s = np.column_stack([np.zeros((8, 3)), states[:, :3]])
         every_kind = [d for dists in DISTURBANCE_SETS[1:6] for d in dists]
@@ -122,6 +125,21 @@ class TestVelocityRatePartials:
             scale = np.max(np.abs(jac[:, 3:, 3:]), axis=(1, 2))[:, None, None]
             assert np.all(np.abs(d_vel - jac[:, 3:, 3:]) <= 1e-12 * scale)
 
+    def test_one_tire_evaluation_per_axle(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tire_terms(*args)
+
+        tire_terms = dynamics._tire_terms
+        monkeypatch.setattr(dynamics, "_tire_terms", counted)
+        states, coef = velocity_batch(np.random.default_rng(60), 64)
+        vel, u = states[:, :3], states[:, 3:]
+        _, d_vel, _ = velocity_rate_partials(vel, u, P, coef, TEMPLATE)
+        assert len(calls) == 2
+        assert np.array_equal(d_vel, dynamics._velocity_jacobian(vel, u, P, coef, TEMPLATE))
+
     def test_coefficient_partials_vs_central_differences(self):
         states, coef = velocity_batch(np.random.default_rng(63), 64)
         vel, u = states[:, :3], states[:, 3:]
@@ -167,6 +185,26 @@ class TestPhiGradient:
         # to round-off
         scale = np.max(np.abs(windows.targets))
         assert np.mean((pred - windows.targets) ** 2) <= (1e-14 * scale) ** 2
+
+
+class TestBuildWindows:
+    def test_matches_the_window_loop_bit_for_bit(self, clean_trajectories):
+        short = replace(clean_trajectories[2], times=clean_trajectories[2].times[:5],
+                        states=clean_trajectories[2].states[:5],
+                        inputs=clean_trajectories[2].inputs[:5])
+        trajs = [clean_trajectories[0], short, clean_trajectories[1]]
+        for tau in (1, 4, 5):
+            windows = build_windows(trajs, tau)
+            features, bases, targets, sources = loop_windows(trajs, tau)
+            assert np.array_equal(windows.features, features)
+            assert np.array_equal(windows.base_states, bases)
+            assert np.array_equal(windows.targets, targets)
+            assert windows.sources == sources
+            assert windows.features.flags.c_contiguous
+
+    def test_too_short_is_named(self, clean_trajectories):
+        with pytest.raises(ValueError, match="too short"):
+            build_windows(clean_trajectories, len(clean_trajectories[0]))
 
 
 class TestEstimatorModel:
@@ -286,6 +324,17 @@ class TestTraining:
         run = train_coefficient_estimator(cfg, clean_trajectories, P, TEMPLATE)
         n = len(build_windows(clean_trajectories, cfg.tau))
         assert windows == {"cached": 2 * n, "plain": n} and len(run.phi_records) == n
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("hidden_size", 0), ("head_width", 0), ("epochs", -1),
+        ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("tau", 0)])
+    def test_config_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=f"EstimatorConfig.{field} must be"):
+            EstimatorConfig(**{field: value})
+
+    def test_no_trajectories_is_named(self):
+        with pytest.raises(ValueError, match="no trajectories were given"):
+            train_coefficient_estimator(EstimatorConfig(epochs=1), [], P, TEMPLATE)
 
     def test_short_run_lowers_the_loss(self, clean_trajectories):
         cfg = EstimatorConfig(epochs=5, batch_size=128, seed=1)

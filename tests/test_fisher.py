@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fisherdyn.dynamics import DomainError, DynamicModel, KinematicModel
+from fisherdyn.fidelity import jacobian_baseline
 from fisherdyn.nets import LayerSpec, LearnedDynamicsModel, init_network
 from fisherdyn.fisher import (PerturbationDirection, basis_axis, classical_fisher,
                               evaluate_field)
@@ -200,6 +201,18 @@ class TestEvaluateField:
         slow = np.array([0, 0, 0, 0.1, 0.0, 0.0])
         dfield = evaluate_field(dyn, [(slow, np.array([0.2, 0.0]))])
         assert dfield.samples[0].skip.startswith("domain")
+
+    @pytest.mark.parametrize("bad, message", [
+        ((np.zeros(5), np.zeros(2)), "point 2 has a state of length 5, point 0 one of length 6"),
+        ((np.zeros(6), np.zeros(3), 0.0), "point 2 has an input of length 3"),
+        ((np.zeros(6),), "point 2 has 1 entries")])
+    def test_malformed_point_is_named(self, bad, message):
+        good = (np.array([0, 0, 0, 2.0, 0.1, 0.5]), np.array([0.3, 0.1]), 0.0)
+        pts = [good, good, bad, good]
+        with pytest.raises(ValueError, match=message):
+            evaluate_field(DynamicModel(), pts)
+        with pytest.raises(ValueError, match=message):
+            jacobian_baseline(DynamicModel(), DynamicModel(), pts)
 
     def test_fixed_and_axis_policies(self):
         model = KinematicModel()

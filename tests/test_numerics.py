@@ -29,7 +29,7 @@ class TestCentralDifferenceJacobian:
 
     def test_nonfinite_raises(self):
         f = lambda x: np.array([np.log(x[0])])
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError), np.errstate(divide="ignore", invalid="ignore"):
             central_difference_jacobian(f, np.array([0.0]))
 
     def test_bad_step(self):
@@ -74,6 +74,24 @@ class TestRk4Step:
     def test_nonfinite_raises(self):
         with pytest.raises(EvaluationError):
             rk4_step(lambda x: x * np.inf, np.array([1.0]), dt=0.1)
+
+    def test_given_first_stage_is_bit_identical(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.array([np.sin(x[1]) * x[0], -x[0] ** 3]), "aux"
+
+        x, dt = np.array([0.7, -1.3]), 0.05
+        full, _ = rk4(f, x, dt)
+        k1 = f(x)[0]
+        calls.clear()
+        given, auxes = rk4(f, x, dt, k1)
+        assert np.array_equal(given, full)
+        assert len(calls) == 3 and auxes == (None, "aux", "aux", "aux")
+        g = lambda xx, uu: f(xx)[0] + uu
+        u = np.array([0.1, 0.2])
+        assert np.array_equal(rk4_step(g, x, u, dt, k1=g(x, u)), rk4_step(g, x, u, dt))
 
 
 class TestRk4Adjoint:

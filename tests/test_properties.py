@@ -1,9 +1,10 @@
 """Property tests of the Fisher scalar and the sigma_max kernel over generated
-stacks, of the dynamic model's velocity Jacobian, and of the dataset and
-checkpoint file round trips. The examples are derandomized, so every run
-checks the same ones."""
+stacks, of the dynamic model's velocity Jacobian, of mish against its
+np.logaddexp form, and of the dataset and checkpoint file round trips. The
+examples are derandomized, so every run checks the same ones."""
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from fisherdyn.dynamics import (DELTA_MAX, DrivetrainCoefficients,  # noqa: E402
                                 velocity_rates)
 from fisherdyn.estimator import default_guard_bounds  # noqa: E402
 from fisherdyn.fisher import classical_fisher  # noqa: E402
-from fisherdyn.nets import LayerSpec, LearnedDynamicsModel, NetworkParams  # noqa: E402
+from fisherdyn.nets import (LayerSpec, LearnedDynamicsModel, NetworkParams,  # noqa: E402
+                            _activation_deriv, _softplus, mish, sigmoid)
 from fisherdyn.numerics import largest_singular_value  # noqa: E402
 
 from oracles import curvature_fisher, random_orthogonal  # noqa: E402
@@ -140,6 +142,26 @@ def test_velocity_block_matches_central_differences(points):
                           - velocity_rates(vel - h, u, p, coef, tires)) / 2e-6
         scale = np.max(np.abs(fd), axis=(1, 2), keepdims=True)
         assert np.all(np.abs(d_vel - fd) <= 1e-6 * scale)
+
+
+@PROPERTY
+@given(arrays(float, st.integers(1, 32), elements=st.floats(-1e300, 1e300)))
+def test_mish_is_within_4_ulp_of_its_logaddexp_form(z):
+    # Where softplus is subnormal (z < -708) mish = z t scales its last-place
+    # difference by |z|, so mish is held to 4 ulp where softplus is normal.
+    # The derivative t + z (1 - t^2) sigmoid(z) crosses zero near z = -1.19,
+    # so it is held to 4 ulp of its larger term, not of its value.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array_equal(_softplus(np.array([np.inf, -np.inf])), [np.inf, 0.0])
+        softplus = np.logaddexp(0.0, z)
+        assert np.all(np.abs(_softplus(z) - softplus) <= 4 * np.spacing(softplus))
+        t = np.tanh(softplus)
+        normal = softplus >= np.finfo(float).tiny
+        assert np.all((np.abs(mish(z) - z * t) <= 4 * np.spacing(np.abs(z * t)))[normal])
+        slope = z * (1.0 - t * t) * sigmoid(z)
+        assert np.all(np.abs(_activation_deriv("mish", z, None) - (t + slope))
+                      <= 4 * np.spacing(np.maximum(np.abs(t), np.abs(slope))))
 
 
 # Any finite float64, with -0.0, subnormals and +-1e308 drawn often.

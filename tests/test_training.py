@@ -220,6 +220,13 @@ class TestTrainRegime:
         sys = LinearSystem()
         return sys, build_training_data(sys, SMALL_BOUNDS, 256, seed=11)
 
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("horizon", 0), ("epochs", -1), ("lr", 0.0), ("lr", -1.0),
+        ("lr", float("nan")), ("lr", float("inf"))])
+    def test_config_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=f"RegimeConfig.{field} must be"):
+            RegimeConfig(**{field: value})
+
     def test_regime1_converges_on_linear_system(self):
         sys, data = self.linear_data()
         net = LearnedDynamicsModel(init_network(5, (LayerSpec(3, "linear"),), seed=12), 3, 2)
