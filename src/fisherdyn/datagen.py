@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from ._codec import read_csv, read_json, require_keys, write_csv, write_json
-from .dynamics import DELTA_MAX, DomainError, ConfigError, wrap_angle
+from .dynamics import DELTA_MAX, ConfigError, on_accepted_rows, wrap_angle
 from .numerics import rk4_step
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "write_dataset",
     "read_dataset",
     "derivative_samples",
+    "time_step",
     "generate_kinematic_dataset",
     "generate_dynamic_dataset",
 ]
@@ -74,7 +75,6 @@ class ReferencePath:
 class SimulationConfig:
     dt: float = 0.1
     total_time: float = 31.0
-    wheelbase: float = 2.5
     lookahead: float = 3.0
     speed: float = 2.0
     seed: int = 0
@@ -114,12 +114,11 @@ def circular_path(radius: float, n: int) -> ReferencePath:
                                           radius * np.sin(theta)]), closed=True)
 
 
-def lookahead_steer(state, path: ReferencePath, d_lookahead: float, L: float,
-                    delta_max: float = DELTA_MAX) -> float:
+def lookahead_steer(state, path: ReferencePath, d_lookahead: float, L: float) -> float:
     """Pure-pursuit steering toward the path point >= d_lookahead ahead.
 
     delta = arctan(2 L sin(alpha) / d_lookahead), alpha the heading error to
-    the target point, clamped to +-delta_max.
+    the target point, clamped to +-DELTA_MAX.
     """
     x, y, theta = state[0], state[1], state[2]
     pts = path.waypoints
@@ -142,18 +141,19 @@ def lookahead_steer(state, path: ReferencePath, d_lookahead: float, L: float,
 
     alpha = wrap_angle(math.atan2(target[1] - y, target[0] - x) - theta)
     delta = math.atan(2.0 * L * math.sin(alpha) / d_lookahead)
-    return float(np.clip(delta, -delta_max, delta_max))
+    return float(np.clip(delta, -DELTA_MAX, DELTA_MAX))
 
 
 class PurePursuitController:
-    """Constant-speed pure pursuit for the kinematic bicycle."""
+    """Constant-speed pure pursuit for the kinematic bicycle of wheelbase L."""
 
-    def __init__(self, path: ReferencePath, cfg: SimulationConfig):
+    def __init__(self, path: ReferencePath, cfg: SimulationConfig, L: float):
         self.path = path
         self.cfg = cfg
+        self.L = L
 
     def __call__(self, states, t: float) -> np.ndarray:
-        delta = [lookahead_steer(s, self.path, self.cfg.lookahead, self.cfg.wheelbase)
+        delta = [lookahead_steer(s, self.path, self.cfg.lookahead, self.L)
                  for s in states]
         return np.column_stack([np.full(len(delta), self.cfg.speed), delta])
 
@@ -168,37 +168,27 @@ class ManeuverController:
     value per run.
     """
 
-    def __init__(self, steer_fn, v_set, k_speed: float = 1.0,
-                 throttle_ff: float = 0.2, delta_max: float = DELTA_MAX):
+    def __init__(self, steer_fn, v_set, k_speed: float = 1.0, throttle_ff: float = 0.2):
         self.steer_fn = steer_fn
         self.v_set = v_set if callable(v_set) else (lambda t: v_set)
         self.k_speed = k_speed
         self.throttle_ff = throttle_ff
-        self.delta_max = delta_max
 
     def __call__(self, states, t: float) -> np.ndarray:
         vx = states[:, 3]
         throttle = np.clip(self.throttle_ff + self.k_speed * (self.v_set(t) - vx),
                            0.0, 1.0)
-        delta = np.clip(self.steer_fn(t), -self.delta_max, self.delta_max)
+        delta = np.clip(self.steer_fn(t), -DELTA_MAX, DELTA_MAX)
         return np.column_stack([throttle, np.broadcast_to(delta, vx.shape)])
 
 
 def _on_running_rows(f, live, t: float, exits: list):
-    """``f(live)`` for the rows still running. A row that a ``DomainError``
-    names leaves ``live``, its exit reason goes to ``exits``, and ``f`` is
-    redone without it; returns the result (None once no row is left) and
-    the rows it covers."""
-    while live.size:
-        try:
-            return f(live), live
-        except DomainError as err:
-            if not err.rows.size:
-                raise
-            for row, reason in zip(live[err.rows], err.reasons):
-                exits[row] = f"envelope exit at t={t:g}: {reason}"
-            live = np.delete(live, err.rows)
-    return None, live
+    """(f(rows), rows) on the ``live`` rows that stay in the envelope; the
+    exit reasons of the others go to ``exits``."""
+    result, live, reasons = on_accepted_rows(f, live)
+    for row, reason in reasons.items():
+        exits[row] = f"envelope exit at t={t:g}: {reason}"
+    return result, live
 
 
 def simulate(model, controller, cfg: SimulationConfig, initial_states) -> list:
@@ -308,6 +298,21 @@ def derivative_samples(trajectories, noise_sigma: float = 0.0, seed: int = 0):
     return states, inputs, derivs
 
 
+def time_step(trajectories) -> float:
+    """The step of the trajectories with two or more samples; ``ValueError``
+    if none has two, or naming those whose step differs from the first's."""
+    steps = {i: float(t.times[1] - t.times[0])
+             for i, t in enumerate(trajectories) if len(t) >= 2}
+    if not steps:
+        raise ValueError("no trajectory has two samples to read a time step from")
+    first, dt = next(iter(steps.items()))
+    differ = {i: s for i, s in steps.items() if not math.isclose(s, dt, rel_tol=1e-9)}
+    if differ:
+        raise ValueError(f"trajectories {sorted(differ)} have time steps "
+                         f"{list(differ.values())}, trajectory {first} has {dt}")
+    return dt
+
+
 # ---------------------------------------------------------------------------
 # stock dataset generators
 
@@ -323,11 +328,9 @@ def generate_kinematic_dataset(model, cfg: SimulationConfig,
     rng = np.random.default_rng(cfg.seed)
     path = circular_path(radius, n_waypoints)
     start = np.array([[radius, 0.0, math.pi / 2.0]])  # tangent start on the circle
-    trajs = simulate(model, PurePursuitController(path, cfg), cfg, start)
+    trajs = simulate(model, PurePursuitController(path, cfg, model.params.L), cfg, start)
 
-    short = SimulationConfig(dt=cfg.dt, total_time=min(cfg.total_time, 8.0),
-                             wheelbase=cfg.wheelbase, lookahead=cfg.lookahead,
-                             speed=cfg.speed, seed=cfg.seed)
+    short = replace(cfg, total_time=min(cfg.total_time, 8.0))
     inputs, starts = [], []
     for k in range(n_arcs + n_straights):
         v = rng.uniform(0.5, 5.0)

@@ -44,6 +44,7 @@ import numpy as np
 
 __all__ = [
     "DomainError",
+    "on_accepted_rows",
     "ConfigError",
     "GRAVITY",
     "VX_MIN",
@@ -84,6 +85,22 @@ class DomainError(ValueError):
         super().__init__(message)
         self.rows = np.asarray(rows, dtype=int)
         self.reasons = list(reasons)
+
+
+def on_accepted_rows(f, rows):
+    """(f(rows), rows, {row: reason}) on the index array ``rows``, minus the
+    rows a :class:`DomainError` names (``f`` is called again without them);
+    an error naming no row is re-raised, and f(rows) is None once none is left."""
+    reasons = {}
+    while rows.size:
+        try:
+            return f(rows), rows, reasons
+        except DomainError as err:
+            if not err.rows.size:
+                raise
+            reasons.update(zip(rows[err.rows].tolist(), err.reasons))
+            rows = np.delete(rows, err.rows)
+    return None, rows, reasons
 
 
 class ConfigError(ValueError):
@@ -134,28 +151,27 @@ def wrap_angle(theta: float) -> float:
 @dataclass(frozen=True)
 class VehicleParams:
     """Geometry and inertia. L is the kinematic wheelbase; lf/lr split the
-    dynamic model's axle distances. Ts is the discrete sampling step."""
+    dynamic model's axle distances."""
 
     m: float = 0.041
     Iz: float = 27.8e-6
     lf: float = 0.029
     lr: float = 0.033
     L: float = 2.5
-    Ts: float = 0.02
 
     def __post_init__(self):
         _check_fields("VehicleParams.", vars(self), dict.fromkeys(vars(self), "> 0"))
 
     @classmethod
     def kinematic_default(cls) -> "VehicleParams":
-        # Full-size wheelbase and 0.1 s step of the kinematic case study.
-        return cls(L=2.5, Ts=0.1)
+        # Full-size wheelbase of the kinematic case study.
+        return cls(L=2.5)
 
     @classmethod
     def dynamic_default(cls) -> "VehicleParams":
         # Desk-scale (1:43) racecar; consistent with the default tire peak
         # forces of ~0.17-0.19 N.
-        return cls(m=0.041, Iz=27.8e-6, lf=0.029, lr=0.033, L=0.062, Ts=0.02)
+        return cls(m=0.041, Iz=27.8e-6, lf=0.029, lr=0.033, L=0.062)
 
 
 @dataclass(frozen=True)

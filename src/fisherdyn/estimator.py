@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .datagen import time_step
 from .dynamics import (COEFFICIENT_NAMES, DrivetrainCoefficients,
                        PacejkaCoefficients, TirePair, VehicleParams,
                        _check_fields, coefficient_vector,
@@ -259,30 +260,24 @@ class EstimatorRun:
     phi_records: np.ndarray  # (n_windows, 12) final per-window estimates
     sources: list
     diverged: bool = False
-    wall_time_s: float = 0.0
 
 
 def train_coefficient_estimator(cfg: EstimatorConfig, trajectories,
                                 params: VehicleParams, template: TirePair,
-                                bounds: PhysicsGuardBounds | None = None,
-                                Ts: float | None = None) -> EstimatorRun:
+                                bounds: PhysicsGuardBounds | None = None) -> EstimatorRun:
     """Fit the estimator on (possibly disturbed) trajectories against the
-    nominal physics; returns the trained model plus per-window estimates."""
-    import time as _time
-    start = _time.perf_counter()
-
+    nominal physics, stepped by their shared ``time_step``; returns the
+    trained model plus per-window estimates."""
     if not len(trajectories):
         raise ValueError("no trajectories were given")
     windows = build_windows(trajectories, cfg.tau)
-    if Ts is None:
-        Ts = float(trajectories[0].times[1] - trajectories[0].times[0])
     flat = windows.features.reshape(-1, windows.features.shape[2])
     offset = flat.mean(axis=0)
     scale = np.maximum(flat.std(axis=0), 1e-6)
     if bounds is None:
         bounds = default_guard_bounds(template, DrivetrainCoefficients())
 
-    model = EstimatorModel(cfg, bounds, params, template, Ts, offset, scale)
+    model = EstimatorModel(cfg, bounds, params, template, time_step(trajectories), offset, scale)
     opt = init_adam(model.param_list(), lr=cfg.lr)
 
     n = len(windows)
@@ -313,5 +308,4 @@ def train_coefficient_estimator(cfg: EstimatorConfig, trajectories,
         curve.append(epoch_loss / max(seen, 1))
 
     phi_final = model.estimate(windows.features)
-    return EstimatorRun(model, curve, phi_final, windows.sources, diverged,
-                        _time.perf_counter() - start)
+    return EstimatorRun(model, curve, phi_final, windows.sources, diverged)

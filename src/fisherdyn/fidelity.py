@@ -46,6 +46,10 @@ def _aligned_valid(true_field: FisherField, learned_field: FisherField):
         if mine.shape != theirs.shape or np.any(np.abs(mine - theirs) > 1e-12):
             raise AlignmentError("fields were not evaluated at identical points")
     mask = true_field.valid_mask() & learned_field.valid_mask()
+    # every fixed direction is named "fixed", so compare the directions
+    if true_field.policy != "flow_aligned" and np.any(
+            np.abs(true_field.du[mask] - learned_field.du[mask]) > 1e-12):
+        raise AlignmentError("fields were evaluated along different fixed directions")
     return true_field.g[mask], learned_field.g[mask]
 
 

@@ -13,11 +13,13 @@ and it is always bounded by 0 <= g/4 <= sigma_max(A)^2.
 
 ``evaluate_field`` sweeps a system's (rhs, jacobian) pair over a point set and
 returns a :class:`FisherField` that stores g together with sigma_max^2 so the
-bound stays auditable after the fact. The sweep is stacked: the system sees
-all points in one ``jacobian`` call and, for flow alignment, one ``rhs``
-call; g comes from one ``classical_fisher`` call over the stack and
-sigma_max from one scaled-Gram ``largest_singular_value`` call. A point that
-cannot be evaluated is kept with a skip reason instead of aborting the sweep:
+bound stays auditable after the fact. du is the flow direction at each
+point (policy ``"flow_aligned"``) or one unit (d,) array at every point
+(policy ``"fixed"``). The sweep is stacked: the system sees all points in one
+``jacobian`` call and, for flow alignment, one ``rhs`` call; g comes from one
+``classical_fisher`` call over the stack and sigma_max from one scaled-Gram
+``largest_singular_value`` call. A point that cannot be evaluated is kept
+with a skip reason instead of aborting the sweep:
 
 * ``"domain: <reason>"``: the system raised :class:`DomainError` for it;
 * ``"equilibrium"``: the flow norm is at most :data:`FLOW_FLOOR`, so the
@@ -29,13 +31,12 @@ A field is stored as columns, one row per point: ``states`` (n, d),
 ``inputs`` (n, m), ``times``, ``g``, ``sigma_max_sq``, the unit directions
 ``du`` (n, d) and the ``skip`` reasons ("" at a valid point); ``g``,
 ``sigma_max_sq`` and ``du`` are NaN at skipped points. ``FisherField.samples``
-is a per-point view of :class:`FisherSample` tuples that is built from the
-columns on first read, so its cost falls on whoever reads it.
+is a per-point view of :class:`FisherSample` tuples (``direction`` is the
+``du`` row, None at a skipped point), built from the columns on first read.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,13 +45,12 @@ from typing import NamedTuple
 import numpy as np
 
 from ._codec import write_csv, write_json
-from .dynamics import DomainError
+from .dynamics import on_accepted_rows
 from .numerics import largest_singular_value
 
 __all__ = [
     "AlignmentError",
     "FLOW_FLOOR",
-    "PerturbationDirection",
     "FisherSample",
     "FisherField",
     "classical_fisher",
@@ -64,45 +64,16 @@ FLOW_FLOOR = 1e-8
 
 
 class AlignmentError(ValueError):
-    """Two Fisher fields do not share point lists / direction policies."""
+    """Two Fisher fields do not share point lists or perturbation directions."""
 
 
-def _unit_rows(du: np.ndarray) -> np.ndarray:
-    """``du`` (n, d) after checking in one pass that every row has unit norm."""
+def _unit_rows(du: np.ndarray) -> None:
+    """Check in one pass that every row of ``du`` (n, d) has unit norm."""
     norms = np.linalg.norm(du, axis=1)
     off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))
     if off.size:
-        raise ValueError(f"|du| = {norms[off[0]]!r} in row {off[0]}, expected a unit vector")
-    return du
-
-
-class _Direction(NamedTuple):
-    du: np.ndarray
-    policy: str = "fixed"
-
-
-class PerturbationDirection(_Direction):
-    """A unit perturbation vector plus the policy that produced it."""
-
-    __slots__ = ()
-
-    def __new__(cls, du, policy: str = "fixed"):
-        du = np.asarray(du, dtype=float)
-        norm = np.linalg.norm(du)
-        if not abs(norm - 1.0) <= 1e-12:
-            raise ValueError(f"|du| = {norm!r}, expected a unit vector")
-        return super().__new__(cls, du, policy)
-
-    @classmethod
-    def rows(cls, du, policy: str) -> list:
-        """One direction per row of the (n, d) array ``du``; the unit norms
-        are checked for all rows at once."""
-        du = _unit_rows(np.asarray(du, dtype=float))
-        return list(map(cls._make, zip(du, itertools.repeat(policy))))
-
-
-def basis_axis(index: int, dim: int) -> PerturbationDirection:
-    return PerturbationDirection(np.eye(dim)[index], policy=f"basis_axis({index})")
+        raise ValueError(f"|du| = {float(norms[off[0]])!r} in row {off[0]}, "
+                         "expected a unit vector")
 
 
 def classical_fisher(a, du):
@@ -125,7 +96,7 @@ class FisherSample(NamedTuple):
     input: np.ndarray
     g: float
     sigma_max_sq: float
-    direction: PerturbationDirection | None
+    direction: np.ndarray | None  # the field's du row
     t: float = 0.0
     skip: str = ""  # "", "equilibrium", "nonfinite" or "domain: ..."
 
@@ -159,11 +130,9 @@ class FisherField:
     def samples(self) -> list:
         """One :class:`FisherSample` per point, built from the columns on
         first read and cached."""
-        valid = self.valid_mask()
-        directions = iter(PerturbationDirection.rows(self.du[valid], self.policy))
         return list(map(FisherSample._make, zip(
             self.states, self.inputs, self.g.tolist(), self.sigma_max_sq.tolist(),
-            [next(directions) if v else None for v in valid.tolist()],
+            [du if ok else None for du, ok in zip(self.du, self.valid_mask().tolist())],
             self.times.tolist(), self.skip.tolist())))
 
     def to_csv(self, path) -> None:
@@ -189,17 +158,6 @@ class FisherField:
         write_json(path, self.to_json_dict())
 
 
-def _fixed_direction(policy, dim) -> PerturbationDirection:
-    if isinstance(policy, PerturbationDirection):
-        if policy.du.size != dim:
-            raise ValueError(f"direction dim {policy.du.size} does not match state dim {dim}")
-        return policy
-    if isinstance(policy, str) and policy.startswith("basis_axis"):
-        index = int(policy[policy.index("(") + 1:policy.index(")")])
-        return basis_axis(index, dim)
-    raise ValueError(f"unknown direction policy {policy!r}")
-
-
 def stack_points(points):
     """(states (n, d), inputs (n, m), times (n,)) from (state, input[, t])
     tuples; t defaults to 0. A point with fewer than 2 entries, or whose
@@ -223,50 +181,43 @@ def stack_points(points):
     return states, inputs, times
 
 
-def _evaluable(system, states, inputs, times, with_rhs: bool):
-    """Evaluate the system on every point it accepts.
-
-    Returns (rows, jacobians, flows, domain reasons by point index); flows is
-    None unless ``with_rhs``. Points named by a :class:`DomainError` are
-    dropped and the call is repeated on the rest.
-    """
-    rows = np.arange(times.size)
-    reasons = {}
-    while True:
-        s, u, t = states[rows], inputs[rows], times[rows]
-        try:
-            return (rows, system.jacobian(s, u, t),
-                    system.rhs(s, u, t) if with_rhs else None, reasons)
-        except DomainError as err:
-            if err.rows.size == 0:
-                raise
-            reasons.update(zip(rows[err.rows].tolist(), err.reasons))
-            rows = np.delete(rows, err.rows)
-
-
 def evaluate_field(system, points, policy="flow_aligned",
                    domain_descriptor: dict | None = None) -> FisherField:
     """Evaluate g over ``points`` = iterable of (state, input[, t]).
 
     ``system.jacobian`` (and, for the flow-aligned policy, ``system.rhs``)
     is called once on the stacked points, states (n, d), inputs (n, m) and
-    times (n,). Other policies are a fixed :class:`PerturbationDirection` or
-    ``"basis_axis(i)"``. g and sigma_max^2 are stored per point; points out
-    of the system's envelope, at equilibria or with non-finite values are
-    recorded with a skip reason (see the module docstring) instead of
-    aborting the sweep.
+    times (n,). ``policy`` is ``"flow_aligned"`` (du = xdot/|xdot| per
+    point) or one unit (d,) array, recorded as ``"fixed"``; any other string
+    or an array of another shape or norm raises ``ValueError``. Points out
+    of the system's envelope, at equilibria or with non-finite values get a
+    skip reason (see the module docstring) instead of aborting the sweep.
     """
-    flow = policy == "flow_aligned"
-    policy_name = policy.policy if isinstance(policy, PerturbationDirection) else str(policy)
+    # a string first: ``policy == "flow_aligned"`` on an array compares entries
+    flow = isinstance(policy, str)
+    if flow and policy != "flow_aligned":
+        raise ValueError(f"unknown direction policy {policy!r}: expected "
+                         "'flow_aligned' or a unit (d,) array")
+    policy_name = "flow_aligned" if flow else "fixed"
     states, inputs, times = stack_points(points)
     n = times.size
     if n == 0:
         empty = np.empty((0, 0))
         return FisherField(empty, empty, times, times, times, empty,
                            np.array([], dtype=str), policy_name, domain_descriptor or {})
-    fixed = None if flow else _fixed_direction(policy, states.shape[1])
+    if not flow:
+        fixed = np.asarray(policy, dtype=float)
+        if fixed.shape != states.shape[1:]:
+            raise ValueError(f"direction shape {fixed.shape} does not match "
+                             f"the state shape {states.shape[1:]}")
+        _unit_rows(fixed[None])
 
-    rows, a, xdot, domain = _evaluable(system, states, inputs, times, flow)
+    def jacobian_and_flow(rows):
+        s, u, t = states[rows], inputs[rows], times[rows]
+        return system.jacobian(s, u, t), system.rhs(s, u, t) if flow else None
+
+    result, rows, domain = on_accepted_rows(jacobian_and_flow, np.arange(n))
+    a, xdot = result or jacobian_and_flow(rows)  # no row left: the empty stack
     with np.errstate(all="ignore"):
         finite = np.isfinite(a).all(axis=(1, 2))
         if flow:
@@ -274,7 +225,7 @@ def evaluate_field(system, points, policy="flow_aligned",
             finite &= np.isfinite(speed)
             du = xdot / speed[:, None]
         else:
-            du = np.broadcast_to(fixed.du, (rows.size, fixed.du.size))
+            du = np.broadcast_to(fixed, (rows.size, fixed.size))
         a[~finite] = 0.0  # keeps sigma_max defined
         g = classical_fisher(a, du)
         sig2 = largest_singular_value(a) ** 2

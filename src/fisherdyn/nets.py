@@ -258,37 +258,36 @@ def mlp_input_jacobian(params: NetworkParams, x, input_indices=None) -> np.ndarr
 # Adam
 
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     first_moment: list
     second_moment: list
     step_count: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def init_adam(param_arrays, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
+def init_adam(param_arrays, lr: float = 1e-3) -> AdamState:
     return AdamState([np.zeros_like(p) for p in param_arrays],
-                     [np.zeros_like(p) for p in param_arrays],
-                     0, lr, beta1, beta2, epsilon)
+                     [np.zeros_like(p) for p in param_arrays], 0, lr)
 
 
 def adam_step(param_arrays, grad_arrays, state: AdamState):
     """Bias-corrected Adam update, in place on the parameter arrays."""
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for p, g, m, v in zip(param_arrays, grad_arrays, state.first_moment,
                           state.second_moment):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
     return param_arrays, state
 
 

@@ -18,12 +18,12 @@ all rows. Also here: collocation sampling and the training-data bundle.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._codec import csv_text
+from .datagen import derivative_samples, time_step
 from .dynamics import _check_fields
 from .nets import (LearnedDynamicsModel, adam_step, init_adam, init_network,
                    mlp_forward, mlp_forward_cache, mlp_param_gradient, mlp_vjp)
@@ -119,7 +119,6 @@ class TrainReport:
     epochs: int
     initial_losses: tuple  # (total, physics, data) before the first update
     loss_curve: list  # one (total, physics, data) triple per epoch
-    wall_time_s: float
     validation_loss: float = math.nan
     grad_check_rel_err: float = math.nan
     diverged: bool = False
@@ -317,7 +316,6 @@ def train_regime(model: LearnedDynamicsModel, cfg: RegimeConfig,
     if cfg.regime == "inverse" and data.win_states is None:
         raise ValueError("inverse regime needs trajectory windows")
 
-    start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     params = model.params.param_list()
     opt = init_adam(params, lr=cfg.lr)
@@ -360,8 +358,7 @@ def train_regime(model: LearnedDynamicsModel, cfg: RegimeConfig,
     if data.val_states is not None and not diverged:
         val = data_loss(model, data.val_states, data.val_inputs, data.val_targets)
     return TrainReport(cfg.regime, cfg.seed, cfg.epochs, initial, curve,
-                       time.perf_counter() - start, validation_loss=val,
-                       grad_check_rel_err=grad_err, diverged=diverged)
+                       validation_loss=val, grad_check_rel_err=grad_err, diverged=diverged)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +391,6 @@ def build_training_data(analytic_model, bounds: CollocationBounds,
     bundle = TrainingData(phys_states, phys_inputs, phys_targets,
                           val_states, val_inputs, val_targets)
     if trajectories:
-        from .datagen import derivative_samples  # local import to avoid a cycle
         ds, di, dx = derivative_samples(trajectories, noise_sigma, seed)
         bundle.data_states, bundle.data_inputs, bundle.data_xdot = ds, di, dx
         ws, wi = [], []
@@ -406,6 +402,6 @@ def build_training_data(analytic_model, bounds: CollocationBounds,
         if ws:
             bundle.win_states = np.stack(ws)
             bundle.win_inputs = np.stack(wi)
-            bundle.dt = float(traj.times[1] - traj.times[0])
+            bundle.dt = time_step(trajectories)
     return bundle
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from fisherdyn.dynamics import GRAVITY, VX_MIN, DomainError
-from fisherdyn.fisher import FLOW_FLOOR, PerturbationDirection
+from fisherdyn.fisher import FLOW_FLOOR
 from fisherdyn.numerics import EvaluationError
 
 SCALE_KINDS = ("roll", "tire_temperature")
@@ -63,23 +63,23 @@ def random_orthogonal(n, rng):
     return q * np.sign(np.diag(r))
 
 
-def expectation(x, direction) -> float:
+def expectation(x, du) -> float:
     """<X> = du^T X du (equals Tr(X rho) with rho = du du^T) at one point."""
     x = np.asarray(x, dtype=float)
-    du = direction.du
+    du = np.asarray(du, dtype=float)
     if x.shape != (du.size, du.size):
         raise ValueError(f"matrix shape {x.shape} does not match direction dim {du.size}")
     return float(du @ x @ du)
 
 
-def log_derivative(a, direction):
+def log_derivative(a, du):
     """Return (Abar, L) with Abar = A - <A> I and L = 2 Abar at one point.
 
     L is the operator satisfying rho-dot = (L rho + rho L)/2 for the pure
     perturbation state rho = du du^T; by construction <Abar> = 0.
     """
     a = np.asarray(a, dtype=float)
-    mean = expectation(a, direction)
+    mean = expectation(a, du)
     a_bar = a - mean * np.eye(a.shape[0])
     return a_bar, 2.0 * a_bar
 
@@ -88,19 +88,19 @@ class EquilibriumError(ValueError):
     """Flow-aligned direction requested at (numerically) zero flow."""
 
 
-def flow_direction(xdot, flow_floor: float = FLOW_FLOOR) -> PerturbationDirection:
-    """Unit direction along the flow; equilibria are rejected."""
+def flow_direction(xdot, flow_floor: float = FLOW_FLOOR) -> np.ndarray:
+    """Unit direction (d,) along the flow; equilibria are rejected."""
     xdot = np.asarray(xdot, dtype=float)
     norm = np.linalg.norm(xdot)
     if norm <= flow_floor:
         raise EquilibriumError(f"|xdot| = {norm:.3e} <= flow floor {flow_floor:.1e}")
-    return PerturbationDirection(xdot / norm, policy="flow_aligned")
+    return xdot / norm
 
 
 def curvature_fisher(a, xdot, flow_floor: float = FLOW_FLOOR) -> float:
     """g via the curvature form 4 kappa^2 |xdot|^2 with xddot = A xdot.
 
-    Algebraically identical to ``classical_fisher(a, flow_direction(xdot).du)``;
+    Algebraically identical to ``classical_fisher(a, flow_direction(xdot))``;
     the geometric cross-check of the library's one formula for g.
     """
     a = np.asarray(a, dtype=float)

@@ -8,7 +8,7 @@ from fisherdyn.datagen import (ManeuverController, PurePursuitController,
                                circular_path, derivative_samples,
                                generate_dynamic_dataset,
                                generate_kinematic_dataset, lookahead_steer,
-                               read_dataset, simulate, write_dataset)
+                               read_dataset, simulate, time_step, write_dataset)
 from fisherdyn.dynamics import (ConfigError, DisturbanceConfig, DynamicModel,
                                 KinematicModel)
 
@@ -87,7 +87,7 @@ class TestSimulate:
         cfg = SimulationConfig()
         model = KinematicModel()
         path = circular_path(20.0, 1000)
-        (traj,) = simulate(model, PurePursuitController(path, cfg), cfg,
+        (traj,) = simulate(model, PurePursuitController(path, cfg, model.params.L), cfg,
                            np.array([[20.0, 0.0, math.pi / 2]]))
         assert len(traj) == 311
         final_radius = np.hypot(traj.states[-1, 0], traj.states[-1, 1])
@@ -108,7 +108,7 @@ class TestSimulate:
         cfg = SimulationConfig(total_time=1.0, speed=0.0)
         model = KinematicModel()
         path = circular_path(20.0, 100)
-        (traj,) = simulate(model, PurePursuitController(path, cfg), cfg,
+        (traj,) = simulate(model, PurePursuitController(path, cfg, model.params.L), cfg,
                            np.array([[20.0, 0.0, 0.0]]))
         assert np.allclose(traj.states, traj.states[0])
         assert np.allclose(traj.derivs, 0.0, atol=1e-15)
@@ -125,7 +125,7 @@ class TestSimulate:
         cfg = SimulationConfig(total_time=2.0)
         model = KinematicModel()
         path = circular_path(20.0, 500)
-        (traj,) = simulate(model, PurePursuitController(path, cfg), cfg,
+        (traj,) = simulate(model, PurePursuitController(path, cfg, model.params.L), cfg,
                            np.array([[20.0, 0.0, math.pi / 2]]))
         for k in range(len(traj)):
             rhs = model.rhs(traj.states[k], traj.inputs[k])
@@ -204,7 +204,7 @@ class TestDatasetIO:
         cfg = SimulationConfig(total_time=31.0)
         model = KinematicModel()
         path = circular_path(20.0, 1000)
-        (traj,) = simulate(model, PurePursuitController(path, cfg), cfg,
+        (traj,) = simulate(model, PurePursuitController(path, cfg, model.params.L), cfg,
                            np.array([[20.0, 0.0, math.pi / 2]]))
         return traj
 
@@ -297,6 +297,30 @@ class TestDerivativeSamples:
         _, _, d2 = derivative_samples(trajs, noise_sigma=0.05, seed=3)
         assert np.array_equal(d1, d2)
         assert not np.array_equal(d1, trajs[0].derivs[: len(d1)])
+
+
+def stub_trajectory(n: int, dt: float) -> Trajectory:
+    """n samples t = i dt of a 3-state, 2-input run whose values are zeros."""
+    return Trajectory(np.arange(n) * dt, np.zeros((n, 3)), np.zeros((n, 2)), np.zeros((n, 3)))
+
+
+class TestTimeStep:
+    def test_one_sample_trajectories_are_passed_over(self):
+        one, two, three = (stub_trajectory(n, 0.05) for n in (1, 2, 3))
+        for trajs in ([one, three], [two, three, one], [two, one, three]):
+            assert time_step(trajs) == 0.05
+
+    def test_mixed_steps_are_named(self):
+        trajs = [stub_trajectory(3, 0.1), stub_trajectory(1, 0.2), stub_trajectory(3, 0.1),
+                 stub_trajectory(3, 0.05)]
+        with pytest.raises(ValueError, match=r"trajectories \[3\] have time steps \[0\.05\], "
+                                             r"trajectory 0 has 0\.1"):
+            time_step(trajs)
+
+    def test_no_step_to_read(self):
+        for trajs in ([], [stub_trajectory(1, 0.1)]):
+            with pytest.raises(ValueError, match="no trajectory has two samples"):
+                time_step(trajs)
 
 
 class TestGenerators:

@@ -120,7 +120,7 @@ class TestSlipAngles:
         assert af == pytest.approx(0.1) and ar == 0.0
 
     def test_formula(self):
-        p = VehicleParams(m=1.0, Iz=1.0, lf=1.5, lr=1.5, L=3.0, Ts=0.1)
+        p = VehicleParams(m=1.0, Iz=1.0, lf=1.5, lr=1.5, L=3.0)
         s = np.array([0, 0, 0, 10.0, 1.0, 0.5])
         af, ar = slip_angles(s, np.array([0.0, 0.0]), p)
         assert af == pytest.approx(-math.atan(0.175), rel=1e-12)
@@ -173,7 +173,7 @@ class TestDynamicRhs:
         assert banked[4] - base[4] == pytest.approx(0.9794, abs=2e-4)
 
     def test_wind_offset(self):
-        p = VehicleParams(m=1000.0, Iz=1.0, lf=1.0, lr=1.0, L=2.0, Ts=0.1)
+        p = VehicleParams(m=1000.0, Iz=1.0, lf=1.0, lr=1.0, L=2.0)
         tires, drive = zero_force_setup()
         s = np.array([0, 0, 0, 2.0, 0.0, 0.0])
         wind = DisturbanceConfig.wind(rho=1.2, area=1.0, Cw=0.8, vw=10.0)

@@ -332,6 +332,21 @@ class TestTraining:
         with pytest.raises(ValueError, match=f"EstimatorConfig.{field} must be"):
             EstimatorConfig(**{field: value})
 
+    def test_one_sample_trajectory_first_or_last(self, clean_trajectories):
+        first = clean_trajectories[0]
+        one = replace(first, times=first.times[:1], states=first.states[:1],
+                      inputs=first.inputs[:1], derivs=first.derivs[:1])
+        cfg = EstimatorConfig(epochs=0)
+        for trajs in ([one, *clean_trajectories], [*clean_trajectories, one]):
+            run = train_coefficient_estimator(cfg, trajs, P, TEMPLATE)
+            assert run.model.Ts == 0.02 and len(run.phi_records) > 0
+
+    def test_mixed_time_steps_are_rejected(self, clean_trajectories):
+        fine = generate_dynamic_dataset(DynamicModel(), n_runs=1, duration=1.0, dt=0.01)
+        with pytest.raises(ValueError, match=r"trajectories \[8\] have time steps \[0\.01\]"):
+            train_coefficient_estimator(EstimatorConfig(epochs=0),
+                                        [*clean_trajectories, *fine], P, TEMPLATE)
+
     def test_no_trajectories_is_named(self):
         with pytest.raises(ValueError, match="no trajectories were given"):
             train_coefficient_estimator(EstimatorConfig(epochs=1), [], P, TEMPLATE)

@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fisherdyn.dynamics import DynamicModel
+from fisherdyn.dynamics import DynamicModel, KinematicModel
 from fisherdyn.fidelity import (DEFAULT_TOLERANCES, fisher_discrepancy,
                                 jacobian_baseline, parameter_bias_table,
                                 well_trained_verdict)
-from fisherdyn.fisher import AlignmentError, FisherField
+from fisherdyn.fisher import AlignmentError, FisherField, evaluate_field
 
 from test_dynamics import DISTURBANCE_SETS, sample_dynamic_input, sample_dynamic_state
 
@@ -62,7 +63,20 @@ class TestAlignment:
 
     def test_policy(self):
         with pytest.raises(AlignmentError, match="policies"):
-            fisher_discrepancy(make_field([1.0]), make_field([1.0], policy="basis_axis(0)"))
+            fisher_discrepancy(make_field([1.0]), make_field([1.0], policy="fixed"))
+
+    def test_fixed_directions(self):
+        model = KinematicModel()
+        pts = [(np.array([0.0, 0.0, 0.3]), np.array([2.0, 0.2])),
+               (np.array([1.0, -2.0, 0.1]), np.array([1.0, -0.1]))]
+        e0, e2 = (evaluate_field(model, pts, policy=np.eye(3)[i]) for i in (0, 2))
+        assert fisher_discrepancy(e0, e0) == (0.0, 0.0)
+        with pytest.raises(AlignmentError, match="different fixed directions"):
+            fisher_discrepancy(e0, e2)
+        # flow-aligned fields differ in du wherever the flows differ
+        flow = make_field([1.0, 2.0])
+        turned = replace(flow, du=np.tile([0.0, 1.0], (2, 1)))
+        assert fisher_discrepancy(flow, turned) == (0.0, 0.0)
 
     def test_points_must_agree_to_1e_12(self):
         base = [np.array([0.5, 1.0]), np.array([2.0, -1.0])]

@@ -7,8 +7,7 @@ import pytest
 from fisherdyn.dynamics import DomainError, DynamicModel, KinematicModel
 from fisherdyn.fidelity import jacobian_baseline
 from fisherdyn.nets import LayerSpec, LearnedDynamicsModel, init_network
-from fisherdyn.fisher import (PerturbationDirection, basis_axis, classical_fisher,
-                              evaluate_field)
+from fisherdyn.fisher import classical_fisher, evaluate_field
 from fisherdyn.numerics import largest_singular_value
 
 from oracles import (EquilibriumError, curvature_fisher, expectation, flow_direction,
@@ -24,11 +23,11 @@ def random_unit(rng, n):
 
 class TestExpectation:
     def test_identity(self):
-        du = PerturbationDirection(random_unit(np.random.default_rng(0), 4))
+        du = random_unit(np.random.default_rng(0), 4)
         assert expectation(np.eye(4), du) == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal_axis(self):
-        assert expectation(np.diag([2.0, 4.0]), basis_axis(0, 2)) == 2.0
+        assert expectation(np.diag([2.0, 4.0]), np.eye(2)[0]) == 2.0
 
     def test_trace_form_oracle(self):
         rng = np.random.default_rng(1)
@@ -37,22 +36,22 @@ class TestExpectation:
             x = rng.normal(size=(n, n))
             du = random_unit(rng, n)
             rho = np.outer(du, du)
-            assert expectation(x, PerturbationDirection(du)) == pytest.approx(
+            assert expectation(x, du) == pytest.approx(
                 float(np.trace(x @ rho)), abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            expectation(np.eye(3), basis_axis(0, 2))
+            expectation(np.eye(3), np.eye(2)[0])
 
 
 class TestLogDerivative:
     def test_isotropic_flow(self):
-        du = basis_axis(1, 3)
+        du = np.eye(3)[1]
         a_bar, ell = log_derivative(2.5 * np.eye(3), du)
         assert np.allclose(a_bar, 0.0) and np.allclose(ell, 0.0)
 
     def test_mean_subtraction(self):
-        a_bar, ell = log_derivative(np.diag([1.0, 3.0]), basis_axis(0, 2))
+        a_bar, ell = log_derivative(np.diag([1.0, 3.0]), np.eye(2)[0])
         assert np.allclose(a_bar, np.diag([0.0, 2.0]))
         assert np.allclose(ell, 2.0 * a_bar)
 
@@ -61,32 +60,31 @@ class TestLogDerivative:
         for _ in range(50):
             n = rng.integers(2, 8)
             a = rng.normal(size=(n, n))
-            du = PerturbationDirection(random_unit(rng, n))
+            du = random_unit(rng, n)
             a_bar, _ = log_derivative(a, du)
-            rho = np.outer(du.du, du.du)
+            rho = np.outer(du, du)
             assert abs(np.trace(a_bar @ rho)) < 1e-12
 
 
 class TestClassicalFisher:
     def test_isotropic_zero(self):
-        du = basis_axis(0, 3)
-        assert classical_fisher(-1.7 * np.eye(3), du.du) == 0.0
+        assert classical_fisher(-1.7 * np.eye(3), np.eye(3)[0]) == 0.0
 
     def test_rotation_generator(self):
         for omega in (0.5, 2.0, 13.0):
             a = np.array([[0.0, -omega], [omega, 0.0]])
-            assert classical_fisher(a, basis_axis(0, 2).du) == pytest.approx(
+            assert classical_fisher(a, np.eye(2)[0]) == pytest.approx(
                 4.0 * omega**2, rel=1e-12)
 
     def test_variance_of_log_derivative_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             a = rng.normal(size=(5, 5))
-            du = PerturbationDirection(random_unit(rng, 5))
+            du = random_unit(rng, 5)
             a_bar, ell = log_derivative(a, du)
             half = 0.5 * ell
             var = expectation(half.T @ half, du) - expectation(half, du) ** 2
-            assert classical_fisher(a, du.du) == pytest.approx(4.0 * var, abs=1e-10)
+            assert classical_fisher(a, du) == pytest.approx(4.0 * var, abs=1e-10)
 
     def test_nonnegativity_and_bound_sweep(self):
         rng = np.random.default_rng(4)
@@ -120,23 +118,21 @@ class TestClassicalFisher:
         rng = np.random.default_rng(7)
         for _ in range(20):
             a = rng.normal(size=(5, 5))
-            du = PerturbationDirection(random_unit(rng, 5))
+            du = random_unit(rng, 5)
             a_s = 0.5 * (a + a.T)
             assert expectation(a, du) == pytest.approx(expectation(a_s, du), abs=1e-13)
 
 
 class TestFlowDirection:
     def test_normalization(self):
-        d = flow_direction(np.array([3.0, 4.0]))
-        assert np.allclose(d.du, [0.6, 0.8])
-        assert d.policy == "flow_aligned"
+        assert np.allclose(flow_direction(np.array([3.0, 4.0])), [0.6, 0.8])
 
     def test_equilibrium(self):
         with pytest.raises(EquilibriumError):
             flow_direction(np.zeros(5))
 
     def test_negative_axis(self):
-        assert np.allclose(flow_direction(np.array([-2.0, 0.0, 0.0])).du, [-1, 0, 0])
+        assert np.allclose(flow_direction(np.array([-2.0, 0.0, 0.0])), [-1, 0, 0])
 
 
 class TestCurvatureFisher:
@@ -157,7 +153,7 @@ class TestCurvatureFisher:
             n = int(rng.integers(2, 9))
             a = rng.normal(size=(n, n)) * rng.uniform(0.1, 5.0)
             xdot = rng.normal(size=n) * rng.uniform(0.1, 10.0)
-            g_def = classical_fisher(a, flow_direction(xdot).du)
+            g_def = classical_fisher(a, flow_direction(xdot))
             g_curv = curvature_fisher(a, xdot)
             assert abs(g_def - g_curv) <= 1e-9 * max(1.0, g_def)
 
@@ -217,13 +213,26 @@ class TestEvaluateField:
     def test_fixed_and_axis_policies(self):
         model = KinematicModel()
         pts = [(np.array([0.0, 0.0, 0.3]), np.array([2.0, 0.2]))]
-        f_axis = evaluate_field(model, pts, policy="basis_axis(2)")
         a = model.jacobian(*pts[0])
-        assert f_axis.samples[0].g == pytest.approx(
-            classical_fisher(a, basis_axis(2, 3).du))
-        du = PerturbationDirection(np.array([1.0, 0.0, 0.0]))
-        f_fixed = evaluate_field(model, pts, policy=du)
-        assert f_fixed.policy == "fixed"
+        for du in (np.eye(3)[2], np.array([0.6, 0.0, -0.8])):
+            field = evaluate_field(model, pts, policy=du)
+            assert field.policy == "fixed"
+            assert field.g[0] == pytest.approx(classical_fisher(a, du), rel=1e-15)
+            assert field.du.tolist() == [du.tolist()]
+
+    @pytest.mark.parametrize("policy, message", [
+        ("axis(5)", "unknown direction policy 'axis\\(5\\)'"),
+        ("flow", "unknown direction policy 'flow'"),
+        ("fixed", "unknown direction policy 'fixed'"),
+        (np.eye(2)[0], r"direction shape \(2,\) does not match the state shape \(3,\)"),
+        (np.eye(3), r"direction shape \(3, 3\) does not match"),
+        (np.array([1.0, 1.0, 0.0]), r"\|du\| = 1\.414.*expected a unit vector"),
+        (np.array([np.nan, 0.0, 0.0]), r"\|du\| = nan.*expected a unit vector"),
+        (np.array([np.inf, 0.0, 0.0]), r"\|du\| = inf.*expected a unit vector")])
+    def test_bad_policy_is_named(self, policy, message):
+        pts = [(np.zeros(3), np.array([1.0, 0.1]))]
+        with pytest.raises(ValueError, match=message):
+            evaluate_field(KinematicModel(), pts, policy=policy)
 
     def test_serialization(self, tmp_path):
         model = KinematicModel()
@@ -312,11 +321,11 @@ class TestStackedField:
             for (s, u, t), smp in zip(pts, field.samples):
                 a = model.jacobian(s, u, t)
                 direction = flow_direction(model.rhs(s, u, t))
-                assert smp.g == pytest.approx(classical_fisher(a, direction.du),
+                assert smp.g == pytest.approx(classical_fisher(a, direction),
                                               rel=1e-10, abs=1e-12)
                 assert smp.sigma_max_sq == pytest.approx(sigma_max_oracle(a) ** 2,
                                                          rel=1e-10)
-                assert np.allclose(smp.direction.du, direction.du, rtol=0, atol=1e-15)
+                assert np.allclose(smp.direction, direction, rtol=0, atol=1e-15)
                 assert smp.t == t
 
     def test_one_stacked_call_per_sweep(self):
@@ -367,7 +376,7 @@ class TestStackedField:
         assert field.skip.tolist() == ["", "nonfinite", "", ""]
         a = HugeJacobianStub.A
         for i in (0, 2, 3):
-            du = flow_direction(a @ pts[i][0]).du
+            du = flow_direction(a @ pts[i][0])
             assert field.g[i] == pytest.approx(classical_fisher(a, du), rel=1e-12)
             assert field.sigma_max_sq[i] == pytest.approx(sigma_max_oracle(a) ** 2, rel=1e-12)
         assert np.isnan(field.g[1]) and np.isnan(field.sigma_max_sq[1])
@@ -404,17 +413,14 @@ class TestStackedField:
             assert 0.0 <= smp.g / 4.0 <= smp.sigma_max_sq + 1e-12
 
     def test_fixed_direction_dimension_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="direction shape"):
             evaluate_field(KinematicModel(), [(np.zeros(3), np.array([1.0, 0.1]))],
-                           policy=PerturbationDirection(np.array([1.0, 0.0])))
+                           policy=np.array([1.0, 0.0]))
 
     def test_direction_rows_check_norms(self):
-        rows = PerturbationDirection.rows(np.eye(3), "fixed")
-        assert [d.du.tolist() for d in rows] == np.eye(3).tolist()
-        with pytest.raises(ValueError):
-            PerturbationDirection.rows(np.array([[1.0, 0.0], [0.0, 2.0]]), "fixed")
-        with pytest.raises(ValueError):
-            PerturbationDirection(np.array([np.nan, 0.0]))
+        for bad in (np.array([0.0, 2.0]), np.array([np.nan, 0.0]), np.array([1.0, 1e-5])):
+            with pytest.raises(ValueError, match="expected a unit vector"):
+                evaluate_field(RotationStub(), rotation_points(2), policy=bad)
 
 
 # to_csv/to_json output of the field in TestColumns.field, as written by the
@@ -483,15 +489,13 @@ class TestColumns:
             if smp.skipped:
                 assert smp.direction is None
             else:
-                assert np.array_equal(smp.direction.du, field.du[i])
-                assert smp.direction.policy == "flow_aligned"
+                assert np.array_equal(smp.direction, field.du[i])
 
     def test_fixed_policy_fills_the_direction_column(self):
-        du = PerturbationDirection(np.array([0.6, 0.8]))
+        du = np.array([0.6, 0.8])
         field = evaluate_field(RotationStub(), rotation_points(3), policy=du)
-        assert field.du.tolist() == [[0.6, 0.8]] * 3
-        assert all(np.array_equal(s.direction.du, du.du) and s.direction.policy == "fixed"
-                   for s in field.samples)
+        assert field.du.tolist() == [[0.6, 0.8]] * 3 and field.policy == "fixed"
+        assert all(np.array_equal(s.direction, du) for s in field.samples)
 
     def test_serialization_is_byte_identical_to_pinned_output(self, tmp_path):
         _, field = self.field()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fisherdyn.nets import (AdamState, GruSpec, LayerSpec,
+from fisherdyn.nets import (ADAM_EPSILON, AdamState, GruSpec, LayerSpec,
                             LearnedDynamicsModel, NetworkParams,
                             PhysicsGuardBounds, adam_step, gru_backward,
                             gru_forward, gru_forward_cache, init_adam,
@@ -233,7 +233,7 @@ class TestAdam:
         p = [np.zeros(2)]
         st = init_adam(p, lr=1e-2)
         adam_step(p, [g.copy()], st)
-        expect = -1e-2 * g / (np.abs(g) + st.epsilon)
+        expect = -1e-2 * g / (np.abs(g) + ADAM_EPSILON)
         assert np.allclose(p[0], expect, rtol=1e-9)
 
     def test_constant_gradient_asymptote(self):

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import runpy
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -41,6 +42,28 @@ def test_resolve_rejects_a_missing_module():
     assert resolve("fisherdyn.training:train_regime") is not None
     with pytest.raises(ModuleNotFoundError):
         resolve("fisherdyn.cli:main")
+
+
+def unresolved_exports(module) -> list:
+    """Names in ``module.__all__`` that are not attributes of the module."""
+    return [name for name in module.__all__ if not hasattr(module, name)]
+
+
+def test_every_exported_name_resolves():
+    """The package and each public module list their exports in ``__all__``,
+    and every listed name exists (a stale one breaks ``import *``)."""
+    modules = [importlib.import_module("fisherdyn")] + [
+        importlib.import_module(f"fisherdyn.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py")) if not path.stem.startswith("_")]
+    assert len(modules) > 1
+    assert {m.__name__: unresolved_exports(m) for m in modules if unresolved_exports(m)} == {}
+
+
+def test_unresolved_export_detector():
+    module = types.ModuleType("m")
+    module.__all__ = ["kept", "gone"]
+    module.kept = 1
+    assert unresolved_exports(module) == ["gone"]
 
 
 def traced_functions() -> list:

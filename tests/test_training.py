@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,6 +214,27 @@ class TestBuildTrainingData:
                                         (data.val_states, data.val_inputs, data.val_targets)):
             per_point = np.stack([model.rhs(s, u) for s, u in zip(states, inputs)])
             assert np.array_equal(targets, per_point)
+
+    def window_data(self, trajs):
+        return build_training_data(KinematicModel(), CollocationBounds(), 16, seed=3,
+                                   trajectories=trajs, horizon=5, n_validation=16)
+
+    def test_one_sample_trajectory_first_or_last(self):
+        trajs = generate_kinematic_dataset(KinematicModel(), SimulationConfig(total_time=2.0),
+                                           n_arcs=1, n_straights=0)
+        one = replace(trajs[0], times=trajs[0].times[:1], states=trajs[0].states[:1],
+                      inputs=trajs[0].inputs[:1], derivs=trajs[0].derivs[:1])
+        plain = self.window_data(trajs)
+        for mixed in ([one, *trajs], [*trajs, one]):
+            data = self.window_data(mixed)
+            assert data.dt == plain.dt == 0.1
+            assert np.array_equal(data.win_states, plain.win_states)
+
+    def test_mixed_time_steps_are_rejected(self):
+        coarse, fine = (generate_kinematic_dataset(KinematicModel(), SimulationConfig(
+            dt=dt, total_time=2.0), n_arcs=1, n_straights=0) for dt in (0.1, 0.05))
+        with pytest.raises(ValueError, match=r"trajectories \[2, 3\] have time steps"):
+            self.window_data(coarse + fine)
 
 
 class TestTrainRegime:
