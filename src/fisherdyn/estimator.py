@@ -307,5 +307,13 @@ def train_coefficient_estimator(cfg: EstimatorConfig, trajectories,
             break
         curve.append(epoch_loss / max(seen, 1))
 
-    phi_final = model.estimate(windows.features)
+    # The final estimate runs one batch at a time, without the last batch's
+    # backward state, so its transients do not grow with the dataset. The
+    # remainder joins the last chunk, so that no chunk is shorter than a
+    # batch: BLAS may round the products of a short chunk differently.
+    cache = pullback = grads = None
+    phi_final = np.empty((n, len(COEFFICIENT_NAMES)))
+    starts = range(0, max(n - cfg.batch_size, 0) + 1, cfg.batch_size)
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        phi_final[lo:hi] = model.estimate(windows.features[lo:hi])
     return EstimatorRun(model, curve, phi_final, windows.sources, diverged)

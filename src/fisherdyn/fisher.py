@@ -199,18 +199,21 @@ def evaluate_field(system, points, policy="flow_aligned",
         raise ValueError(f"unknown direction policy {policy!r}: expected "
                          "'flow_aligned' or a unit (d,) array")
     policy_name = "flow_aligned" if flow else "fixed"
+    if not flow:
+        fixed = np.asarray(policy, dtype=float)
+        if fixed.ndim != 1:
+            raise ValueError(f"direction shape {fixed.shape} does not match "
+                             "a state: expected a unit (d,) array")
+        _unit_rows(fixed[None])
     states, inputs, times = stack_points(points)
     n = times.size
     if n == 0:
         empty = np.empty((0, 0))
         return FisherField(empty, empty, times, times, times, empty,
                            np.array([], dtype=str), policy_name, domain_descriptor or {})
-    if not flow:
-        fixed = np.asarray(policy, dtype=float)
-        if fixed.shape != states.shape[1:]:
-            raise ValueError(f"direction shape {fixed.shape} does not match "
-                             f"the state shape {states.shape[1:]}")
-        _unit_rows(fixed[None])
+    if not flow and fixed.shape != states.shape[1:]:
+        raise ValueError(f"direction shape {fixed.shape} does not match "
+                         f"the state shape {states.shape[1:]}")
 
     def jacobian_and_flow(rows):
         s, u, t = states[rows], inputs[rows], times[rows]

@@ -10,7 +10,11 @@ Forward passes come in two kinds with the same arithmetic, bit for bit:
 ``mlp_forward`` and ``gru_forward`` keep nothing but their output, for
 inference and loss evaluation; ``mlp_forward_cache`` and
 ``gru_forward_cache`` also keep what ``mlp_vjp`` and ``gru_backward`` read,
-for training.
+for training. The MLP functions share three private pieces, which the
+training rollout also runs on its own stage buffers: ``_layer_outputs``
+(the forward layer loop from a given layer-0 pre-activation),
+``_layer_deltas`` (the backward one) and ``_weight_grad`` (a layer's weight
+and bias gradient from stacked rows).
 
 ``LearnedDynamicsModel`` wraps an MLP behind the same (rhs, jacobian) surface
 as the analytical models, including the fixed affine input normalization the
@@ -69,9 +73,17 @@ def _softplus(z):
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
+# The largest finite float64. Where mish and its derivative multiply z by a
+# factor that is 0 at z = +-inf, they read z clipped to it: that changes no
+# finite value, and the product takes its limit instead of inf * 0 = NaN.
+_FLOAT_MAX = np.finfo(float).max
+
+
 def mish(z):
-    # x * tanh(softplus(x))
-    return z * np.tanh(_softplus(z))
+    # x * tanh(softplus(x)); 0 at -inf
+    t = np.tanh(_softplus(z))
+    t *= np.maximum(z, -_FLOAT_MAX)
+    return t
 
 
 def _activation(name, z):
@@ -102,7 +114,7 @@ def _activation_deriv(name, z, a):
         return a > 0.0
     if name == "mish":
         t = np.tanh(_softplus(z))
-        return t + z * (1.0 - t * t) * sigmoid(z)
+        return t + (1.0 - t * t) * np.clip(z, -_FLOAT_MAX, _FLOAT_MAX) * sigmoid(z)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -162,6 +174,49 @@ def _as_batch(x, dim):
     return x, single
 
 
+def _layer_outputs(params: NetworkParams, z, weights_t):
+    """(pre-activation, output) of each layer in turn, given layer 0's
+    pre-activation ``z``: the one layer loop of every MLP forward pass.
+    ``weights_t[l]`` is layer l's weight as a (fan_in, width) array: the
+    transposed view, or a contiguous copy of it, which a caller that runs
+    many passes makes once because the product with it is faster. A caller
+    that holds layer 0's input product in another form (the training rollout
+    folds the input normalization into it) starts from there."""
+    last = len(params.weights) - 1
+    for l, spec in enumerate(params.layers):
+        a = _activation(spec.activation, z)
+        yield z, a
+        if l < last:
+            z = a @ weights_t[l + 1]
+            z += params.biases[l + 1]
+
+
+def _layer_deltas(params: NetworkParams, derivs, delta, out=None):
+    """Yield the cotangent of each layer's pre-activation, last layer first,
+    given the cotangent ``delta`` of the output. ``derivs`` gives each
+    layer's ``_activation_deriv`` at the rows in the same order, and may be
+    lazy: a layer's derivative is drawn once the layer above is done with.
+    With ``out``, layer l's cotangent is written into ``out[l]``."""
+    derivs = iter(derivs)
+    for l in range(len(params.weights) - 1, -1, -1):
+        if l < len(params.weights) - 1:
+            delta = delta @ params.weights[l + 1]
+        deriv = next(derivs)
+        slot = None if out is None else out[l]
+        if deriv is not None:
+            delta = np.multiply(delta, deriv, out=slot)
+        elif slot is not None:
+            slot[...] = delta
+        yield delta
+
+
+def _weight_grad(delta, x):
+    """A layer's (dW, db) summed over the rows of its pre-activation
+    cotangent ``delta`` and its input ``x``: one product, whatever the rows
+    stack."""
+    return delta.T @ x, delta.sum(axis=0)
+
+
 def mlp_forward(params: NetworkParams, x, check_finite: bool = True):
     """Forward pass; accepts (d,) or (n, d) and matches the output shape.
 
@@ -172,9 +227,9 @@ def mlp_forward(params: NetworkParams, x, check_finite: bool = True):
     ``check_finite`` is false, in which case it is returned as it is.
     """
     xb, single = _as_batch(x, params.input_dim)
-    a = xb
-    for spec, w, b in zip(params.layers, params.weights, params.biases):
-        a = _activation(spec.activation, a @ w.T + b)
+    weights_t = [w.T for w in params.weights]
+    for _, a in _layer_outputs(params, xb @ weights_t[0] + params.biases[0], weights_t):
+        pass
     if check_finite and not np.all(np.isfinite(a)):
         raise FloatingPointError("non-finite network output")
     return a[0] if single else a
@@ -185,12 +240,9 @@ def mlp_forward_cache(params: NetworkParams, x):
     every layer's output (``acts``) and pre-activation (``pres``); returns
     (output, (acts, pres))."""
     xb, _ = _as_batch(x, params.input_dim)
-    acts = [xb]
-    pres = []
-    a = xb
-    for spec, w, b in zip(params.layers, params.weights, params.biases):
-        z = a @ w.T + b
-        a = _activation(spec.activation, z)
+    acts, pres = [xb], []
+    weights_t = [w.T for w in params.weights]
+    for z, a in _layer_outputs(params, xb @ weights_t[0] + params.biases[0], weights_t):
         pres.append(z)
         acts.append(a)
     return a, (acts, pres)
@@ -203,15 +255,13 @@ def mlp_vjp(params: NetworkParams, cache, grad_out):
     activation is evaluated again (mish, whose derivative needs the
     pre-activation, excepted)."""
     acts, pres = cache
-    delta = np.asarray(grad_out, dtype=float)
+    layers = range(len(params.weights) - 1, -1, -1)
+    derivs = (_activation_deriv(params.layers[l].activation, pres[l], acts[l + 1])
+              for l in layers)
     grads = [None] * len(params.weights)
-    for l in range(len(params.weights) - 1, -1, -1):
-        deriv = _activation_deriv(params.layers[l].activation, pres[l], acts[l + 1])
-        if deriv is not None:
-            delta = delta * deriv
-        grads[l] = (delta.T @ acts[l], delta.sum(axis=0))
-        delta = delta @ params.weights[l]
-    return delta, grads
+    for l, delta in zip(layers, _layer_deltas(params, derivs, np.asarray(grad_out, float))):
+        grads[l] = _weight_grad(delta, acts[l])
+    return delta @ params.weights[0], grads
 
 
 def mlp_param_gradient(params: NetworkParams, inputs, targets):

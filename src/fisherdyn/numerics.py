@@ -8,6 +8,9 @@ reverse-mode pass: simulation (``rk4_step``), the inverse-regime rollout
 gradient and the coefficient estimator's physics step all call them. A caller
 that already holds the first-stage rate f(x), as simulation does once it has
 recorded the derivative at x, passes it as ``k1`` and saves that evaluation.
+A stage's aux is whatever its ``vjp`` needs: the estimator's stage partials,
+or, in the rollout gradient, the stage's slot in buffers where the stage
+wrote its layer outputs. ``rk4_adjoint`` only hands each aux back to ``vjp``.
 
 ``largest_singular_value`` takes one matrix or a (..., m, n) stack of them
 and reads sigma_max off the largest eigenvalue of the smaller Gram matrix

@@ -13,6 +13,15 @@ lambda_d * L_data:
 One function, ``_composite_grad``, writes the lambda-weighted gradient of that
 objective: the minibatch step calls it on batch rows and the gradient check on
 all rows. Also here: collocation sampling and the training-data bundle.
+
+The rollout kernel, ``_rollout_loss_grad``, serves both the trajectory loss and
+its gradient. It folds the fixed input normalization into layer 0, so that a
+stage's first product covers the state columns alone and the held input's
+term is computed once per RK4 step. Its backward pass runs only the
+input-cotangent chain stage by stage and takes each layer's weight gradient
+as one product per RK4 step over the step's four stacked stages, the way
+recurrent-network training sums the weight gradients of all time steps
+outside the sequential chain. The layer loops it runs are ``nets``' own.
 """
 
 from __future__ import annotations
@@ -25,8 +34,9 @@ import numpy as np
 from ._codec import csv_text
 from .datagen import derivative_samples, time_step
 from .dynamics import _check_fields
-from .nets import (LearnedDynamicsModel, adam_step, init_adam, init_network,
-                   mlp_forward, mlp_forward_cache, mlp_param_gradient, mlp_vjp)
+from .nets import (LearnedDynamicsModel, _activation_deriv, _layer_deltas, _layer_outputs,
+                   _weight_grad, adam_step, init_adam, init_network, mlp_forward,
+                   mlp_param_gradient)
 from .numerics import rk4, rk4_adjoint
 
 __all__ = [
@@ -171,41 +181,69 @@ def trajectory_loss(model: LearnedDynamicsModel, win_states, win_inputs,
 # fused loss + gradient kernels
 
 
-def _stage(model, x_stage, u, keep_cache: bool):
-    """The net's rate at RK4 stage states ``x_stage`` with inputs ``u``, and
-    the ``mlp_vjp`` cache when ``keep_cache`` (else None)."""
-    xn = (np.concatenate([x_stage, u], axis=1) - model.offset) / model.scale
-    if keep_cache:
-        return mlp_forward_cache(model.params, xn)
-    return mlp_forward(model.params, xn, check_finite=False), None
-
-
 def _rollout_loss_grad(model: LearnedDynamicsModel, win_states, win_inputs,
                        horizon: int, dt: float, want_grad: bool = True):
-    """Loss (and exact gradient) of RK4 rollouts over all windows at once: one
-    ``rk4`` call per step, whose stages keep their MLP caches, then one
-    ``rk4_adjoint`` call per step, last first, whose vjp sums the weight
-    gradients. With ``want_grad`` false the stages keep no caches, and the
-    loss is the same to the bit."""
+    """Loss (and exact gradient) of RK4 rollouts over all windows at once.
+
+    Layer 0 sees the input map folded in: a stage's pre-activation is
+    x @ (W0x / scale_x).T + c, where c, the normalized held input's term plus
+    the bias less the state offset's term, is computed once per RK4 step.
+    Each step is one ``rk4`` call. With ``want_grad`` the stages write their
+    state, layer outputs and (mish only) pre-activations into per-rollout
+    stage buffers of shape (horizon, 4, n, width), and the buffer slot is the
+    stage's aux. One ``rk4_adjoint`` call per step, last first, then runs only
+    the input-cotangent chain of each stage, writing its per-layer deltas
+    into a (4, n, width) step buffer. Each layer's weight and bias gradient is
+    one product per step over the 4 n stacked rows; layer 0's input columns
+    take the step's deltas summed over its stages against the held input, so
+    no per-stage copy of the input is built. Without ``want_grad`` no stage
+    buffer is made, and the loss is the same to the bit."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     n_w = win_states.shape[0]
     if n_w == 0:
         raise ValueError("no trajectory windows to roll out")
+    params = model.params
     d = model.state_dim
-    state_scale = model.scale[:d]
+    w0, b0 = params.weights[0], params.biases[0]
+    x_off, u_off = model.offset[:d], model.offset[d:]
+    x_scale, u_scale = model.scale[:d], model.scale[d:]
+    w0x = w0[:, :d] / x_scale
+    b0x = b0 - w0x @ x_off
+    weights_t = [np.ascontiguousarray(w.T) for w in (w0x, *params.weights[1:])]
+    if want_grad:
+        shape = (horizon, 4, n_w)
+        xs = np.empty(shape + (d,))
+        acts = [np.empty(shape + (spec.width,)) for spec in params.layers]
+        # only mish's derivative reads the pre-activation
+        pres = [np.empty(shape + (spec.width,)) if spec.activation == "mish" else None
+                for spec in params.layers]
 
+    def stage(x, c):
+        k, s = next(slots)
+        z = x @ weights_t[0]
+        z += c
+        for l, (z, a) in enumerate(_layer_outputs(params, z, weights_t)):
+            if want_grad:
+                acts[l][k, s] = a
+                if pres[l] is not None:
+                    pres[l][k, s] = z
+        if want_grad:
+            xs[k, s] = x
+        return a, (k, s)
+
+    slots = np.ndindex(horizon, 4)
     xhat = win_states[:, 0, :].copy()
-    steps = []
-    preds = []
+    held, steps, preds = [], [], []
     for k in range(horizon):
-        u = win_inputs[:, k, :]
-        xhat, caches = rk4(lambda x: _stage(model, x, u, want_grad), xhat, dt)
+        u = (win_inputs[:, k, :] - u_off) / u_scale
+        c = u @ w0[:, d:].T + b0x
+        xhat, auxes = rk4(lambda x: stage(x, c), xhat, dt)
         if not np.all(np.isfinite(xhat)):
             bad = int(np.argwhere(~np.isfinite(xhat).all(axis=1))[0, 0])
             raise DivergedRolloutError(f"rollout diverged in window {bad} at step {k}")
-        if want_grad:
-            steps.append(caches)
+        held.append(u)
+        steps.append(auxes)
         preds.append(xhat)
 
     norm = n_w * horizon
@@ -214,20 +252,31 @@ def _rollout_loss_grad(model: LearnedDynamicsModel, win_states, win_inputs,
     if not want_grad:
         return loss, None, None
 
-    grads = [np.zeros_like(w) for w in model.params.weights]
-    gbias = [np.zeros_like(b) for b in model.params.biases]
+    grads = [(np.zeros_like(w), np.zeros_like(b))
+             for w, b in zip(params.weights, params.biases)]
+    deltas = [np.empty((4, n_w, spec.width)) for spec in params.layers]
 
-    def vjp(cache, lam):
-        gin, gparams = mlp_vjp(model.params, cache, lam)
-        for acc_w, acc_b, (dw, db) in zip(grads, gbias, gparams):
-            acc_w += dw
-            acc_b += db
-        return gin[:, :d] / state_scale
+    def vjp(slot, b):
+        s = slot[1]  # a slot of step k, whose derivatives are in ``derivs``
+        for delta in _layer_deltas(params, [dv if dv is None else dv[s] for dv in derivs], b,
+                                   [dl[s] for dl in deltas]):
+            pass
+        return delta @ w0x
 
+    rows = 4 * n_w
     lam_next = np.zeros((n_w, d))
     for k in range(horizon - 1, -1, -1):
+        derivs = [_activation_deriv(spec.activation, None if z is None else z[k], a[k])
+                  for spec, z, a in zip(params.layers[::-1], pres[::-1], acts[::-1])]
         lam_next = rk4_adjoint(vjp, steps[k], lam_next + 2.0 * resids[k] / norm, dt)
-    return loss, list(zip(grads, gbias)), preds
+        inputs = [((xs[k] - x_off) / x_scale).reshape(rows, d),
+                  *(a[k].reshape(rows, -1) for a in acts[:-1])]
+        for (gw, gb), delta, x in zip(grads, deltas, inputs):
+            dw, db = _weight_grad(delta.reshape(rows, -1), x)
+            gw[:, :dw.shape[1]] += dw  # layer 0's product covers its state columns only
+            gb += db
+        grads[0][0][:, d:] += deltas[0].sum(axis=0).T @ held[k]  # layer 0's input columns
+    return loss, grads, preds
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ a cyclic Jacobi sweep (no power iteration or LAPACK), the summation oracles
 are plain Python loops, the Fisher expectation and logarithmic derivative are
 written for one point, g has a geometric curvature form, derivatives have a
 central-difference Jacobian, the dynamic bicycle's rhs and Jacobian are
-written point by point in scalar ``math`` arithmetic, and the estimator's
-history windows are cut one at a time.
+written point by point in scalar ``math`` arithmetic, the estimator's
+history windows are cut one at a time, and the RK4 rollout gradient runs a
+full network pass and weight gradient per stage.
 """
 
 import math
@@ -15,7 +16,9 @@ import numpy as np
 
 from fisherdyn.dynamics import GRAVITY, VX_MIN, DomainError
 from fisherdyn.fisher import FLOW_FLOOR
-from fisherdyn.numerics import EvaluationError
+from fisherdyn.nets import mlp_forward_cache, mlp_vjp
+from fisherdyn.numerics import EvaluationError, rk4, rk4_adjoint
+from fisherdyn.training import DivergedRolloutError
 
 SCALE_KINDS = ("roll", "tire_temperature")
 
@@ -318,3 +321,42 @@ def loop_windows(trajectories, tau: int):
             targets.append(vel[t + 1])
             sources.append((ti, t))
     return np.stack(feats), np.stack(bases), np.stack(targets), sources
+
+
+def stagewise_rollout_loss_grad(model, win_states, win_inputs, horizon: int, dt: float):
+    """Loss, gradient and predictions of RK4 rollouts with every stage a full
+    ``mlp_forward_cache`` on the normalized (state, input) rows and every
+    stage's weight gradient its own ``mlp_vjp``: the per-stage form that the
+    stage-stacked kernel in ``training`` replaced."""
+    n_w, d = win_states.shape[0], model.state_dim
+
+    def stage(x, u):
+        return mlp_forward_cache(model.params, model.normalize(x, u))
+
+    xhat = win_states[:, 0, :].copy()
+    steps, preds = [], []
+    for k in range(horizon):
+        xhat, caches = rk4(lambda x: stage(x, win_inputs[:, k, :]), xhat, dt)
+        if not np.all(np.isfinite(xhat)):
+            bad = int(np.argwhere(~np.isfinite(xhat).all(axis=1))[0, 0])
+            raise DivergedRolloutError(f"rollout diverged in window {bad} at step {k}")
+        steps.append(caches)
+        preds.append(xhat)
+    norm = n_w * horizon
+    resids = [preds[k] - win_states[:, k + 1, :] for k in range(horizon)]
+    loss = float(sum(np.sum(r * r) for r in resids) / norm)
+
+    grads = [(np.zeros_like(w), np.zeros_like(b))
+             for w, b in zip(model.params.weights, model.params.biases)]
+
+    def vjp(cache, lam):
+        gin, gparams = mlp_vjp(model.params, cache, lam)
+        for (acc_w, acc_b), (dw, db) in zip(grads, gparams):
+            acc_w += dw
+            acc_b += db
+        return gin[:, :d] / model.scale[:d]
+
+    lam_next = np.zeros((n_w, d))
+    for k in range(horizon - 1, -1, -1):
+        lam_next = rk4_adjoint(vjp, steps[k], lam_next + 2.0 * resids[k] / norm, dt)
+    return loss, grads, preds

@@ -286,6 +286,26 @@ class TestTraining:
         other = train_coefficient_estimator(replace(cfg, seed=6), clean_trajectories, P, TEMPLATE)
         assert other.loss_curve != runs[0].loss_curve
 
+    def test_peak_grows_with_the_windows_not_their_transients(self):
+        # The final estimate runs batch by batch: from a 4 s to a 20 s ladder
+        # (1,568 to 7,968 windows) the peak grows by the window arrays alone.
+        cfg = EstimatorConfig(epochs=1)
+
+        def peak_and_window_bytes(duration):
+            trajs = generate_dynamic_dataset(DynamicModel(), duration=duration, seed=3)
+            windows = build_windows(trajs, cfg.tau)
+            tracemalloc.start()
+            try:
+                train_coefficient_estimator(cfg, trajs, P, TEMPLATE)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, sum(a.nbytes for a in (windows.features, windows.base_states,
+                                                 windows.targets))
+
+        (short, short_windows), (long, long_windows) = map(peak_and_window_bytes, (4.0, 20.0))
+        assert long - short <= long_windows - short_windows + 2**20
+
     def test_one_batch_evaluates_each_stage_once(self, clean_trajectories, monkeypatch):
         """The stage partials give the prediction too: 4 partial calls a batch
         and no rates-only call."""

@@ -234,6 +234,22 @@ class TestEvaluateField:
         with pytest.raises(ValueError, match=message):
             evaluate_field(KinematicModel(), pts, policy=policy)
 
+    @pytest.mark.parametrize("policy, message", [
+        (np.array([np.nan, 5.0]), r"\|du\| = nan.*expected a unit vector"),
+        (np.array([np.inf, 0.0]), r"\|du\| = inf.*expected a unit vector"),
+        (np.array([3.0, 4.0]), r"\|du\| = 5\.0.*expected a unit vector"),
+        (np.array([]), r"\|du\| = 0\.0.*expected a unit vector"),
+        (np.eye(2), r"direction shape \(2, 2\) does not match a state"),
+        (np.float64(1.0), r"direction shape \(\) does not match a state")])
+    def test_bad_direction_is_named_on_an_empty_point_list(self, policy, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate_field(KinematicModel(), [], policy=policy)
+
+    def test_unit_direction_on_an_empty_point_list(self):
+        # no state yet, so its length cannot be checked
+        field = evaluate_field(KinematicModel(), [], policy=np.array([0.6, 0.8]))
+        assert field.policy == "fixed" and field.g.size == 0
+
     def test_serialization(self, tmp_path):
         model = KinematicModel()
         pts = [(np.array([0.0, 0.0, 0.3]), np.array([2.0, 0.2])),

@@ -1,12 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fisherdyn.nets import (ADAM_EPSILON, AdamState, GruSpec, LayerSpec,
                             LearnedDynamicsModel, NetworkParams,
-                            PhysicsGuardBounds, adam_step, gru_backward,
+                            PhysicsGuardBounds, _activation_deriv, adam_step, gru_backward,
                             gru_forward, gru_forward_cache, init_adam,
                             init_gru, init_network, mish, mlp_forward,
                             mlp_forward_cache, mlp_input_jacobian,
@@ -295,6 +296,19 @@ class TestMish:
         h = 1e-6
         fd = (mish(np.array([h])) - mish(np.array([-h])))[0] / (2 * h)
         assert fd == pytest.approx(0.6, abs=1e-6)
+
+    def test_limits_at_infinity(self):
+        z = np.array([-np.inf, np.inf, -1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = mish(z)
+            slope = _activation_deriv("mish", z, None)
+        assert value.tolist() == [0.0, np.inf, 0.0, 1e308]
+        assert slope.tolist() == [0.0, 1.0, 0.0, 1.0]
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(mish(np.array([np.nan]))[0])
+        assert np.isnan(_activation_deriv("mish", np.array([np.nan]), None)[0])
 
 
 def tiny_gru():

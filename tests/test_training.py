@@ -1,18 +1,19 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fisherdyn import training
 from fisherdyn.datagen import SimulationConfig, generate_kinematic_dataset
 from fisherdyn.dynamics import KinematicModel
 from fisherdyn.nets import LayerSpec, LearnedDynamicsModel, init_network, mlp_forward
-from fisherdyn.training import (CollocationBounds, RegimeConfig, build_kinematic_net,
-                                build_training_data, data_loss, sample_collocation,
-                                trajectory_loss, train_regime, _rollout_loss_grad)
+from fisherdyn.training import (CollocationBounds, DivergedRolloutError, RegimeConfig,
+                                build_kinematic_net, build_training_data, data_loss,
+                                sample_collocation, trajectory_loss, train_regime,
+                                _rollout_loss_grad)
 
-from oracles import loop_mean_sq_norm
+from oracles import loop_mean_sq_norm, stagewise_rollout_loss_grad
 
 
 class LinearSystem:
@@ -166,14 +167,27 @@ class TestTrajectoryLoss:
         loss, _, _ = _rollout_loss_grad(net, ws, wi, 4, 0.1)
         assert trajectory_loss(net, ws, wi, 4, 0.1) == loss
 
-    def test_loss_keeps_no_stage_caches(self, monkeypatch):
-        def no_cache(*args):
-            raise AssertionError("trajectory_loss kept a backward cache")
+    def test_loss_keeps_no_stage_buffers(self):
+        # The gradient pass keeps every stage's layer outputs, 4 n sum(widths)
+        # floats more per step; the loss alone keeps about one (n, d) array per step.
+        widths = (32, 32, 3)
+        net = build_kinematic_net(tuple(LayerSpec(w, a) for w, a in zip(
+            widths, ("tanh", "tanh", "linear"))), SMALL_BOUNDS, seed=9)
+        ws, wi = make_windows(KinematicModel(), n_windows=64, horizon=8)
+        stage_bytes = ws.shape[0] * sum(widths) * 8
 
-        monkeypatch.setattr(training, "mlp_forward_cache", no_cache)
-        net = exact_linear_net(LinearSystem())
-        ws, wi = make_windows(LinearSystem(), horizon=3)
-        assert trajectory_loss(net, ws, wi, 3, 0.1) == pytest.approx(0.0, abs=1e-22)
+        def peak_growth(**kwargs):
+            peaks = []
+            for horizon in (2, 8):
+                tracemalloc.start()
+                try:
+                    _rollout_loss_grad(net, ws, wi, horizon, 0.1, **kwargs)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return peaks[1] - peaks[0]
+
+        assert peak_growth(want_grad=False) < 6 * stage_bytes < peak_growth()
 
     def test_zero_windows_rejected(self):
         net = exact_linear_net(LinearSystem())
@@ -203,6 +217,67 @@ class TestTrajectoryLoss:
             fd = (lp - lm) / (2 * h)
             an = flat_g[k][idx]
             assert abs(fd - an) <= 1e-5 * max(abs(fd), abs(an), 1e-7)
+
+
+# Bounds whose centre is off the origin, so that the offset folded into layer 0
+# is not zero.
+OFFSET_BOUNDS = CollocationBounds(np.array([-3.0, -4.0, -0.5, 0.5, -0.3]),
+                                  np.array([7.0, 2.0, 0.9, 4.0, 0.4]))
+
+
+class TestStageStackedRollout:
+    """``_rollout_loss_grad`` folds the input map into layer 0 and takes one
+    weight-gradient product per layer and RK4 step; the oracle runs a full
+    network pass and weight gradient per stage."""
+
+    @pytest.mark.parametrize("horizon", [1, 4])
+    @pytest.mark.parametrize("act", ["linear", "tanh", "sigmoid", "relu", "mish"])
+    def test_agrees_with_the_stagewise_oracle(self, act, horizon):
+        net = build_kinematic_net((LayerSpec(16, act), LayerSpec(8, act),
+                                   LayerSpec(3, "linear")), OFFSET_BOUNDS, seed=31)
+        ws, wi = make_windows(KinematicModel(), n_windows=7, horizon=horizon, seed=32)
+        loss, grads, preds = _rollout_loss_grad(net, ws, wi, horizon, 0.1)
+        ref_loss, ref_grads, ref_preds = stagewise_rollout_loss_grad(net, ws, wi, horizon, 0.1)
+        assert loss == pytest.approx(ref_loss, rel=1e-13, abs=0.0)
+        flat = [a for pair in grads for a in pair]
+        ref = [a for pair in ref_grads for a in pair]
+        assert [a.shape for a in flat] == [a.shape for a in ref]
+        largest = max(np.max(np.abs(a)) for a in ref)
+        assert largest > 0.0
+        for a, b in zip(flat, ref):
+            assert np.all(np.abs(a - b) <= 1e-12 * largest)
+        for p, q in zip(preds, ref_preds, strict=True):
+            assert np.allclose(p, q, rtol=1e-13, atol=0.0)
+
+    def test_divergence_names_the_same_window_and_step(self):
+        params = init_network(5, (LayerSpec(3, "linear"),), seed=0)
+        params.weights[0][:] = np.hstack([1e30 * np.eye(3), np.zeros((3, 2))])
+        net = LearnedDynamicsModel(params, 3, 2)
+        ws = np.zeros((4, 6, 3))
+        ws[:, 0, 0] = [1e-290, 1e-200, 1.0, 1e-250]
+        wi = np.zeros((4, 6, 2))
+        messages = []
+        with np.errstate(all="ignore"):
+            for rollout in (_rollout_loss_grad, stagewise_rollout_loss_grad):
+                with pytest.raises(DivergedRolloutError) as err:
+                    rollout(net, ws, wi, 5, 0.1)
+                messages.append(str(err.value))
+        assert messages[0] == messages[1] == "rollout diverged in window 2 at step 2"
+
+    def test_gradient_peak_is_not_above_the_oracles(self):
+        net = build_kinematic_net((LayerSpec(32, "tanh"), LayerSpec(32, "tanh"),
+                                   LayerSpec(3, "linear")), OFFSET_BOUNDS, seed=33)
+        ws, wi = make_windows(KinematicModel(), n_windows=51, horizon=5, seed=34)
+
+        def peak(rollout):
+            tracemalloc.start()
+            try:
+                rollout(net, ws, wi, 5, 0.1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(_rollout_loss_grad) <= peak(stagewise_rollout_loss_grad)
 
 
 class TestBuildTrainingData:
