@@ -15,11 +15,12 @@ kinds add to the lateral acceleration, the other two rescale the tire peak
 factor D.
 
 States and inputs are plain float64 arrays in the component orders above.
-All functions are pure.
+A car's laws are its model's ``rhs`` and ``jacobian`` methods, pure functions
+of the point: a model is fixed once it is built.
 
-Stacked points. The rhs and Jacobian functions (and the model wrappers) take
-either one point, states (d,) and inputs (m,), or a stack of n points, states
-(n, d) and inputs (n, m), with t a scalar or (n,). They return (d,)/(d, d) or
+Stacked points. The ``rhs`` and ``jacobian`` methods take either one point,
+states (d,) and inputs (m,), or a stack of n points, states (n, d) and
+inputs (n, m), with t a scalar or (n,). They return (d,)/(d, d) or
 (n, d)/(n, d, d). Out-of-envelope points raise :class:`DomainError`, whose
 ``rows`` and ``reasons`` name every offending point of the stack.
 
@@ -27,10 +28,10 @@ The dynamic model's laws are written once over stacks; a single point is a
 stack of one. The private ``_VelocityTerms`` holds the only rate law, its
 only velocity Jacobian and the rates' partials in the twelve coefficients,
 over intermediates (slip angles, tire terms and slopes, sin/cos delta) that
-it evaluates once per call. ``dynamic_rhs`` and ``velocity_rates`` read its
-rates, ``dynamic_jacobian`` its velocity Jacobian, and
-``velocity_rate_partials``, for the gradient of the coefficient estimator,
-all three from one evaluation.
+it evaluates once per call. ``DynamicModel.rhs`` reads its rates,
+``DynamicModel.jacobian`` its velocity Jacobian, and, at the per-point
+coefficients of the coefficient estimator, ``velocity_rates`` its
+disturbance-free rates and ``velocity_rate_partials`` all three at once.
 """
 
 from __future__ import annotations
@@ -56,12 +57,8 @@ __all__ = [
     "DisturbanceConfig",
     "COEFFICIENT_NAMES",
     "coefficient_vector",
-    "kinematic_rhs",
-    "kinematic_jacobian",
     "velocity_rates",
     "velocity_rate_partials",
-    "dynamic_rhs",
-    "dynamic_jacobian",
     "KinematicModel",
     "DynamicModel",
     "wrap_angle",
@@ -308,23 +305,33 @@ def _kinematic_point(s, u):
     return s[..., 2], u[..., 0], u[..., 1]
 
 
-def kinematic_rhs(s, u, p: VehicleParams) -> np.ndarray:
-    """(x-dot, y-dot, theta-dot) = (v cos th, v sin th, v tan d / L)."""
-    theta, v, delta = _kinematic_point(s, u)
-    out = np.empty(theta.shape + (3,))
-    out[..., 0] = v * np.cos(theta)
-    out[..., 1] = v * np.sin(theta)
-    out[..., 2] = v * np.tan(delta) / p.L
-    return out
+class KinematicModel:
+    """Kinematic bicycle as an (rhs, jacobian) system."""
 
+    state_dim = 3
+    input_dim = 2
+    state_names = ("x", "y", "theta")
+    input_names = ("v", "delta")
 
-def kinematic_jacobian(s, u, p: VehicleParams) -> np.ndarray:
-    """d(rhs)/d(x, y, theta); only the theta column is nonzero."""
-    theta, v, _ = _kinematic_point(s, u)
-    jac = np.zeros(theta.shape + (3, 3))
-    jac[..., 0, 2] = -v * np.sin(theta)
-    jac[..., 1, 2] = v * np.cos(theta)
-    return jac
+    def __init__(self, params: VehicleParams | None = None):
+        self.params = params or VehicleParams.kinematic_default()
+
+    def rhs(self, s, u, t: float = 0.0) -> np.ndarray:
+        """(x-dot, y-dot, theta-dot) = (v cos th, v sin th, v tan d / L)."""
+        theta, v, delta = _kinematic_point(s, u)
+        out = np.empty(theta.shape + (3,))
+        out[..., 0] = v * np.cos(theta)
+        out[..., 1] = v * np.sin(theta)
+        out[..., 2] = v * np.tan(delta) / self.params.L
+        return out
+
+    def jacobian(self, s, u, t: float = 0.0) -> np.ndarray:
+        """d(rhs)/d(x, y, theta); only the theta column is nonzero."""
+        theta, v, _ = _kinematic_point(s, u)
+        jac = np.zeros(theta.shape + (3, 3))
+        jac[..., 0, 2] = -v * np.sin(theta)
+        jac[..., 1, 2] = v * np.cos(theta)
+        return jac
 
 
 # ---------------------------------------------------------------------------
@@ -522,25 +529,17 @@ class _VelocityTerms:
         return np.moveaxis(d_coef, (0, 1), (-2, -1))
 
 
-def velocity_rates(vel, u, p: VehicleParams, coef, tires: TirePair,
-                   disturbances=(), t=0.0) -> np.ndarray:
-    """(vx-dot, vy-dot, omega-dot) over stacked velocities (..., 3) and
-    inputs (..., 2).
+def velocity_rates(vel, u, p: VehicleParams, coef, tires: TirePair) -> np.ndarray:
+    """Disturbance-free (vx-dot, vy-dot, omega-dot) over stacked velocities
+    (..., 3) and inputs (..., 2).
 
     ``coef`` holds the coefficients in :data:`COEFFICIENT_NAMES` order,
     either (12,) for every point or (..., 12) per point; the tires' G and K
     come from ``tires``. There is no envelope check: callers make sure that
-    vx > 0.
+    vx > 0. The disturbed law is :meth:`DynamicModel.rhs`.
     """
     terms = _VelocityTerms(vel, u, p, coef, tires)
-    return terms.rates(terms.axles(), disturbances, t)
-
-
-def _velocity_jacobian(vel, u, p: VehicleParams, coef, tires: TirePair,
-                       disturbances=(), t=0.0) -> np.ndarray:
-    """d(:func:`velocity_rates`)/d(vx, vy, omega) (..., 3, 3) for the same arguments."""
-    terms = _VelocityTerms(vel, u, p, coef, tires)
-    return terms.jacobian(map(_tire_slope, terms.axles()), disturbances, t)
+    return terms.rates(terms.axles())
 
 
 def velocity_rate_partials(vel, u, p: VehicleParams, coef, tires: TirePair):
@@ -550,7 +549,7 @@ def velocity_rate_partials(vel, u, p: VehicleParams, coef, tires: TirePair):
     (n, 3, 12)) over stacked velocities (n, 3) and inputs (n, 2); ``coef`` is
     (12,) or (n, 12) in :data:`COEFFICIENT_NAMES` order. All three share one
     evaluation of the slip angles, the tire terms and their slopes, and
-    sin/cos delta. The velocity block is the one of :func:`dynamic_jacobian`,
+    sin/cos delta. The velocity block is that of :meth:`DynamicModel.jacobian`,
     the tire partials in B, C, D and E are closed-form, the drivetrain terms
     are linear. Like :func:`velocity_rates`, there is no envelope check.
     """
@@ -560,64 +559,10 @@ def velocity_rate_partials(vel, u, p: VehicleParams, coef, tires: TirePair):
             terms.coefficient_partials(slopes))
 
 
-def dynamic_rhs(s, u, p: VehicleParams, tires: TirePair,
-                drivetrain: DrivetrainCoefficients,
-                disturbances=(), t=0.0) -> np.ndarray:
-    """Continuous-time derivatives of (x, y, theta, vx, vy, omega): (6,) for
-    one point, (n, 6) for stacked points."""
-    s, u, vx, vy, st, ct = _dynamic_point(s, u)
-    out = np.empty(vx.shape + (6,))
-    out[..., 0] = vx * ct - vy * st
-    out[..., 1] = vx * st + vy * ct
-    out[..., 2] = s[..., 5]
-    terms = _VelocityTerms(s[..., 3:], u, p, coefficient_vector(tires, drivetrain), tires)
-    terms.rates(terms.axles(), disturbances, t, out[..., 3:])
-    return out
-
-
-def dynamic_jacobian(s, u, p: VehicleParams, tires: TirePair,
-                     drivetrain: DrivetrainCoefficients,
-                     disturbances=(), t=0.0) -> np.ndarray:
-    """Exact state Jacobian of :func:`dynamic_rhs` (inputs held): (6, 6) for
-    one point, (n, 6, 6) for stacked points."""
-    s, u, vx, vy, st, ct = _dynamic_point(s, u)
-    jac = np.zeros(vx.shape + (6, 6))
-    jac[..., 0, 2] = -vx * st - vy * ct
-    jac[..., 0, 3] = ct
-    jac[..., 0, 4] = -st
-    jac[..., 1, 2] = vx * ct - vy * st
-    jac[..., 1, 3] = st
-    jac[..., 1, 4] = ct
-    jac[..., 2, 5] = 1.0
-    jac[..., 3:, 3:] = _velocity_jacobian(s[..., 3:], u, p, coefficient_vector(tires, drivetrain),
-                                          tires, disturbances, t)
-    return jac
-
-
-# ---------------------------------------------------------------------------
-# system wrappers (the rhs+jacobian pair consumed by Fisher-field evaluation)
-
-
-class KinematicModel:
-    """Kinematic bicycle as an (rhs, jacobian) system."""
-
-    state_dim = 3
-    input_dim = 2
-    state_names = ("x", "y", "theta")
-    input_names = ("v", "delta")
-
-    def __init__(self, params: VehicleParams | None = None):
-        self.params = params or VehicleParams.kinematic_default()
-
-    def rhs(self, s, u, t: float = 0.0) -> np.ndarray:
-        return kinematic_rhs(s, u, self.params)
-
-    def jacobian(self, s, u, t: float = 0.0) -> np.ndarray:
-        return kinematic_jacobian(s, u, self.params)
-
-
 class DynamicModel:
-    """Dynamic bicycle (optionally disturbed) as an (rhs, jacobian) system."""
+    """Dynamic bicycle (optionally disturbed) as an (rhs, jacobian) system;
+    fixed once it is built, so the :func:`coefficient_vector` its laws read,
+    ``coef``, is built once, here."""
 
     state_dim = 6
     input_dim = 2
@@ -632,14 +577,35 @@ class DynamicModel:
         self.tires = tires or TirePair.default()
         self.drivetrain = drivetrain or DrivetrainCoefficients()
         self.disturbances = tuple(disturbances)
+        self.coef = coefficient_vector(self.tires, self.drivetrain)
 
     def rhs(self, s, u, t: float = 0.0) -> np.ndarray:
-        return dynamic_rhs(s, u, self.params, self.tires, self.drivetrain,
-                           self.disturbances, t)
+        """Continuous-time derivatives of (x, y, theta, vx, vy, omega): (6,)
+        for one point, (n, 6) for stacked points."""
+        s, u, vx, vy, st, ct = _dynamic_point(s, u)
+        out = np.empty(vx.shape + (6,))
+        out[..., 0] = vx * ct - vy * st
+        out[..., 1] = vx * st + vy * ct
+        out[..., 2] = s[..., 5]
+        terms = _VelocityTerms(s[..., 3:], u, self.params, self.coef, self.tires)
+        terms.rates(terms.axles(), self.disturbances, t, out[..., 3:])
+        return out
 
     def jacobian(self, s, u, t: float = 0.0) -> np.ndarray:
-        return dynamic_jacobian(s, u, self.params, self.tires, self.drivetrain,
-                                self.disturbances, t)
+        """Exact state Jacobian of :meth:`rhs` (inputs held): (6, 6) for one
+        point, (n, 6, 6) for stacked points."""
+        s, u, vx, vy, st, ct = _dynamic_point(s, u)
+        jac = np.zeros(vx.shape + (6, 6))
+        jac[..., 0, 2] = -vx * st - vy * ct
+        jac[..., 0, 3] = ct
+        jac[..., 0, 4] = -st
+        jac[..., 1, 2] = vx * ct - vy * st
+        jac[..., 1, 3] = st
+        jac[..., 1, 4] = ct
+        jac[..., 2, 5] = 1.0
+        terms = _VelocityTerms(s[..., 3:], u, self.params, self.coef, self.tires)
+        jac[..., 3:, 3:] = terms.jacobian(map(_tire_slope, terms.axles()), self.disturbances, t)
+        return jac
 
     def without_disturbances(self) -> "DynamicModel":
         return DynamicModel(self.params, self.tires, self.drivetrain, ())

@@ -32,8 +32,8 @@ from .dynamics import (COEFFICIENT_NAMES, DrivetrainCoefficients,
                        PacejkaCoefficients, TirePair, VehicleParams,
                        _check_fields, coefficient_vector,
                        velocity_rate_partials, velocity_rates)
-from .nets import (LayerSpec, PhysicsGuardBounds, adam_step, gru_backward,
-                   gru_forward, gru_forward_cache, init_adam, init_gru,
+from .nets import (LayerSpec, PhysicsGuardBounds, _epoch_batches, adam_step,
+                   gru_backward, gru_forward, gru_forward_cache, init_adam, init_gru,
                    init_network, mlp_forward, mlp_forward_cache, mlp_vjp,
                    physics_guard, physics_guard_derivative)
 from .numerics import rk4, rk4_adjoint
@@ -285,11 +285,9 @@ def train_coefficient_estimator(cfg: EstimatorConfig, trajectories,
     diverged = False
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng(cfg.seed * 913 + epoch)
-        order = rng.permutation(n)
         epoch_loss = 0.0
         seen = 0
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
+        for idx in _epoch_batches(n, cfg.batch_size, rng):
             feats = windows.features[idx]
             phi, cache = model.estimate(feats, with_cache=True)
             pred, pullback = _physics_step(model, windows.base_states[idx], phi)

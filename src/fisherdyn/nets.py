@@ -2,9 +2,9 @@
 
 Multilayer perceptrons with per-layer activations, exact reverse-mode
 parameter gradients, forward-mode input Jacobians, a bias-corrected Adam
-optimizer, the sigmoid Physics Guard rescaling layer, and a single gated
-recurrent cell with backprop-through-time. Everything runs on float64 numpy;
-no external autodiff.
+optimizer with the minibatch schedule of both training loops, the sigmoid
+Physics Guard rescaling layer, and a single gated recurrent cell with
+backprop-through-time. Everything runs on float64 numpy; no external autodiff.
 
 Forward passes come in two kinds with the same arithmetic, bit for bit:
 ``mlp_forward`` and ``gru_forward`` keep nothing but their output, for
@@ -291,10 +291,9 @@ def mlp_input_jacobian(params: NetworkParams, x, input_indices=None) -> np.ndarr
     if input_indices is None:
         input_indices = range(params.input_dim)
     tangent = np.eye(params.input_dim)[:, list(input_indices)]
-    a = xb
-    for spec, w, b in zip(params.layers, params.weights, params.biases):
-        z = a @ w.T + b
-        a = _activation(spec.activation, z)
+    weights_t = [w.T for w in params.weights]
+    layers = _layer_outputs(params, xb @ weights_t[0] + params.biases[0], weights_t)
+    for spec, w, (z, a) in zip(params.layers, params.weights, layers):
         tangent = w @ tangent
         deriv = _activation_deriv(spec.activation, z, a)
         if deriv is not None:
@@ -323,6 +322,13 @@ class AdamState:
 def init_adam(param_arrays, lr: float = 1e-3) -> AdamState:
     return AdamState([np.zeros_like(p) for p in param_arrays],
                      [np.zeros_like(p) for p in param_arrays], 0, lr)
+
+
+def _epoch_batches(n: int, batch_size: int, rng) -> list:
+    """One epoch's minibatches: ``rng``'s permutation of range(n) cut into
+    slices of ``batch_size`` rows (the last may be shorter)."""
+    order = rng.permutation(n)
+    return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
 def adam_step(param_arrays, grad_arrays, state: AdamState):

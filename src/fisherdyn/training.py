@@ -34,9 +34,9 @@ import numpy as np
 from ._codec import csv_text
 from .datagen import derivative_samples, time_step
 from .dynamics import _check_fields
-from .nets import (LearnedDynamicsModel, _activation_deriv, _layer_deltas, _layer_outputs,
-                   _weight_grad, adam_step, init_adam, init_network, mlp_forward,
-                   mlp_param_gradient)
+from .nets import (LearnedDynamicsModel, _activation_deriv, _epoch_batches, _layer_deltas,
+                   _layer_outputs, _weight_grad, adam_step, init_adam, init_network,
+                   mlp_forward, mlp_param_gradient)
 from .numerics import rk4, rk4_adjoint
 
 __all__ = [
@@ -283,11 +283,6 @@ def _rollout_loss_grad(model: LearnedDynamicsModel, win_states, win_inputs,
 # the training loop
 
 
-def _epoch_batches(n: int, batch_size: int, rng) -> list:
-    order = rng.permutation(n)
-    return [order[i:i + batch_size] for i in range(0, n, batch_size)]
-
-
 def _composite_losses(model, cfg, data):
     phys = data_loss(model, data.phys_states, data.phys_inputs, data.phys_targets)
     dterm = 0.0
@@ -394,7 +389,7 @@ def train_regime(model: LearnedDynamicsModel, cfg: RegimeConfig,
                 if grads is not None:
                     adam_step(params, grads, opt)
             losses = _composite_losses(model, cfg, data)
-        except (FloatingPointError, DivergedRolloutError):
+        except FloatingPointError:
             diverged = True
             losses = (math.inf, math.inf, math.inf)
         if not all(math.isfinite(v) for v in losses):
@@ -424,17 +419,17 @@ def build_kinematic_net(layers, bounds: CollocationBounds, seed: int,
 def build_training_data(analytic_model, bounds: CollocationBounds,
                         n_collocation: int, seed: int,
                         trajectories=None, noise_sigma: float = 0.0,
-                        horizon: int = 5, n_validation: int = 1024,
-                        state_dim: int = 3) -> TrainingData:
+                        horizon: int = 5, n_validation: int = 1024) -> TrainingData:
     """Assemble the regime data bundle from an analytic model (physics
     targets) and optional recorded trajectories (data / window terms).
 
-    The physics targets of each point set come from one ``rhs`` call on the
-    stacked points.
+    The bounds cover the model's states, then its inputs. The physics targets
+    of each point set come from one ``rhs`` call on the stacked points.
     """
-    phys_states, phys_inputs = sample_collocation(bounds, n_collocation, seed, state_dim)
+    d = analytic_model.state_dim
+    phys_states, phys_inputs = sample_collocation(bounds, n_collocation, seed, d)
     phys_targets = analytic_model.rhs(phys_states, phys_inputs)
-    val_states, val_inputs = sample_collocation(bounds, n_validation, seed + 7919, state_dim)
+    val_states, val_inputs = sample_collocation(bounds, n_validation, seed + 7919, d)
     val_targets = analytic_model.rhs(val_states, val_inputs)
 
     bundle = TrainingData(phys_states, phys_inputs, phys_targets,

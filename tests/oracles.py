@@ -222,7 +222,7 @@ def disturbance_lateral_force(dist, s, t, p):
 def scalar_dynamic_rhs(s, u, p, tires, drivetrain, disturbances=(), t=0.0):
     """Derivatives of (x, y, theta, vx, vy, omega) at one point, in scalar
     arithmetic from the per-point laws above; a reference for the stacked
-    ``dynamic_rhs``."""
+    ``DynamicModel.rhs``."""
     theta, vx, vy, omega = s[2], s[3], s[4], s[5]
     throttle, delta = u
     alpha_f, alpha_r = slip_angles(s, u, p)
@@ -248,7 +248,7 @@ def scalar_dynamic_rhs(s, u, p, tires, drivetrain, disturbances=(), t=0.0):
 def scalar_dynamic_jacobian(s, u, p, tires, drivetrain, disturbances=(), t=0.0):
     """6x6 state Jacobian of the dynamic bicycle at one point, in scalar
     arithmetic from the per-point laws above; a reference for the stacked
-    ``dynamic_jacobian``.
+    ``DynamicModel.jacobian``.
 
     The tire-scale gradient is the product rule written as a sum over the
     factors of the product of the other factors.

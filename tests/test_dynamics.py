@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from fisherdyn import dynamics
 from fisherdyn.dynamics import (DELTA_MAX, ConfigError, DisturbanceConfig,
                                 DomainError, DrivetrainCoefficients,
                                 DynamicModel, KinematicModel,
-                                PacejkaCoefficients, TirePair, VehicleParams,
-                                dynamic_jacobian, dynamic_rhs,
-                                kinematic_jacobian, kinematic_rhs)
+                                PacejkaCoefficients, TirePair, VehicleParams)
 
 from oracles import (central_difference_jacobian, disturbance_lateral_force,
                      longitudinal_force, pacejka_derivative, pacejka_lateral_force,
@@ -28,38 +27,38 @@ def sample_dynamic_input(rng):
 
 
 class TestKinematic:
-    p = VehicleParams.kinematic_default()
+    model = KinematicModel(VehicleParams.kinematic_default())
 
     def test_straight_line(self):
-        out = kinematic_rhs(np.zeros(3), np.array([1.0, 0.0]), self.p)
+        out = self.model.rhs(np.zeros(3), np.array([1.0, 0.0]))
         assert np.allclose(out, [1.0, 0.0, 0.0])
 
     def test_heading_symmetry(self):
-        out = kinematic_rhs(np.array([0, 0, math.pi / 2]), np.array([2.0, 0.0]), self.p)
+        out = self.model.rhs(np.array([0, 0, math.pi / 2]), np.array([2.0, 0.0]))
         assert np.allclose(out, [0.0, 2.0, 0.0], atol=1e-12)
 
     def test_max_steer_rate(self):
-        out = kinematic_rhs(np.zeros(3), np.array([5.0, 0.5236]), self.p)
+        out = self.model.rhs(np.zeros(3), np.array([5.0, 0.5236]))
         assert out[2] == pytest.approx(5.0 * math.tan(0.5236) / 2.5, rel=1e-12)
         assert out[2] == pytest.approx(1.1547, abs=2e-4)
 
     def test_speed_invariant_under_heading(self):
         for theta in np.linspace(-math.pi, math.pi, 17):
-            out = kinematic_rhs(np.array([0, 0, theta]), np.array([3.0, 0.2]), self.p)
+            out = self.model.rhs(np.array([0, 0, theta]), np.array([3.0, 0.2]))
             assert np.hypot(out[0], out[1]) == pytest.approx(3.0, rel=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            kinematic_rhs(np.zeros(3), np.array([1.0, math.pi / 2]), self.p)
+            self.model.rhs(np.zeros(3), np.array([1.0, math.pi / 2]))
 
     def test_jacobian_structure(self):
-        jac = kinematic_jacobian(np.zeros(3), np.array([1.0, 0.0]), self.p)
+        jac = self.model.jacobian(np.zeros(3), np.array([1.0, 0.0]))
         assert np.allclose(jac, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
         rng = np.random.default_rng(0)
         for _ in range(20):
             s = rng.normal(size=3)
             u = np.array([rng.uniform(0, 5), rng.uniform(-0.5, 0.5)])
-            assert np.all(kinematic_jacobian(s, u, self.p)[:, :2] == 0.0)
+            assert np.all(self.model.jacobian(s, u)[:, :2] == 0.0)
 
     def test_jacobian_vs_finite_difference(self):
         rng = np.random.default_rng(1)
@@ -67,9 +66,8 @@ class TestKinematic:
             s = np.array([rng.uniform(-50, 50), rng.uniform(-10, 10),
                           rng.uniform(-math.pi, math.pi)])
             u = np.array([rng.uniform(0.1, 5), rng.uniform(-0.5, 0.5)])
-            analytic = kinematic_jacobian(s, u, self.p)
-            fd = central_difference_jacobian(
-                lambda x, uu: kinematic_rhs(x, uu, self.p), s, u)
+            analytic = self.model.jacobian(s, u)
+            fd = central_difference_jacobian(self.model.rhs, s, u)
             assert np.linalg.norm(fd - analytic) <= 1e-6 * max(1.0, np.linalg.norm(analytic))
 
 
@@ -159,16 +157,16 @@ class TestDynamicRhs:
     def test_force_free_coasting(self):
         tires, drive = zero_force_setup()
         s = np.array([0, 0, 0.3, 2.0, 0.0, 0.0])
-        out = dynamic_rhs(s, np.array([0.0, 0.0]), self.p, tires, drive)
+        out = DynamicModel(self.p, tires, drive).rhs(s, np.array([0.0, 0.0]))
         assert np.allclose(out, [2 * math.cos(0.3), 2 * math.sin(0.3), 0, 0, 0, 0],
                            atol=1e-15)
 
     def test_bank_offset(self):
         tires, drive = zero_force_setup()
         s = np.array([0, 0, 0, 2.0, 0.0, 0.0])
-        base = dynamic_rhs(s, np.array([0.0, 0.0]), self.p, tires, drive)
-        banked = dynamic_rhs(s, np.array([0.0, 0.0]), self.p, tires, drive,
-                             [DisturbanceConfig.bank(0.1)])
+        base = DynamicModel(self.p, tires, drive).rhs(s, np.array([0.0, 0.0]))
+        banked = DynamicModel(self.p, tires, drive,
+                              [DisturbanceConfig.bank(0.1)]).rhs(s, np.array([0.0, 0.0]))
         assert banked[4] - base[4] == pytest.approx(9.81 * math.sin(0.1), rel=1e-12)
         assert banked[4] - base[4] == pytest.approx(0.9794, abs=2e-4)
 
@@ -177,17 +175,18 @@ class TestDynamicRhs:
         tires, drive = zero_force_setup()
         s = np.array([0, 0, 0, 2.0, 0.0, 0.0])
         wind = DisturbanceConfig.wind(rho=1.2, area=1.0, Cw=0.8, vw=10.0)
-        base = dynamic_rhs(s, np.array([0.0, 0.0]), p, tires, drive)
-        out = dynamic_rhs(s, np.array([0.0, 0.0]), p, tires, drive, [wind])
+        base = DynamicModel(p, tires, drive).rhs(s, np.array([0.0, 0.0]))
+        out = DynamicModel(p, tires, drive, [wind]).rhs(s, np.array([0.0, 0.0]))
         assert out[4] - base[4] == pytest.approx(0.048, rel=1e-12)
 
     def test_speed_preserved_without_forces(self):
         # pure rotation coupling cancels in kinetic energy when delta = 0
         tires, drive = zero_force_setup()
+        model = DynamicModel(self.p, tires, drive)
         rng = np.random.default_rng(7)
         for _ in range(20):
             s = sample_dynamic_state(rng)
-            out = dynamic_rhs(s, np.array([0.0, 0.0]), self.p, tires, drive)
+            out = model.rhs(s, np.array([0.0, 0.0]))
             assert out[3] * s[3] + out[4] * s[4] == pytest.approx(0.0, abs=1e-12)
 
     def test_disturbance_additivity(self):
@@ -197,10 +196,10 @@ class TestDynamicRhs:
         u = np.array([0.3, 0.1])
         d1 = DisturbanceConfig.bank(0.05)
         d2 = DisturbanceConfig.wind(rho=1.2, area=0.002, Cw=1.0, vw=4.0)
-        base = dynamic_rhs(s, u, self.p, tires, drive)
-        r1 = dynamic_rhs(s, u, self.p, tires, drive, [d1]) - base
-        r2 = dynamic_rhs(s, u, self.p, tires, drive, [d2]) - base
-        r12 = dynamic_rhs(s, u, self.p, tires, drive, [d1, d2]) - base
+        base = DynamicModel(self.p, tires, drive).rhs(s, u)
+        r1 = DynamicModel(self.p, tires, drive, [d1]).rhs(s, u) - base
+        r2 = DynamicModel(self.p, tires, drive, [d2]).rhs(s, u) - base
+        r12 = DynamicModel(self.p, tires, drive, [d1, d2]).rhs(s, u) - base
         assert np.allclose(r12, r1 + r2, atol=1e-14)
 
 
@@ -256,12 +255,13 @@ class TestDynamicJacobian:
         for _ in range(20):
             s = sample_dynamic_state(rng)
             u = sample_dynamic_input(rng)
-            jac = dynamic_jacobian(s, u, self.p, self.tires, self.drive)
+            jac = DynamicModel(self.p, self.tires, self.drive).jacobian(s, u)
             assert np.allclose(jac[2], [0, 0, 0, 0, 0, 1])
             assert np.all(jac[:, :2] == 0.0)
 
     @pytest.mark.parametrize("dists", DISTURBANCE_SETS)
     def test_vs_finite_difference(self, dists):
+        model = DynamicModel(self.p, self.tires, self.drive, dists)
         rng = np.random.default_rng(13)
         t = 0.37
         for _ in range(60):
@@ -270,10 +270,8 @@ class TestDynamicJacobian:
             if any(d.kind == "roll" for d in dists):
                 s[5] = math.copysign(max(abs(s[5]), 0.05), s[5])
             u = sample_dynamic_input(rng)
-            analytic = dynamic_jacobian(s, u, self.p, self.tires, self.drive, dists, t)
-            fd = central_difference_jacobian(
-                lambda x, uu: dynamic_rhs(x, uu, self.p, self.tires, self.drive,
-                                          dists, t), s, u)
+            analytic = model.jacobian(s, u, t)
+            fd = central_difference_jacobian(lambda x, uu: model.rhs(x, uu, t), s, u)
             err = np.linalg.norm(fd - analytic) / max(1.0, np.linalg.norm(analytic))
             assert err <= 1e-5
 
@@ -312,49 +310,52 @@ class TestStackedDynamics:
     def test_rhs_matches_scalar_path(self, dists):
         s, u, t = stacked_dynamic_points(np.random.default_rng(21))
         for tires in TIRE_PAIRS:
-            stacked = dynamic_rhs(s, u, self.p, tires, self.drive, dists, t)
+            model = DynamicModel(self.p, tires, self.drive, dists)
+            stacked = model.rhs(s, u, t)
             assert stacked.shape == s.shape
             for i in range(len(t)):
                 ref = scalar_dynamic_rhs(s[i], u[i], self.p, tires, self.drive, dists, t[i])
                 assert rel_err(stacked[i], ref) <= 1e-12
-                single = dynamic_rhs(s[i], u[i], self.p, tires, self.drive, dists, t[i])
+                single = model.rhs(s[i], u[i], t[i])
                 assert np.array_equal(single, stacked[i])
 
     @pytest.mark.parametrize("dists", DISTURBANCE_SETS)
     def test_jacobian_matches_scalar_oracle(self, dists):
         s, u, t = stacked_dynamic_points(np.random.default_rng(22))
         for tires in TIRE_PAIRS:
-            stacked = dynamic_jacobian(s, u, self.p, tires, self.drive, dists, t)
+            model = DynamicModel(self.p, tires, self.drive, dists)
+            stacked = model.jacobian(s, u, t)
             assert stacked.shape == (len(t), 6, 6)
             for i in range(len(t)):
                 ref = scalar_dynamic_jacobian(s[i], u[i], self.p, tires, self.drive,
                                               dists, t[i])
                 assert rel_err(stacked[i], ref) <= 1e-12
-                single = dynamic_jacobian(s[i], u[i], self.p, tires, self.drive,
-                                          dists, t[i])
+                single = model.jacobian(s[i], u[i], t[i])
                 assert np.array_equal(single, stacked[i])
 
     def test_roll_clamp_rows_lose_lateral_grip(self):
         s, u, t = stacked_dynamic_points(np.random.default_rng(23))
         roll = [DisturbanceConfig.roll(k_phi=80.0, c_phi=1.0, stiffness_sensitivity=3.0)]
-        out = dynamic_rhs(s[10:20], u[10:20], self.p, self.tires, self.drive, roll, t[10:20])
+        model = DynamicModel(self.p, self.tires, self.drive, roll)
+        out = model.rhs(s[10:20], u[10:20], t[10:20])
         # the clamped factor zeroes both tire forces (K = 0), so omega-dot vanishes
         assert np.all(out[:, 5] == 0.0)
 
     def test_scalar_time_broadcasts(self):
         s, u, t = stacked_dynamic_points(np.random.default_rng(24))
         dists = DISTURBANCE_SETS[3]
-        a = dynamic_jacobian(s, u, self.p, self.tires, self.drive, dists, 0.7)
-        b = dynamic_jacobian(s, u, self.p, self.tires, self.drive, dists,
-                             np.full(len(t), 0.7))
+        model = DynamicModel(self.p, self.tires, self.drive, dists)
+        a = model.jacobian(s, u, 0.7)
+        b = model.jacobian(s, u, np.full(len(t), 0.7))
         assert np.array_equal(a, b)
 
     def test_domain_error_names_rows(self):
         s, u, t = stacked_dynamic_points(np.random.default_rng(25))
         s[[1, 4], 3] = [0.2, 0.5]
-        for fn in (dynamic_rhs, dynamic_jacobian):
+        model = DynamicModel(self.p, self.tires, self.drive)
+        for fn in (model.rhs, model.jacobian):
             with pytest.raises(DomainError) as err:
-                fn(s, u, self.p, self.tires, self.drive, (), t)
+                fn(s, u, t)
             assert err.value.rows.tolist() == [1, 4]
             assert err.value.reasons == [
                 "vx=0.200 <= vx_min=0.5; slip angles undefined",
@@ -363,32 +364,47 @@ class TestStackedDynamics:
     def test_model_wrappers_take_stacks(self):
         s, u, t = stacked_dynamic_points(np.random.default_rng(26))
         model = DynamicModel(disturbances=DISTURBANCE_SETS[6])
-        assert np.array_equal(model.rhs(s, u, t), dynamic_rhs(
-            s, u, model.params, model.tires, model.drivetrain, model.disturbances, t))
+        assert np.array_equal(model.rhs(s, u, t), np.stack(
+            [model.rhs(s[i], u[i], t[i]) for i in range(len(t))]))
         assert model.jacobian(s, u, t).shape == (len(t), 6, 6)
+
+    def test_model_builds_its_coefficient_vector_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        build = dynamics.coefficient_vector
+        monkeypatch.setattr(dynamics, "coefficient_vector", counted)
+        model = DynamicModel(self.p, self.tires, self.drive, DISTURBANCE_SETS[6])
+        s, u, t = stacked_dynamic_points(np.random.default_rng(28))
+        for _ in range(10):
+            model.rhs(s, u, t)
+            model.jacobian(s, u, t)
+        assert calls == [(self.tires, self.drive)]
 
 
 class TestStackedKinematic:
-    p = VehicleParams.kinematic_default()
+    model = KinematicModel(VehicleParams.kinematic_default())
 
     def test_matches_per_point(self):
         rng = np.random.default_rng(27)
         s = rng.normal(size=(40, 3))
         u = np.column_stack([rng.uniform(0, 5, 40), rng.uniform(-0.5, 0.5, 40)])
-        rhs = kinematic_rhs(s, u, self.p)
-        jac = kinematic_jacobian(s, u, self.p)
+        rhs = self.model.rhs(s, u)
+        jac = self.model.jacobian(s, u)
         assert rhs.shape == (40, 3) and jac.shape == (40, 3, 3)
         for i in range(40):
-            assert np.array_equal(rhs[i], kinematic_rhs(s[i], u[i], self.p))
-            assert np.array_equal(jac[i], kinematic_jacobian(s[i], u[i], self.p))
-        model = KinematicModel()
-        assert np.array_equal(model.rhs(s, u), kinematic_rhs(s, u, model.params))
+            assert np.array_equal(rhs[i], self.model.rhs(s[i], u[i]))
+            assert np.array_equal(jac[i], self.model.jacobian(s[i], u[i]))
+        assert np.array_equal(KinematicModel().rhs(s, u), rhs)
 
     def test_domain_error_names_rows(self):
         s = np.zeros((3, 3))
         u = np.array([[1.0, 0.1], [1.0, -math.pi / 2], [1.0, 0.0]])
         with pytest.raises(DomainError) as err:
-            kinematic_jacobian(s, u, self.p)
+            self.model.jacobian(s, u)
         assert err.value.rows.tolist() == [1]
         assert err.value.reasons == ["|delta|=1.571 >= pi/2"]
 
@@ -456,8 +472,9 @@ class TestParamValidation:
         model = DynamicModel()
         s = np.array([0, 0, 0.2, 2.0, 0.1, 0.5])
         u = np.array([0.3, 0.1])
-        assert np.allclose(model.rhs(s, u), dynamic_rhs(
+        assert np.allclose(model.rhs(s, u), scalar_dynamic_rhs(
             s, u, model.params, model.tires, model.drivetrain))
         kin = KinematicModel()
         sk, uk = np.array([1.0, 2.0, 0.3]), np.array([2.0, 0.1])
-        assert np.allclose(kin.rhs(sk, uk), kinematic_rhs(sk, uk, kin.params))
+        assert np.allclose(kin.rhs(sk, uk), [2.0 * math.cos(0.3), 2.0 * math.sin(0.3),
+                                             2.0 * math.tan(0.1) / kin.params.L])

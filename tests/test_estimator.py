@@ -7,8 +7,7 @@ import pytest
 from fisherdyn import dynamics, estimator
 from fisherdyn.datagen import generate_dynamic_dataset
 from fisherdyn.dynamics import (DrivetrainCoefficients, DynamicModel, TirePair,
-                                VehicleParams, dynamic_jacobian, dynamic_rhs,
-                                velocity_rate_partials, velocity_rates)
+                                VehicleParams, velocity_rate_partials, velocity_rates)
 from fisherdyn.estimator import (EstimatorConfig, EstimatorModel,
                                  _physics_step, build_windows,
                                  coefficients_to_structs, default_guard_bounds,
@@ -51,18 +50,18 @@ class TestPredictNextVelocities:
         def forbidden(*args):
             raise AssertionError("a Jacobian partial was computed")
 
-        for name in ("_velocity_jacobian", "_tire_slope"):
-            monkeypatch.setattr(dynamics, name, forbidden)
-        monkeypatch.setattr(dynamics._VelocityTerms, "coefficient_partials", forbidden)
+        monkeypatch.setattr(dynamics, "_tire_slope", forbidden)
+        for name in ("jacobian", "coefficient_partials"):
+            monkeypatch.setattr(dynamics._VelocityTerms, name, forbidden)
         states, coef = velocity_batch(np.random.default_rng(52), 8)
         predict_next_velocities(states, coef, self.p, self.template, 0.02)
         s = np.column_stack([np.zeros((8, 3)), states[:, :3]])
         roll = [dynamics.DisturbanceConfig.roll(k_phi=80.0, c_phi=1.0,
                                                 stiffness_sensitivity=3.0)]
-        dynamic_rhs(s, states[:, 3:], self.p, self.template, DrivetrainCoefficients(), roll)
+        model = DynamicModel(self.p, self.template, DrivetrainCoefficients(), roll)
+        model.rhs(s, states[:, 3:])
         with pytest.raises(AssertionError, match="partial"):
-            dynamics.dynamic_jacobian(s, states[:, 3:], self.p, self.template,
-                                      DrivetrainCoefficients(), roll)
+            model.jacobian(s, states[:, 3:])
 
     def test_jacobian_computes_no_rates_or_coefficient_partials(self, monkeypatch):
         def forbidden(*args):
@@ -75,8 +74,8 @@ class TestPredictNextVelocities:
         states, _ = velocity_batch(np.random.default_rng(53), 8)
         s = np.column_stack([np.zeros((8, 3)), states[:, :3]])
         every_kind = [d for dists in DISTURBANCE_SETS[1:6] for d in dists]
-        dynamics.dynamic_jacobian(s, states[:, 3:], self.p, self.template,
-                                  DrivetrainCoefficients(), every_kind)
+        DynamicModel(self.p, self.template, DrivetrainCoefficients(),
+                     every_kind).jacobian(s, states[:, 3:])
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +120,7 @@ class TestVelocityRatePartials:
         for tires in TIRE_PAIRS:
             coef = true_coefficients(tires, DrivetrainCoefficients())
             _, d_vel, _ = velocity_rate_partials(states[:, :3], states[:, 3:], P, coef, tires)
-            jac = dynamic_jacobian(s, states[:, 3:], P, tires, DrivetrainCoefficients())
+            jac = DynamicModel(P, tires, DrivetrainCoefficients()).jacobian(s, states[:, 3:])
             scale = np.max(np.abs(jac[:, 3:, 3:]), axis=(1, 2))[:, None, None]
             assert np.all(np.abs(d_vel - jac[:, 3:, 3:]) <= 1e-12 * scale)
 
@@ -138,7 +137,9 @@ class TestVelocityRatePartials:
         vel, u = states[:, :3], states[:, 3:]
         _, d_vel, _ = velocity_rate_partials(vel, u, P, coef, TEMPLATE)
         assert len(calls) == 2
-        assert np.array_equal(d_vel, dynamics._velocity_jacobian(vel, u, P, coef, TEMPLATE))
+        # the dynamic model's Jacobian law, at per-row coefficients
+        terms = dynamics._VelocityTerms(vel, u, P, coef, TEMPLATE)
+        assert np.array_equal(d_vel, terms.jacobian(map(dynamics._tire_slope, terms.axles())))
 
     def test_coefficient_partials_vs_central_differences(self):
         states, coef = velocity_batch(np.random.default_rng(63), 64)

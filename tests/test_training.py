@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fisherdyn.datagen import SimulationConfig, generate_kinematic_dataset
-from fisherdyn.dynamics import KinematicModel
+from fisherdyn.dynamics import DynamicModel, KinematicModel
 from fisherdyn.nets import LayerSpec, LearnedDynamicsModel, init_network, mlp_forward
 from fisherdyn.training import (CollocationBounds, DivergedRolloutError, RegimeConfig,
                                 build_kinematic_net, build_training_data, data_loss,
@@ -287,6 +287,18 @@ class TestBuildTrainingData:
                                    n_validation=256)
         for states, inputs, targets in ((data.phys_states, data.phys_inputs, data.phys_targets),
                                         (data.val_states, data.val_inputs, data.val_targets)):
+            per_point = np.stack([model.rhs(s, u) for s, u in zip(states, inputs)])
+            assert np.array_equal(targets, per_point)
+
+    def test_state_size_comes_from_the_model(self):
+        model = DynamicModel()
+        # (x, y, theta, vx, vy, omega, throttle, delta), vx above VX_MIN
+        bounds = CollocationBounds(np.array([-1.0, -1.0, -0.5, 1.0, -0.3, -2.0, 0.0, -0.4]),
+                                   np.array([1.0, 1.0, 0.5, 3.0, 0.3, 2.0, 1.0, 0.4]))
+        data = build_training_data(model, bounds, 64, seed=23, n_validation=32)
+        for states, inputs, targets in ((data.phys_states, data.phys_inputs, data.phys_targets),
+                                        (data.val_states, data.val_inputs, data.val_targets)):
+            assert states.shape[1:] == (6,) and inputs.shape[1:] == (2,)
             per_point = np.stack([model.rhs(s, u) for s, u in zip(states, inputs)])
             assert np.array_equal(targets, per_point)
 
