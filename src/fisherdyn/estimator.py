@@ -102,13 +102,13 @@ def predict_next_velocities(states, coef, p: VehicleParams, template: TirePair,
                             Ts: float) -> np.ndarray:
     """One RK4 step of the nominal velocity subsystem with held inputs.
 
-    ``states`` rows are (vx, vy, omega, throttle, delta) and ``coef`` has one
-    row of coefficients per state; the rates are the disturbance-free
+    ``states`` (..., 5) holds (vx, vy, omega, throttle, delta) and ``coef``
+    (..., 12) the coefficients of each state; the rates are the disturbance-free
     velocity slice of the dynamic model. Matches the data generator's
     integrator so that exact coefficients give exact predictions.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    vel, u = states[:, :3], states[:, 3:5]
+    states = np.asarray(states, dtype=float)
+    vel, u = states[..., :3], states[..., 3:5]
     pred, _ = rk4(lambda v: (velocity_rates(v, u, p, coef, template), None), vel, Ts)
     return pred
 

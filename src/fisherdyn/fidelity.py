@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._codec import csv_text
+from .dynamics import on_accepted_rows
 from .fisher import AlignmentError, FisherField, stack_points
 
 __all__ = [
@@ -70,12 +71,22 @@ def fisher_discrepancy(true_field: FisherField, learned_field: FisherField,
 def jacobian_baseline(system_true, system_learned, points) -> float:
     """Mean Frobenius norm of A - Ahat over the points (the coordinate-
     dependent comparison the Fisher metric is held against). Each system's
-    Jacobian is evaluated once, on the stacked points."""
+    Jacobian is evaluated on the stacked points; a point that either system
+    rejects as outside its envelope is left out, as ``evaluate_field`` skips
+    it, and ``ValueError`` is raised when no point is left."""
     states, inputs, times = stack_points(points)
     if times.size == 0:
         raise ValueError("jacobian_baseline needs at least one point; the point list is empty")
-    diff = system_true.jacobian(states, inputs, times)
-    diff -= system_learned.jacobian(states, inputs, times)
+
+    def difference(rows):
+        point = states[rows], inputs[rows], times[rows]
+        diff = system_true.jacobian(*point)
+        diff -= system_learned.jacobian(*point)
+        return diff
+
+    diff = on_accepted_rows(difference, np.arange(times.size))[0]
+    if diff is None:
+        raise ValueError(f"none of the {times.size} points lies in both systems' envelopes")
     return float(np.mean(np.sqrt(np.einsum("nij,nij->n", diff, diff))))
 
 

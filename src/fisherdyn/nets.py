@@ -6,15 +6,18 @@ optimizer with the minibatch schedule of both training loops, the sigmoid
 Physics Guard rescaling layer, and a single gated recurrent cell with
 backprop-through-time. Everything runs on float64 numpy; no external autodiff.
 
-Forward passes come in two kinds with the same arithmetic, bit for bit:
+Every kernel takes inputs over leading axes, as the car models do: (d,) for
+one input, (..., d) for a stack, (..., tau, d) for a GRU history. Forward
+passes come in two kinds with the same arithmetic, bit for bit:
 ``mlp_forward`` and ``gru_forward`` keep nothing but their output, for
 inference and loss evaluation; ``mlp_forward_cache`` and
 ``gru_forward_cache`` also keep what ``mlp_vjp`` and ``gru_backward`` read,
-for training. The MLP functions share three private pieces, which the
-training rollout also runs on its own stage buffers: ``_layer_outputs``
-(the forward layer loop from a given layer-0 pre-activation),
-``_layer_deltas`` (the backward one) and ``_weight_grad`` (a layer's weight
-and bias gradient from stacked rows).
+for training. Private pieces make each decision once: ``_forward`` checks a
+raw input and forms layer 0's pre-activation; ``_ACTIVATIONS`` maps a name to
+its value and derivative; ``_layer_outputs`` and ``_layer_deltas`` are the
+forward and backward layer loops, which the training rollout also runs on
+its stage buffers; ``_weight_grad`` is a layer's (dW, db) summed over leading
+axes, for the MLP backward, the rollout and the GRU gates.
 
 ``LearnedDynamicsModel`` wraps an MLP behind the same (rhs, jacobian) surface
 as the analytical models, including the fixed affine input normalization the
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._codec import read_json, require_keys, write_json
+from .dynamics import _check_point_shapes
 
 __all__ = [
     "LayerSpec",
@@ -86,36 +90,30 @@ def mish(z):
     return t
 
 
+def _mish_deriv(z, a):
+    t = np.tanh(_softplus(z))
+    return t + (1.0 - t * t) * np.clip(z, -_FLOAT_MAX, _FLOAT_MAX) * sigmoid(z)
+
+
+# name -> (value at z, derivative at z with outputs a: None for linear, and
+# only mish reads z). sigmoid and mish are looked up by name when called, so
+# that rebinding them reaches every layer.
+_ACTIVATIONS = {
+    "linear": (lambda z: z, lambda z, a: None),
+    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
+    "sigmoid": (lambda z: sigmoid(z), lambda z, a: a * (1.0 - a)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: a > 0.0),
+    "mish": (lambda z: mish(z), _mish_deriv),
+}
+
+
 def _activation(name, z):
-    if name == "linear":
-        return z
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "sigmoid":
-        return sigmoid(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "mish":
-        return mish(z)
-    raise ValueError(f"unknown activation {name!r}")
+    return _ACTIVATIONS[name][0](z)
 
 
 def _activation_deriv(name, z, a):
-    """d(activation)/dz at pre-activations ``z`` with outputs ``a``, taken
-    from ``a`` where it can be (only mish needs ``z``); None for linear,
-    whose derivative is 1."""
-    if name == "linear":
-        return None
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    if name == "relu":
-        return a > 0.0
-    if name == "mish":
-        t = np.tanh(_softplus(z))
-        return t + (1.0 - t * t) * np.clip(z, -_FLOAT_MAX, _FLOAT_MAX) * sigmoid(z)
-    raise ValueError(f"unknown activation {name!r}")
+    """d(activation)/dz at pre-activations ``z`` with outputs ``a``."""
+    return _ACTIVATIONS[name][1](z, a)
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,8 @@ class LayerSpec:
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("layer width must be >= 1")
-        _activation(self.activation, np.zeros(1))  # validates the name
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
@@ -162,16 +161,6 @@ def init_network(input_dim: int, layers, seed: int = 0) -> NetworkParams:
         biases.append(np.zeros(spec.width))
         fan_in = spec.width
     return NetworkParams(input_dim, layers, weights, biases)
-
-
-def _as_batch(x, dim):
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != dim:
-        raise ValueError(f"input dim {x.shape[1]} does not match network dim {dim}")
-    return x, single
 
 
 def _layer_outputs(params: NetworkParams, z, weights_t):
@@ -211,14 +200,25 @@ def _layer_deltas(params: NetworkParams, derivs, delta, out=None):
 
 
 def _weight_grad(delta, x):
-    """A layer's (dW, db) summed over the rows of its pre-activation
-    cotangent ``delta`` and its input ``x``: one product, whatever the rows
-    stack."""
-    return delta.T @ x, delta.sum(axis=0)
+    """A layer's (dW, db) summed over the leading axes of its pre-activation
+    cotangent ``delta`` (..., width) and its input ``x`` (..., fan_in): one
+    product over the rows, whatever they stack."""
+    delta = delta.reshape(-1, delta.shape[-1])
+    return delta.T @ x.reshape(-1, x.shape[-1]), delta.sum(axis=0)
+
+
+def _forward(params: NetworkParams, x):
+    """(x as a float array, the ``_layer_outputs`` of the network at x): the
+    one place a raw network input (..., input_dim) meets layer 0."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (params.input_dim,):
+        raise ValueError(f"input shape {x.shape} does not match network dim {params.input_dim}")
+    weights_t = [w.T for w in params.weights]
+    return x, _layer_outputs(params, x @ weights_t[0] + params.biases[0], weights_t)
 
 
 def mlp_forward(params: NetworkParams, x, check_finite: bool = True):
-    """Forward pass; accepts (d,) or (n, d) and matches the output shape.
+    """Forward pass of inputs (..., d) to outputs (..., outputs).
 
     It keeps no layer outputs: use it wherever no backward pass follows, and
     ``mlp_forward_cache`` (the same arithmetic, bit for bit) where one does.
@@ -226,26 +226,20 @@ def mlp_forward(params: NetworkParams, x, check_finite: bool = True):
     A non-finite output raises ``FloatingPointError`` unless
     ``check_finite`` is false, in which case it is returned as it is.
     """
-    xb, single = _as_batch(x, params.input_dim)
-    weights_t = [w.T for w in params.weights]
-    for _, a in _layer_outputs(params, xb @ weights_t[0] + params.biases[0], weights_t):
+    for _, a in _forward(params, x)[1]:
         pass
     if check_finite and not np.all(np.isfinite(a)):
         raise FloatingPointError("non-finite network output")
-    return a[0] if single else a
+    return a
 
 
 def mlp_forward_cache(params: NetworkParams, x):
     """Forward pass keeping what ``mlp_vjp`` reads: the network input and
     every layer's output (``acts``) and pre-activation (``pres``); returns
     (output, (acts, pres))."""
-    xb, _ = _as_batch(x, params.input_dim)
-    acts, pres = [xb], []
-    weights_t = [w.T for w in params.weights]
-    for z, a in _layer_outputs(params, xb @ weights_t[0] + params.biases[0], weights_t):
-        pres.append(z)
-        acts.append(a)
-    return a, (acts, pres)
+    x, layers = _forward(params, x)
+    pres, acts = zip(*layers)
+    return acts[-1], ([x, *acts], pres)
 
 
 def mlp_vjp(params: NetworkParams, cache, grad_out):
@@ -267,40 +261,35 @@ def mlp_vjp(params: NetworkParams, cache, grad_out):
 def mlp_param_gradient(params: NetworkParams, inputs, targets):
     """Mean-squared-error loss (mean over samples of |y - t|^2) and its
     exact parameter gradient."""
-    xb, _ = _as_batch(inputs, params.input_dim)
-    tb = np.asarray(targets, dtype=float)
-    if tb.ndim == 1:
-        tb = tb[None, :]
-    if xb.shape[0] == 0:
+    y, cache = mlp_forward_cache(params, inputs)
+    rows = y.size // params.output_dim
+    if rows == 0:
         raise ValueError("empty batch")
-    y, cache = mlp_forward_cache(params, xb)
-    resid = y - tb
-    loss = float(np.mean(np.sum(resid * resid, axis=1)))
-    _, grads = mlp_vjp(params, cache, 2.0 * resid / xb.shape[0])
+    resid = y - np.asarray(targets, dtype=float)
+    loss = float(np.mean(np.sum(resid * resid, axis=-1)))
+    _, grads = mlp_vjp(params, cache, 2.0 * resid / rows)
     return loss, grads
 
 
 def mlp_input_jacobian(params: NetworkParams, x, input_indices=None) -> np.ndarray:
     """Forward-mode Jacobian of the outputs w.r.t. selected input coordinates.
 
-    ``x`` is one input (d,), giving (outputs, k), or a stack (n, d), giving
-    (n, outputs, k): the tangent of every point is carried through the
-    layers at once.
+    ``x`` is one input (d,) or a stack (..., d), giving (..., outputs, k):
+    the tangent of every point is carried through the layers at once. The
+    result is a writable array of its own.
     """
-    xb, single = _as_batch(x, params.input_dim)
+    x, layers = _forward(params, x)
     if input_indices is None:
         input_indices = range(params.input_dim)
     tangent = np.eye(params.input_dim)[:, list(input_indices)]
-    weights_t = [w.T for w in params.weights]
-    layers = _layer_outputs(params, xb @ weights_t[0] + params.biases[0], weights_t)
     for spec, w, (z, a) in zip(params.layers, params.weights, layers):
         tangent = w @ tangent
         deriv = _activation_deriv(spec.activation, z, a)
         if deriv is not None:
-            tangent = deriv[:, :, None] * tangent
-    if tangent.ndim == 2:  # every layer linear: one Jacobian for all points
-        tangent = np.repeat(tangent[None], xb.shape[0], axis=0)
-    return tangent[0] if single else tangent
+            tangent = deriv[..., None] * tangent
+    if tangent.ndim <= x.ndim:  # every layer linear: one Jacobian for all points
+        tangent = np.broadcast_to(tangent, x.shape[:-1] + tangent.shape).copy()
+    return tangent
 
 
 # ---------------------------------------------------------------------------
@@ -411,27 +400,15 @@ class GruSpec:
 
 
 def init_gru(input_size: int, hidden_size: int, seed: int = 0) -> GruSpec:
+    """Glorot-uniform W and U and zero b of each gate, in the order z, r, n."""
     rng = np.random.default_rng(seed)
-    def w(rows, cols):
-        bound = np.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-bound, bound, size=(rows, cols))
-    return GruSpec(input_size, hidden_size,
-                   w(hidden_size, input_size), w(hidden_size, hidden_size),
-                   np.zeros(hidden_size),
-                   w(hidden_size, input_size), w(hidden_size, hidden_size),
-                   np.zeros(hidden_size),
-                   w(hidden_size, input_size), w(hidden_size, hidden_size),
-                   np.zeros(hidden_size))
-
-
-def _history_batch(history, input_size):
-    h = np.asarray(history, dtype=float)
-    single = h.ndim == 2
-    if single:
-        h = h[None, :, :]
-    if h.ndim != 3 or h.shape[2] != input_size or h.shape[1] < 1:
-        raise ValueError(f"history shape {h.shape} incompatible with input size {input_size}")
-    return h, single
+    params = []
+    for _ in range(3):
+        for cols in (input_size, hidden_size):
+            bound = np.sqrt(6.0 / (hidden_size + cols))
+            params.append(rng.uniform(-bound, bound, size=(hidden_size, cols)))
+        params.append(np.zeros(hidden_size))
+    return GruSpec(input_size, hidden_size, *params)
 
 
 def _gru_step(spec: GruSpec, x, h):
@@ -443,31 +420,36 @@ def _gru_step(spec: GruSpec, x, h):
     return (1.0 - z) * n + z * h, z, r, n
 
 
+def _gru_run(spec: GruSpec, history, steps=None):
+    """Final hidden state (..., hidden) over a history (..., tau, d); each
+    step's (x, h, z, r, n) is appended to the list ``steps`` if one is given."""
+    hist = np.asarray(history, dtype=float)
+    if hist.ndim < 2 or hist.shape[-2] < 1 or hist.shape[-1] != spec.input_size:
+        raise ValueError(f"history shape {hist.shape} incompatible with input size "
+                         f"{spec.input_size}")
+    h = np.zeros(hist.shape[:-2] + (spec.hidden_size,))
+    for t in range(hist.shape[-2]):
+        x = hist[..., t, :]
+        h_new, z, r, n = _gru_step(spec, x, h)
+        if steps is not None:
+            steps.append((x, h, z, r, n))
+        h = h_new
+    return h
+
+
 def gru_forward(spec: GruSpec, history):
-    """Final hidden state of the recurrence over a (tau, d) history (or a
-    (n, tau, d) batch), keeping no per-step state: memory is a few (n, hidden)
+    """Final hidden state (..., hidden) of the recurrence over a history
+    (..., tau, d), keeping no per-step state: memory is a few (..., hidden)
     arrays whatever tau is. Bit-identical to ``gru_forward_cache``'s state."""
-    hist, single = _history_batch(history, spec.input_size)
-    n_batch, tau, _ = hist.shape
-    h = np.zeros((n_batch, spec.hidden_size))
-    for t in range(tau):
-        h = _gru_step(spec, hist[:, t, :], h)[0]
-    return h[0] if single else h
+    return _gru_run(spec, history)
 
 
 def gru_forward_cache(spec: GruSpec, history):
-    """``gru_forward`` that also returns the per-step cache of
-    ``gru_backward``: (x, h, z, r, n) per step, 4 tau (n, hidden) arrays."""
-    hist, single = _history_batch(history, spec.input_size)
-    n_batch, tau, _ = hist.shape
-    h = np.zeros((n_batch, spec.hidden_size))
+    """``gru_forward`` over a history (..., tau, d) that also returns the
+    per-step cache of ``gru_backward``: (x, h, z, r, n) per step, 4 tau
+    (..., hidden) arrays."""
     steps = []
-    for t in range(tau):
-        x = hist[:, t, :]
-        h_new, z, r, n = _gru_step(spec, x, h)
-        steps.append((x, h, z, r, n))
-        h = h_new
-    return (h[0] if single else h), steps
+    return _gru_run(spec, history, steps), steps
 
 
 def gru_backward(spec: GruSpec, steps, grad_h):
@@ -475,26 +457,22 @@ def gru_backward(spec: GruSpec, steps, grad_h):
 
     Returns gradients in the order of ``spec.param_list()``.
     """
-    dh = np.asarray(grad_h, dtype=float)
-    if dh.ndim == 1:
-        dh = dh[None, :]
+    dh = np.asarray(grad_h, dtype=float).reshape(-1, spec.hidden_size)
     grads = [np.zeros_like(p) for p in spec.param_list()]
-    dWz, dUz, dbz, dWr, dUr, dbr, dWn, dUn, dbn = grads
-    for x, h_prev, z, r, n in reversed(steps):
+    for step in reversed(steps):
+        x, h_prev, z, r, n = (a.reshape(len(dh), -1) for a in step)
         dz_pre = dh * (h_prev - n) * z * (1.0 - z)
         dn_pre = dh * (1.0 - z) * (1.0 - n * n)
         drh = dn_pre @ spec.Un  # gradient on r*h_prev
         dr_pre = drh * h_prev * r * (1.0 - r)
 
-        dWz += dz_pre.T @ x
-        dUz += dz_pre.T @ h_prev
-        dbz += dz_pre.sum(axis=0)
-        dWr += dr_pre.T @ x
-        dUr += dr_pre.T @ h_prev
-        dbr += dr_pre.sum(axis=0)
-        dWn += dn_pre.T @ x
-        dUn += dn_pre.T @ (r * h_prev)
-        dbn += dn_pre.sum(axis=0)
+        # gate i's (dW, dU, db) are grads[3i:3i + 3]; dU needs no bias sum
+        for i, (pre, h_in) in enumerate(((dz_pre, h_prev), (dr_pre, h_prev),
+                                         (dn_pre, r * h_prev))):
+            dw, db = _weight_grad(pre, x)
+            grads[3 * i] += dw
+            grads[3 * i + 1] += pre.T @ h_in
+            grads[3 * i + 2] += db
 
         dh = (dh * z + dz_pre @ spec.Uz + dr_pre @ spec.Ur + drh * r)
     return grads
@@ -544,10 +522,10 @@ class LearnedDynamicsModel:
             raise ValueError("input scale entries must be positive")
 
     def normalize(self, states, inputs) -> np.ndarray:
-        """Network input of one point (k,) or of stacked points (n, k)."""
-        raw = np.concatenate([np.asarray(states, float), np.asarray(inputs, float)],
-                             axis=-1)
-        return (raw - self.offset) / self.scale
+        """Network input (..., k) of states (..., d) and inputs (..., m)."""
+        s, u = np.asarray(states, float), np.asarray(inputs, float)
+        _check_point_shapes("learned", s, u, self.state_dim, self.input_dim)
+        return (np.concatenate([s, u], axis=-1) - self.offset) / self.scale
 
     def rhs(self, s, u, t=0.0) -> np.ndarray:
         """Learned state derivative at one point (d,) or stacked points (n, d).

@@ -33,7 +33,7 @@ import numpy as np
 
 from ._codec import csv_text
 from .datagen import derivative_samples, time_step
-from .dynamics import _check_fields
+from .dynamics import KinematicModel, _check_fields
 from .nets import (LearnedDynamicsModel, _activation_deriv, _epoch_batches, _layer_deltas,
                    _layer_outputs, _weight_grad, adam_step, init_adam, init_network,
                    mlp_forward, mlp_param_gradient)
@@ -62,7 +62,8 @@ class DivergedRolloutError(FloatingPointError):
 
 @dataclass(frozen=True)
 class CollocationBounds:
-    """Closed sampling intervals for (x, y, theta, v, delta)."""
+    """Closed sampling intervals over a model's states and then its inputs.
+    The default box is the kinematic car's (x, y, theta, v, delta)."""
 
     lower: np.ndarray = field(default_factory=lambda: np.array(
         [-100.0, -10.0, -0.5236, 0.0, -0.5236]))
@@ -87,10 +88,9 @@ class CollocationBounds:
         return np.where(hw == 0.0, 1.0, hw)
 
 
-def sample_collocation(bounds: CollocationBounds, n: int, seed: int = 0,
-                       state_dim: int = 3):
+def sample_collocation(bounds: CollocationBounds, n: int, seed: int, state_dim: int):
     """n i.i.d. uniform samples inside the bounds as (states (n, d), inputs
-    (n, m)) arrays."""
+    (n, m)) arrays, the states being the first ``state_dim`` coordinates."""
     if n < 1:
         raise ValueError("need n >= 1 collocation samples")
     rng = np.random.default_rng(seed)
@@ -263,16 +263,14 @@ def _rollout_loss_grad(model: LearnedDynamicsModel, win_states, win_inputs,
             pass
         return delta @ w0x
 
-    rows = 4 * n_w
     lam_next = np.zeros((n_w, d))
     for k in range(horizon - 1, -1, -1):
         derivs = [_activation_deriv(spec.activation, None if z is None else z[k], a[k])
                   for spec, z, a in zip(params.layers[::-1], pres[::-1], acts[::-1])]
         lam_next = rk4_adjoint(vjp, steps[k], lam_next + 2.0 * resids[k] / norm, dt)
-        inputs = [((xs[k] - x_off) / x_scale).reshape(rows, d),
-                  *(a[k].reshape(rows, -1) for a in acts[:-1])]
+        inputs = [(xs[k] - x_off) / x_scale, *(a[k] for a in acts[:-1])]
         for (gw, gb), delta, x in zip(grads, deltas, inputs):
-            dw, db = _weight_grad(delta.reshape(rows, -1), x)
+            dw, db = _weight_grad(delta, x)
             gw[:, :dw.shape[1]] += dw  # layer 0's product covers its state columns only
             gb += db
         grads[0][0][:, d:] += deltas[0].sum(axis=0).T @ held[k]  # layer 0's input columns
@@ -409,11 +407,11 @@ def train_regime(model: LearnedDynamicsModel, cfg: RegimeConfig,
 # building nets and data
 
 
-def build_kinematic_net(layers, bounds: CollocationBounds, seed: int,
-                        state_dim: int = 3, input_dim: int = 2) -> LearnedDynamicsModel:
-    params = init_network(state_dim + input_dim, layers, seed=seed)
-    return LearnedDynamicsModel(params, state_dim, input_dim,
-                                offset=bounds.center, scale=bounds.half_width)
+def build_kinematic_net(layers, bounds: CollocationBounds, seed: int) -> LearnedDynamicsModel:
+    """A net for the kinematic car, its inputs normalized to the bounds' box."""
+    d, m = KinematicModel.state_dim, KinematicModel.input_dim
+    params = init_network(d + m, layers, seed=seed)
+    return LearnedDynamicsModel(params, d, m, offset=bounds.center, scale=bounds.half_width)
 
 
 def build_training_data(analytic_model, bounds: CollocationBounds,

@@ -115,6 +115,27 @@ class TestJacobianBaseline:
             true_model, nominal, timed)
 
 
+    def test_points_outside_the_envelope_are_left_out(self):
+        rng = np.random.default_rng(43)
+        true_model = DynamicModel(disturbances=DISTURBANCE_SETS[6])
+        nominal = true_model.without_disturbances()
+        pts = [(sample_dynamic_state(rng), sample_dynamic_input(rng), 1.0) for _ in range(6)]
+        slow = pts[2][0].copy()
+        slow[3] = 0.2  # below VX_MIN
+        with_slow = pts[:2] + [(slow, pts[2][1], 1.0)] + pts[3:]
+        assert jacobian_baseline(true_model, nominal, with_slow) == jacobian_baseline(
+            true_model, nominal, pts[:2] + pts[3:])
+
+    def test_no_point_inside_the_envelope_is_rejected(self):
+        rng = np.random.default_rng(44)
+        pts = []
+        for _ in range(3):
+            s = sample_dynamic_state(rng)
+            s[3] = 0.2  # below VX_MIN
+            pts.append((s, sample_dynamic_input(rng)))
+        with pytest.raises(ValueError, match="none of the 3 points lies in both"):
+            jacobian_baseline(DynamicModel(), DynamicModel(), pts)
+
     def test_empty_point_list_is_rejected(self):
         with pytest.raises(ValueError, match="point list is empty"):
             jacobian_baseline(DynamicModel(), DynamicModel(), [])

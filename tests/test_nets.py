@@ -419,6 +419,15 @@ class TestLearnedDynamicsModel:
             single = model.jacobian(s[i], u[i])
             assert np.linalg.norm(jac[i] - single) <= 1e-12 * np.linalg.norm(single)
 
+    def test_wrong_state_input_split_is_rejected(self):
+        model = self.make()
+        for (s, u), shapes in ((((4, 4), (4, 1)), r"\(4, 4\) and \(4, 1\)"),
+                               (((2,), (3,)), r"\(2,\) and \(3,\)")):
+            for method in (model.rhs, model.jacobian):
+                with pytest.raises(ValueError, match="learned model takes states of shape "
+                                   r"\(\.\.\., 3\) .*got " + shapes):
+                    method(np.zeros(s), np.zeros(u))
+
     def test_checkpoint_round_trip(self, tmp_path):
         model = self.make()
         path = tmp_path / "net.json"

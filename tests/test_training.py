@@ -39,13 +39,13 @@ class TestSampleCollocation:
     def test_degenerate_bounds(self):
         b = CollocationBounds(np.array([1.0, 2.0, 0.5, 3.0, -0.1]),
                               np.array([1.0, 2.0, 0.5, 3.0, -0.1]))
-        states, inputs = sample_collocation(b, 1, seed=0)
+        states, inputs = sample_collocation(b, 1, seed=0, state_dim=3)
         assert np.allclose(states, [[1.0, 2.0, 0.5]])
         assert np.allclose(inputs, [[3.0, -0.1]])
 
     def test_uniform_statistics(self):
         b = CollocationBounds()
-        arr = np.hstack(sample_collocation(b, 10_000, seed=1))
+        arr = np.hstack(sample_collocation(b, 10_000, seed=1, state_dim=3))
         assert np.all(arr.min(axis=0) >= b.lower)
         assert np.all(arr.max(axis=0) <= b.upper)
         width = b.upper - b.lower
@@ -55,13 +55,13 @@ class TestSampleCollocation:
 
     def test_determinism(self):
         b = CollocationBounds()
-        (s1, u1), (s2, u2) = (sample_collocation(b, 32, seed=9) for _ in range(2))
+        (s1, u1), (s2, u2) = (sample_collocation(b, 32, seed=9, state_dim=3) for _ in range(2))
         assert s1.shape == (32, 3) and u1.shape == (32, 2)
         assert np.array_equal(s1, s2) and np.array_equal(u1, u2)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            sample_collocation(CollocationBounds(), 0)
+            sample_collocation(CollocationBounds(), 0, seed=0, state_dim=3)
 
 
 def exact_linear_net(sys: LinearSystem) -> LearnedDynamicsModel:
@@ -76,7 +76,7 @@ class TestLosses:
     def test_physics_loss_zero_for_exact_net(self):
         sys = LinearSystem()
         model = exact_linear_net(sys)
-        states, inputs = sample_collocation(SMALL_BOUNDS, 50, seed=2)
+        states, inputs = sample_collocation(SMALL_BOUNDS, 50, seed=2, state_dim=3)
         assert data_loss(model, states, inputs, sys.rhs(states, inputs)) == pytest.approx(
             0.0, abs=1e-28)
 
@@ -92,7 +92,7 @@ class TestLosses:
         sys = LinearSystem()
         model = build_kinematic_net((LayerSpec(8, "tanh"), LayerSpec(3, "linear")),
                                     SMALL_BOUNDS, seed=3)
-        states, inputs = sample_collocation(SMALL_BOUNDS, 37, seed=4)
+        states, inputs = sample_collocation(SMALL_BOUNDS, 37, seed=4, state_dim=3)
         pred = mlp_forward(model.params, model.normalize(states, inputs))
         targets = [sys.rhs(s, u) for s, u in zip(states, inputs)]
         assert data_loss(model, states, inputs, sys.rhs(states, inputs)) == pytest.approx(
