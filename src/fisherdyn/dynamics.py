@@ -127,10 +127,13 @@ def _check_envelope(bad, values, reason: str) -> None:
 
 def _check_point_shapes(model: str, s, u, d: int, m: int) -> None:
     """Raise ``ValueError`` unless the states are (..., d) and the inputs
-    (..., m)."""
+    (..., m) over the same leading axes."""
     if s.shape[-1:] != (d,) or u.shape[-1:] != (m,):
         raise ValueError(f"the {model} model takes states of shape (..., {d}) and inputs "
                          f"of shape (..., {m}), got {s.shape} and {u.shape}")
+    if s.shape[:-1] != u.shape[:-1]:
+        raise ValueError(f"the {model} model takes states and inputs over the same "
+                         f"leading axes, got {s.shape} and {u.shape}")
 
 
 def wrap_angle(theta: float) -> float:

@@ -14,9 +14,11 @@ partials are the magic formula's B, C, D, E partials and the linear
 drivetrain terms.
 Gradients are exact throughout: through the physics step by
 ``numerics.rk4_adjoint`` over those partials, then through guard, head and
-GRU (backprop through time). Only training keeps that backward state:
-inference, such as the final estimate over every window, runs GRU and head
-forward-only.
+GRU (backprop through time). Only training keeps that backward state, and
+one batch's at a time: a batch's GRU and head cache die before the next
+batch's forward runs, and its physics stage partials die before its own GRU
+backward runs. Inference, such as the final estimate over every window, runs
+GRU and head forward-only.
 """
 
 from __future__ import annotations
@@ -253,6 +255,27 @@ class EstimatorModel:
         return gru_grads + [a for pair in head_grads for a in pair]
 
 
+def _batch_loss_grad(model, windows, idx, phi):
+    """Batch loss and dLoss/dPhi (None if the loss is not finite); the stage
+    partials, prediction and residual die with this frame."""
+    pred, pullback = _physics_step(model, windows.base_states[idx], phi)
+    resid = pred - windows.targets[idx]
+    loss = float(np.mean(resid * resid))
+    if not math.isfinite(loss):
+        return loss, None
+    return loss, pullback(resid * (2.0 / resid.size))
+
+
+def _batch_step(model, windows, idx, opt) -> float:
+    """One Adam step on windows ``idx`` (none if the loss is not finite),
+    returning the loss; the batch's GRU and head cache die with this frame."""
+    phi, cache = model.estimate(windows.features[idx], with_cache=True)
+    loss, grad_phi = _batch_loss_grad(model, windows, idx, phi)
+    if grad_phi is not None:
+        adam_step(model.param_list(), model.backward(cache, grad_phi), opt)
+    return loss
+
+
 @dataclass
 class EstimatorRun:
     model: EstimatorModel
@@ -267,7 +290,12 @@ def train_coefficient_estimator(cfg: EstimatorConfig, trajectories,
                                 bounds: PhysicsGuardBounds | None = None) -> EstimatorRun:
     """Fit the estimator on (possibly disturbed) trajectories against the
     nominal physics, stepped by their shared ``time_step``; returns the
-    trained model plus per-window estimates."""
+    trained model plus per-window estimates.
+
+    Training memory is bounded by one batch beyond the window arrays: one
+    batch's GRU and head cache are alive at a time, and its stage partials
+    are dropped before the GRU backward runs.
+    """
     if not len(trajectories):
         raise ValueError("no trajectories were given")
     windows = build_windows(trajectories, cfg.tau)
@@ -288,16 +316,10 @@ def train_coefficient_estimator(cfg: EstimatorConfig, trajectories,
         epoch_loss = 0.0
         seen = 0
         for idx in _epoch_batches(n, cfg.batch_size, rng):
-            feats = windows.features[idx]
-            phi, cache = model.estimate(feats, with_cache=True)
-            pred, pullback = _physics_step(model, windows.base_states[idx], phi)
-            resid = pred - windows.targets[idx]
-            loss = float(np.mean(resid * resid))
+            loss = _batch_step(model, windows, idx, opt)
             if not math.isfinite(loss):
                 diverged = True
                 break
-            grads = model.backward(cache, pullback(resid * (2.0 / resid.size)))
-            adam_step(model.param_list(), grads, opt)
             epoch_loss += loss * idx.size
             seen += idx.size
         if diverged:
@@ -305,11 +327,10 @@ def train_coefficient_estimator(cfg: EstimatorConfig, trajectories,
             break
         curve.append(epoch_loss / max(seen, 1))
 
-    # The final estimate runs one batch at a time, without the last batch's
-    # backward state, so its transients do not grow with the dataset. The
-    # remainder joins the last chunk, so that no chunk is shorter than a
-    # batch: BLAS may round the products of a short chunk differently.
-    cache = pullback = grads = None
+    # The final estimate runs one batch at a time, without backward state,
+    # so its transients do not grow with the dataset. The remainder joins the
+    # last chunk, so that no chunk is shorter than a batch: BLAS may round the
+    # products of a short chunk differently.
     phi_final = np.empty((n, len(COEFFICIENT_NAMES)))
     starts = range(0, max(n - cfg.batch_size, 0) + 1, cfg.batch_size)
     for lo, hi in zip(starts, [*starts[1:], n]):

@@ -127,6 +127,11 @@ class ParameterBiasTable:
     true_values: np.ndarray
 
     def relative_deviation(self) -> np.ndarray:
+        """|mean - true| / |true| per coefficient; a true value of 0 has none."""
+        zero = [name for name, t in zip(self.names, self.true_values) if t == 0.0]
+        if zero:
+            raise ValueError(f"no relative deviation for the coefficients {zero}, "
+                             "whose true value is 0")
         return np.abs(self.means - self.true_values) / np.abs(self.true_values)
 
     def most_deviated(self) -> list:
@@ -142,13 +147,17 @@ class ParameterBiasTable:
 def parameter_bias_table(names, records, true_values) -> ParameterBiasTable:
     """Sample mean and population standard deviation per coefficient.
 
-    ``records`` has one row per estimate, one column per coefficient.
+    ``records`` has one row per estimate, one column per coefficient, and
+    ``true_values`` one finite value per coefficient.
     """
     records = np.asarray(records, dtype=float)
+    truth = np.asarray(true_values, dtype=float)
     if records.ndim != 2 or records.shape[0] < 2:
         raise ValueError("need at least two estimate records per coefficient")
     if records.shape[1] != len(names):
         raise ValueError("record width does not match the coefficient names")
+    if truth.shape != (len(names),) or not np.all(np.isfinite(truth)):
+        raise ValueError(f"true values {truth.tolist()} are not {len(names)} finite "
+                         "values, one per coefficient name")
     return ParameterBiasTable(list(names), records.mean(axis=0),
-                              records.std(axis=0),
-                              np.asarray(true_values, dtype=float))
+                              records.std(axis=0), truth)

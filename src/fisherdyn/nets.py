@@ -260,12 +260,16 @@ def mlp_vjp(params: NetworkParams, cache, grad_out):
 
 def mlp_param_gradient(params: NetworkParams, inputs, targets):
     """Mean-squared-error loss (mean over samples of |y - t|^2) and its
-    exact parameter gradient."""
+    exact parameter gradient; ``targets`` has the outputs' shape."""
     y, cache = mlp_forward_cache(params, inputs)
     rows = y.size // params.output_dim
     if rows == 0:
         raise ValueError("empty batch")
-    resid = y - np.asarray(targets, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != y.shape:
+        raise ValueError(f"targets of shape {targets.shape} do not match the outputs' "
+                         f"shape {y.shape}")
+    resid = y - targets
     loss = float(np.mean(np.sum(resid * resid, axis=-1)))
     _, grads = mlp_vjp(params, cache, 2.0 * resid / rows)
     return loss, grads
@@ -455,16 +459,25 @@ def gru_forward_cache(spec: GruSpec, history):
 def gru_backward(spec: GruSpec, steps, grad_h):
     """Backprop-through-time from a gradient on the final hidden state.
 
-    Returns gradients in the order of ``spec.param_list()``.
+    Returns gradients in the order of ``spec.param_list()``. Each step's
+    temporaries are built in place in arrays of its own; ``steps`` and
+    ``grad_h`` are only read.
     """
     dh = np.asarray(grad_h, dtype=float).reshape(-1, spec.hidden_size)
     grads = [np.zeros_like(p) for p in spec.param_list()]
     for step in reversed(steps):
         x, h_prev, z, r, n = (a.reshape(len(dh), -1) for a in step)
-        dz_pre = dh * (h_prev - n) * z * (1.0 - z)
-        dn_pre = dh * (1.0 - z) * (1.0 - n * n)
+        dz_pre = h_prev - n
+        dz_pre *= dh
+        dz_pre *= z
+        dz_pre *= 1.0 - z
+        dn_pre = 1.0 - z
+        dn_pre *= dh
+        dn_pre *= 1.0 - n * n
         drh = dn_pre @ spec.Un  # gradient on r*h_prev
-        dr_pre = drh * h_prev * r * (1.0 - r)
+        dr_pre = drh * h_prev
+        dr_pre *= r
+        dr_pre *= 1.0 - r
 
         # gate i's (dW, dU, db) are grads[3i:3i + 3]; dU needs no bias sum
         for i, (pre, h_in) in enumerate(((dz_pre, h_prev), (dr_pre, h_prev),
@@ -474,7 +487,11 @@ def gru_backward(spec: GruSpec, steps, grad_h):
             grads[3 * i + 1] += pre.T @ h_in
             grads[3 * i + 2] += db
 
-        dh = (dh * z + dz_pre @ spec.Uz + dr_pre @ spec.Ur + drh * r)
+        dh = dh * z  # a new array: the first dh may be the caller's grad_h
+        dh += dz_pre @ spec.Uz
+        dh += dr_pre @ spec.Ur
+        drh *= r
+        dh += drh
     return grads
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -420,6 +421,17 @@ class TestPointShapes:
             with pytest.raises(ValueError, match=expected) as err:
                 call(s, u)
             assert not isinstance(err.value, DomainError)
+
+    @pytest.mark.parametrize("model,name,d", [(KinematicModel(), "kinematic", 3),
+                                              (DynamicModel(), "dynamic", 6)])
+    @pytest.mark.parametrize("method", ["rhs", "jacobian"])
+    def test_disagreeing_leading_axes_name_both_shapes(self, model, name, d, method):
+        call = getattr(model, method)
+        for s, u in (((4, d), (2, 2)), ((d,), (4, 2)), ((4, d), (2,))):
+            shapes = re.escape(f"got {s} and {u}")
+            with pytest.raises(ValueError, match=f"the {name} model .*same leading axes, "
+                               + shapes):
+                call(np.ones(s), np.ones(u))
 
     def test_field_of_wrongly_shaped_points_fails_loudly(self):
         from fisherdyn.fisher import evaluate_field

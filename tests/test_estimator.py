@@ -20,6 +20,26 @@ from oracles import loop_windows, scalar_dynamic_rhs
 from test_dynamics import DISTURBANCE_SETS, TIRE_PAIRS
 
 
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def training_peak_and_window_bytes(cfg, duration):
+    """Traced peak of training ``cfg`` on a ``duration`` s ladder, and the
+    bytes of its window arrays."""
+    trajs = generate_dynamic_dataset(DynamicModel(), duration=duration, seed=3)
+    windows = build_windows(trajs, cfg.tau)
+    peak = traced_peak(lambda: train_coefficient_estimator(cfg, trajs, P, TEMPLATE))
+    return peak, sum(a.nbytes for a in (windows.features, windows.base_states,
+                                         windows.targets))
+
+
 def velocity_batch(rng, n):
     """Rows (vx, vy, omega, throttle, delta) and per-row coefficients near the truth."""
     states = np.column_stack([rng.uniform(0.8, 3.5, n), rng.uniform(-0.5, 0.5, n),
@@ -258,12 +278,7 @@ class TestEstimatorModel:
         gru_cache_bytes = cfg.tau * 4 * n * cfg.hidden_size * 8
 
         def peak(**kwargs):
-            tracemalloc.start()
-            try:
-                model.estimate(feats, **kwargs)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: model.estimate(feats, **kwargs))
 
         assert peak() < gru_cache_bytes < peak(with_cache=True)
 
@@ -291,21 +306,18 @@ class TestTraining:
         # The final estimate runs batch by batch: from a 4 s to a 20 s ladder
         # (1,568 to 7,968 windows) the peak grows by the window arrays alone.
         cfg = EstimatorConfig(epochs=1)
-
-        def peak_and_window_bytes(duration):
-            trajs = generate_dynamic_dataset(DynamicModel(), duration=duration, seed=3)
-            windows = build_windows(trajs, cfg.tau)
-            tracemalloc.start()
-            try:
-                train_coefficient_estimator(cfg, trajs, P, TEMPLATE)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak, sum(a.nbytes for a in (windows.features, windows.base_states,
-                                                 windows.targets))
-
-        (short, short_windows), (long, long_windows) = map(peak_and_window_bytes, (4.0, 20.0))
+        (short, short_windows), (long, long_windows) = (
+            training_peak_and_window_bytes(cfg, duration) for duration in (4.0, 20.0))
         assert long - short <= long_windows - short_windows + 2**20
+
+    def test_training_keeps_one_batch_of_backward_state(self):
+        """Beyond the window arrays, training holds one batch's GRU cache (4
+        tau (batch, hidden) arrays) plus smaller head and physics state, not
+        two batches' caches at once."""
+        cfg = EstimatorConfig(epochs=1)
+        gru_cache_bytes = cfg.tau * 4 * cfg.batch_size * cfg.hidden_size * 8
+        peak, window_bytes = training_peak_and_window_bytes(cfg, 4.0)
+        assert peak - window_bytes < 2.5 * gru_cache_bytes
 
     def test_one_batch_evaluates_each_stage_once(self, clean_trajectories, monkeypatch):
         """The stage partials give the prediction too: 4 partial calls a batch

@@ -228,3 +228,16 @@ class TestParameterBiasTable:
     def test_record_width_must_match_names(self):
         with pytest.raises(ValueError, match="width"):
             parameter_bias_table(["a", "b"], self.RECORDS, self.TRUTH[:2])
+
+    @pytest.mark.parametrize("truth", [[4.0, 12.5], [4.0, 12.5, -1.0, 2.0], [[4.0, 12.5, -1.0]],
+                                       [4.0, float("nan"), -1.0], [float("inf"), 12.5, -1.0]])
+    def test_truth_must_be_one_finite_value_per_name(self, truth):
+        with pytest.raises(ValueError, match="are not 3 finite values, one per coefficient"):
+            parameter_bias_table(["a", "b", "c"], self.RECORDS, truth)
+
+    def test_zero_truth_has_no_relative_deviation(self):
+        table = parameter_bias_table(["a", "b", "c"], self.RECORDS, [0.0, 12.5, -0.0])
+        for method in (table.relative_deviation, table.most_deviated):
+            with pytest.raises(ValueError, match=r"coefficients \['a', 'c'\], whose true "
+                               "value is 0"):
+                method()

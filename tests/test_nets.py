@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -103,6 +104,13 @@ class TestParamGradient:
         loss, grads = mlp_param_gradient(params, np.array([[1.0]]), np.array([[0.0]]))
         assert loss == pytest.approx(1.0)
         assert grads[0][0][0, 0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (4, 1), (3, 3)])
+    def test_targets_must_have_the_outputs_shape(self, shape):
+        params = init_network(2, (LayerSpec(5, "tanh"), LayerSpec(3, "linear")), seed=2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"targets of shape {shape} do not match the outputs' shape (4, 3)")):
+            mlp_param_gradient(params, np.ones((4, 2)), np.zeros(shape))
 
     @pytest.mark.parametrize("act", ACTIVATIONS)
     def test_gradient_vs_finite_difference(self, act):
@@ -383,6 +391,20 @@ class TestGru:
                 fd = (lp - lm) / (2 * h)
                 assert abs(fd - ga[idx]) <= 1e-5 * max(abs(fd), abs(ga[idx]), 1e-6)
 
+    def test_backward_leaves_its_cache_unchanged(self):
+        spec = init_gru(3, 5, seed=12)
+        rng = np.random.default_rng(12)
+        _, cache = gru_forward_cache(spec, rng.normal(size=(4, 6, 3)))
+        grad_h = rng.normal(size=(4, 5))
+        before = [[a.copy() for a in step] for step in cache]
+        saved_grad_h = grad_h.copy()
+        gru_backward(spec, cache, grad_h)
+        assert len(cache) == len(before)
+        for step, old in zip(cache, before):
+            assert len(step) == len(old)
+            assert all(np.array_equal(a, b) for a, b in zip(step, old))
+        assert np.array_equal(grad_h, saved_grad_h)
+
 
 class TestDeterminism:
     def test_same_seed_same_net(self):
@@ -426,6 +448,14 @@ class TestLearnedDynamicsModel:
             for method in (model.rhs, model.jacobian):
                 with pytest.raises(ValueError, match="learned model takes states of shape "
                                    r"\(\.\.\., 3\) .*got " + shapes):
+                    method(np.zeros(s), np.zeros(u))
+
+    def test_disagreeing_leading_axes_are_rejected(self):
+        model = self.make()
+        for s, u in (((4, 3), (2, 2)), ((3,), (4, 2))):
+            for method in (model.rhs, model.jacobian):
+                with pytest.raises(ValueError, match="learned model .*same leading axes, "
+                                   + re.escape(f"got {s} and {u}")):
                     method(np.zeros(s), np.zeros(u))
 
     def test_checkpoint_round_trip(self, tmp_path):
