@@ -37,9 +37,9 @@ def write_csv(path, header, columns) -> None:
         fh.write(csv_text(header, columns))
 
 
-def read_csv(path, text_last: bool = False):
-    """(header, (n, k) float block, last field of each row); every row has
-    the header's field count, all floats but the last if ``text_last``."""
+def read_csv(path):
+    """(header, (n, k - 1) float block, last field of each row); every row
+    has the header's k fields, all floats but the last."""
     with open(path, encoding="utf-8") as fh:
         lines = [(no, ln) for no, ln in enumerate(fh.read().split("\n"), 1) if ln.strip()]
     if not lines:
@@ -51,11 +51,11 @@ def read_csv(path, text_last: bool = False):
         if len(parts) != len(header):
             raise ConfigError(f"{path}:{no}: expected {len(header)} fields, got {len(parts)}")
         try:
-            rows.append(list(map(float, parts[:len(parts) - text_last])))
+            rows.append(list(map(float, parts[:-1])))
         except ValueError as err:
             raise ConfigError(f"{path}:{no}: {err}") from None
         text.append(parts[-1])
-    block = np.array(rows, dtype=float).reshape(len(rows), len(header) - text_last)
+    block = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
     return header, block, text
 
 

@@ -1,9 +1,9 @@
 """Synthetic experiment data.
 
-Circular reference paths, a pure-pursuit look-ahead controller, closed-loop
-RK4 rollouts (controller re-evaluated every step, disturbance forces held
-within a step like the inputs), and dataset files that round-trip
-bit-exactly: a CSV per trajectory and a JSON manifest, written by ``_codec``.
+Looped reference paths, a pure-pursuit controller (constant :data:`LOOKAHEAD`
+and :data:`SPEED`), closed-loop RK4 rollouts (controller re-evaluated every
+step, disturbance forces held within a step like the inputs), and dataset files
+that round-trip bit-exactly: a CSV per trajectory and a JSON manifest.
 
 ``simulate`` steps a stack of runs together: each time step makes one
 controller call on all (n, d) states and, on the runs still inside the
@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from ._codec import read_csv, read_json, require_keys, write_csv, write_json
-from .dynamics import DELTA_MAX, ConfigError, on_accepted_rows, wrap_angle
+from .dynamics import DELTA_MAX, ConfigError, _check_fields, on_accepted_rows, wrap_angle
 from .numerics import rk4_step
 
 __all__ = [
@@ -47,41 +47,42 @@ __all__ = [
     "generate_dynamic_dataset",
 ]
 
+# Pure pursuit's look-ahead and speed; the kinematic tracking circle's radius and size.
+LOOKAHEAD, SPEED = 3.0, 2.0
+TRACK_RADIUS, TRACK_WAYPOINTS = 20.0, 1000
+
 
 @dataclass(frozen=True)
 class ReferencePath:
     waypoints: np.ndarray  # (n, 2)
-    closed: bool = False
 
     def __post_init__(self):
         pts = np.asarray(self.waypoints, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ConfigError("a path needs at least two (x, y) waypoints")
-        if np.any(np.all(np.diff(pts, axis=0) == 0.0, axis=1)):
-            raise ConfigError("consecutive waypoints must be distinct")
+        _check_fields("ReferencePath.", {"waypoints": pts}, {})
+        if np.any(np.all(np.diff(pts, axis=0, append=pts[:1]) == 0.0, axis=1)):
+            raise ConfigError("consecutive waypoints (the last and the first too) must be distinct")
         object.__setattr__(self, "waypoints", pts)
 
     @cached_property
     def segment_lengths(self) -> np.ndarray:
-        """Length of the segment from each waypoint to the next (closing the
-        loop when ``closed``), computed once per path."""
+        """Length of each segment, the last closing the loop; computed once."""
         pts = self.waypoints
-        nxt = np.roll(pts, -1, axis=0) if self.closed else pts[1:]
-        base = pts if self.closed else pts[:-1]
-        return np.linalg.norm(nxt - base, axis=1)
+        return np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
     dt: float = 0.1
     total_time: float = 31.0
-    lookahead: float = 3.0
-    speed: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.total_time < self.dt or self.lookahead <= 0:
-            raise ConfigError("need dt > 0, total_time >= dt, lookahead > 0")
+        _check_fields("SimulationConfig.", {"dt": self.dt, "total_time": self.total_time},
+                      {"dt": "> 0"})
+        if self.total_time < self.dt:
+            raise ConfigError("need SimulationConfig.total_time >= dt")
 
     @property
     def n_samples(self) -> int:
@@ -110,8 +111,7 @@ def circular_path(radius: float, n: int) -> ReferencePath:
     if radius <= 0 or n < 3:
         raise ConfigError("need radius > 0 and n >= 3")
     theta = 2.0 * math.pi * np.arange(n) / n
-    return ReferencePath(np.column_stack([radius * np.cos(theta),
-                                          radius * np.sin(theta)]), closed=True)
+    return ReferencePath(np.column_stack([radius * np.cos(theta), radius * np.sin(theta)]))
 
 
 def lookahead_steer(state, path: ReferencePath, d_lookahead: float, L: float) -> float:
@@ -122,22 +122,16 @@ def lookahead_steer(state, path: ReferencePath, d_lookahead: float, L: float) ->
     """
     x, y, theta = state[0], state[1], state[2]
     pts = path.waypoints
-    nearest = int(np.argmin(np.hypot(pts[:, 0] - x, pts[:, 1] - y)))
+    idx = int(np.argmin(np.hypot(pts[:, 0] - x, pts[:, 1] - y)))
     seg = path.segment_lengths
     n = pts.shape[0]
-
-    target = pts[-1]
     acc = 0.0
-    steps = n if path.closed else n - 1 - nearest
-    idx = nearest
-    for _ in range(steps):
-        acc += seg[idx % seg.size]
+    for _ in range(n):
+        acc += seg[idx]
         idx = (idx + 1) % n
         if acc >= d_lookahead:
-            target = pts[idx]
             break
-    else:
-        target = pts[idx % n]
+    target = pts[idx]
 
     alpha = wrap_angle(math.atan2(target[1] - y, target[0] - x) - theta)
     delta = math.atan(2.0 * L * math.sin(alpha) / d_lookahead)
@@ -147,15 +141,13 @@ def lookahead_steer(state, path: ReferencePath, d_lookahead: float, L: float) ->
 class PurePursuitController:
     """Constant-speed pure pursuit for the kinematic bicycle of wheelbase L."""
 
-    def __init__(self, path: ReferencePath, cfg: SimulationConfig, L: float):
+    def __init__(self, path: ReferencePath, L: float):
         self.path = path
-        self.cfg = cfg
         self.L = L
 
     def __call__(self, states, t: float) -> np.ndarray:
-        delta = [lookahead_steer(s, self.path, self.cfg.lookahead, self.L)
-                 for s in states]
-        return np.column_stack([np.full(len(delta), self.cfg.speed), delta])
+        delta = [lookahead_steer(s, self.path, LOOKAHEAD, self.L) for s in states]
+        return np.column_stack([np.full(len(delta), SPEED), delta])
 
 
 class ManeuverController:
@@ -170,7 +162,7 @@ class ManeuverController:
 
     def __init__(self, steer_fn, v_set, k_speed: float = 1.0, throttle_ff: float = 0.2):
         self.steer_fn = steer_fn
-        self.v_set = v_set if callable(v_set) else (lambda t: v_set)
+        self.v_set = v_set
         self.k_speed = k_speed
         self.throttle_ff = throttle_ff
 
@@ -241,8 +233,8 @@ def simulate(model, controller, cfg: SimulationConfig, initial_states) -> list:
 # state) | disturbance_kind, plus a JSON manifest
 
 
-def write_dataset(trajectories, directory, manifest_extra: dict | None = None) -> list:
-    """Write one CSV per trajectory plus a provenance manifest; returns paths."""
+def write_dataset(trajectories, directory) -> list:
+    """Write one CSV per trajectory plus a manifest of them; returns paths."""
     os.makedirs(directory, exist_ok=True)
     paths, entries = [], []
     for i, traj in enumerate(trajectories):
@@ -256,8 +248,7 @@ def write_dataset(trajectories, directory, manifest_extra: dict | None = None) -
         entries.append({"file": os.path.basename(paths[-1]), "samples": len(traj),
                         "disturbance_kind": traj.disturbance_kind,
                         "exit_reason": traj.exit_reason})
-    write_json(os.path.join(directory, "manifest.json"),
-               {"trajectories": entries, **(manifest_extra or {})})
+    write_json(os.path.join(directory, "manifest.json"), {"trajectories": entries})
     return paths
 
 
@@ -270,7 +261,7 @@ def read_dataset(directory) -> list:
     for i, entry in enumerate(manifest["trajectories"]):
         require_keys(entry, f"{manifest_path} trajectories[{i}]", ["file", "samples"])
         path = os.path.join(directory, entry["file"])
-        header, block, kinds = read_csv(path, text_last=True)
+        header, block, kinds = read_csv(path)
         n_state = sum(h.startswith("xdot_") for h in header)
         if not n_state:
             raise ConfigError(f"{path}:1: missing xdot columns in header")
@@ -286,16 +277,10 @@ def read_dataset(directory) -> list:
     return out
 
 
-def derivative_samples(trajectories, noise_sigma: float = 0.0, seed: int = 0):
-    """Stack (states, inputs, xdot) from trajectories; optional zero-mean
-    Gaussian noise on the derivative channel only."""
-    states = np.concatenate([t.states for t in trajectories])
-    inputs = np.concatenate([t.inputs for t in trajectories])
-    derivs = np.concatenate([t.derivs for t in trajectories])
-    if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        derivs = derivs + rng.normal(0.0, noise_sigma, size=derivs.shape)
-    return states, inputs, derivs
+def derivative_samples(trajectories):
+    """Stack (states, inputs, xdot) from trajectories."""
+    return tuple(np.concatenate([getattr(t, key) for t in trajectories])
+                 for key in ("states", "inputs", "derivs"))
 
 
 def time_step(trajectories) -> float:
@@ -318,7 +303,6 @@ def time_step(trajectories) -> float:
 
 
 def generate_kinematic_dataset(model, cfg: SimulationConfig,
-                               radius: float = 20.0, n_waypoints: int = 1000,
                                n_arcs: int = 4, n_straights: int = 3) -> list:
     """Circular tracking run + random constant-steer arcs + straight runs.
 
@@ -326,9 +310,9 @@ def generate_kinematic_dataset(model, cfg: SimulationConfig,
     while keeping every trajectory dynamically feasible.
     """
     rng = np.random.default_rng(cfg.seed)
-    path = circular_path(radius, n_waypoints)
-    start = np.array([[radius, 0.0, math.pi / 2.0]])  # tangent start on the circle
-    trajs = simulate(model, PurePursuitController(path, cfg, model.params.L), cfg, start)
+    path = circular_path(TRACK_RADIUS, TRACK_WAYPOINTS)
+    start = np.array([[TRACK_RADIUS, 0.0, math.pi / 2.0]])  # tangent start on the circle
+    trajs = simulate(model, PurePursuitController(path, model.params.L), cfg, start)
 
     short = replace(cfg, total_time=min(cfg.total_time, 8.0))
     inputs, starts = [], []
@@ -361,7 +345,7 @@ def generate_dynamic_dataset(model, n_runs: int = 8, duration: float = 20.0,
     jitters the slalom phases, so every seed sees the same excitation ladder.
     """
     rng = np.random.default_rng(seed)
-    cfg = SimulationConfig(dt=dt, total_time=duration, speed=0.0, seed=seed)
+    cfg = SimulationConfig(dt=dt, total_time=duration)
     schedule = []
     for v0, dv, fv in _LONGITUDINAL_RUNS:
         schedule.append((0.0, v0, 0.3, dv, fv, 0.0))

@@ -105,13 +105,13 @@ class ConfigError(ValueError):
 
 
 def _check_fields(owner: str, values: dict, rules: dict) -> None:
-    """Raise :class:`ConfigError` naming the first of ``values`` that is not
-    finite or breaks its rule in ``rules`` ("> 0" or ">= 0")."""
+    """Raise :class:`ConfigError` naming the first of ``values`` (scalars or
+    arrays) with an entry that is not finite or breaks its rule in ``rules``."""
     for name, val in values.items():
         rule = rules.get(name)
-        if not math.isfinite(val):
+        if not np.all(np.isfinite(np.asarray(val, dtype=float))):
             raise ConfigError(f"{owner}{name} must be finite, got {val}")
-        if rule == "> 0" and val <= 0 or rule == ">= 0" and val < 0:
+        if rule == "> 0" and np.any(val <= 0) or rule == ">= 0" and np.any(val < 0):
             raise ConfigError(f"{owner}{name} must be {rule}")
 
 
@@ -150,8 +150,9 @@ def wrap_angle(theta: float) -> float:
 
 @dataclass(frozen=True)
 class VehicleParams:
-    """Geometry and inertia. L is the kinematic wheelbase; lf/lr split the
-    dynamic model's axle distances."""
+    """Mass, yaw inertia and axle distances lf, lr of the desk-scale (1:43)
+    racecar, consistent with the default tire peak forces of ~0.17-0.19 N; L
+    is the full-size wheelbase of the kinematic case study (no dynamic law reads it)."""
 
     m: float = 0.041
     Iz: float = 27.8e-6
@@ -161,17 +162,6 @@ class VehicleParams:
 
     def __post_init__(self):
         _check_fields("VehicleParams.", vars(self), dict.fromkeys(vars(self), "> 0"))
-
-    @classmethod
-    def kinematic_default(cls) -> "VehicleParams":
-        # Full-size wheelbase of the kinematic case study.
-        return cls(L=2.5)
-
-    @classmethod
-    def dynamic_default(cls) -> "VehicleParams":
-        # Desk-scale (1:43) racecar; consistent with the default tire peak
-        # forces of ~0.17-0.19 N.
-        return cls(m=0.041, Iz=27.8e-6, lf=0.029, lr=0.033, L=0.062)
 
 
 @dataclass(frozen=True)
@@ -317,7 +307,7 @@ class KinematicModel:
     input_names = ("v", "delta")
 
     def __init__(self, params: VehicleParams | None = None):
-        self.params = params or VehicleParams.kinematic_default()
+        self.params = params or VehicleParams()
 
     def rhs(self, s, u, t: float = 0.0) -> np.ndarray:
         """(x-dot, y-dot, theta-dot) = (v cos th, v sin th, v tan d / L)."""
@@ -576,7 +566,7 @@ class DynamicModel:
                  tires: TirePair | None = None,
                  drivetrain: DrivetrainCoefficients | None = None,
                  disturbances=()):
-        self.params = params or VehicleParams.dynamic_default()
+        self.params = params or VehicleParams()
         self.tires = tires or TirePair.default()
         self.drivetrain = drivetrain or DrivetrainCoefficients()
         self.disturbances = tuple(disturbances)

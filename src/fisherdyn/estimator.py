@@ -69,31 +69,20 @@ def coefficients_to_structs(vec, template: TirePair):
     return TirePair(front, rear), drive
 
 
-def default_guard_bounds(tires: TirePair, drivetrain: DrivetrainCoefficients,
-                         bc_width: float = 0.5, d_width: float = 0.15,
-                         drivetrain_width: float = 0.15,
-                         e_half: float = 0.1) -> PhysicsGuardBounds:
-    """Tiered brackets around the nominal values.
+# Each coefficient's guard half-width (rel, abs) is rel |v| + abs around its
+# nominal value v: B, C wide (surface dependent), D and the drivetrain narrower
+# (measurable on a skidpad / dyno), E absolute (tiny nominal value, real drift).
+_GUARD_HALF_WIDTHS = {**dict.fromkeys(("Bf", "Cf", "Br", "Cr"), (0.5, 0.0)),
+                      **dict.fromkeys(("Df", "Dr", "Cm1", "Cm2", "Cr0", "Cd"), (0.15, 0.0)),
+                      **dict.fromkeys(("Ef", "Er"), (0.0, 0.1))}
 
-    Stiffness/curvature factors B, C get wide relative windows (surface
-    dependent), peak factors D and the drivetrain narrower ones (measurable
-    on a skidpad / dyno), and the shape factors E an absolute window since
-    their nominal magnitudes are tiny but their drift is not.
-    """
+
+def default_guard_bounds(tires: TirePair, drivetrain: DrivetrainCoefficients) -> PhysicsGuardBounds:
+    """Brackets of the ``_GUARD_HALF_WIDTHS`` around the nominal values."""
     truth = true_coefficients(tires, drivetrain)
-    lower, upper = [], []
-    for name, val in zip(COEFFICIENT_NAMES, truth):
-        if name in ("Ef", "Er"):
-            half = e_half
-        elif name in ("Df", "Dr"):
-            half = d_width * abs(val)
-        elif name in ("Cm1", "Cm2", "Cr0", "Cd"):
-            half = drivetrain_width * abs(val)
-        else:
-            half = bc_width * abs(val)
-        lower.append(val - half)
-        upper.append(val + half)
-    return PhysicsGuardBounds(np.array(lower), np.array(upper))
+    rel, absolute = np.array([_GUARD_HALF_WIDTHS[name] for name in COEFFICIENT_NAMES]).T
+    half = rel * np.abs(truth) + absolute
+    return PhysicsGuardBounds(truth - half, truth + half)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +196,6 @@ class EstimatorModel:
     def __init__(self, cfg: EstimatorConfig, bounds: PhysicsGuardBounds,
                  params: VehicleParams, template: TirePair, Ts: float,
                  feat_offset, feat_scale):
-        self.cfg = cfg
         self.bounds = bounds
         self.params = params
         self.template = template

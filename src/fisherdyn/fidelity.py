@@ -1,12 +1,8 @@
 """Geometric-fidelity evaluation between a true and a learned system.
 
-The integrated Fisher-field discrepancy is quadrature-weighted:
-
-    e_fi = V * mean_valid[(g_true - g_learned)^2]
-
-with V the domain volume of the evaluation scheme (grid studies pass the
-product of the swept interval lengths; trajectory/dataset studies use V = 1,
-i.e. a normalized measure). The coordinate-dependent mean Frobenius Jacobian
+The Fisher-field discrepancy e_fi = mean[(g_true - g_learned)^2] runs over
+the points valid in both fields and comes with its relative form
+sum(dg^2) / sum(g_true^2). The coordinate-dependent mean Frobenius Jacobian
 difference is reported alongside as the baseline it is meant to improve on.
 """
 
@@ -18,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._codec import csv_text
-from .dynamics import on_accepted_rows
+from .dynamics import _check_fields, on_accepted_rows
 from .fisher import AlignmentError, FisherField, stack_points
 
 __all__ = [
@@ -51,17 +47,18 @@ def _aligned_valid(true_field: FisherField, learned_field: FisherField):
     if true_field.policy != "flow_aligned" and np.any(
             np.abs(true_field.du[mask] - learned_field.du[mask]) > 1e-12):
         raise AlignmentError("fields were evaluated along different fixed directions")
+    if not mask.any():
+        skips = [int(np.sum(~f.valid_mask())) for f in (true_field, learned_field)]
+        raise ValueError(f"no point is valid in both fields: the true field skips {skips[0]} "
+                         f"and the learned field {skips[1]} of {len(true_field)} points")
     return true_field.g[mask], learned_field.g[mask]
 
 
-def fisher_discrepancy(true_field: FisherField, learned_field: FisherField,
-                       volume: float = 1.0):
-    """(e_fi, e_fi_relative). Skip-flagged points are excluded pairwise."""
+def fisher_discrepancy(true_field: FisherField, learned_field: FisherField):
+    """(e_fi, e_fi_relative) over the points valid in both fields (``ValueError`` if none)."""
     g_true, g_learned = _aligned_valid(true_field, learned_field)
-    if g_true.size == 0:
-        return 0.0, 0.0
     sq = (g_true - g_learned) ** 2
-    e_fi = float(volume * np.mean(sq))
+    e_fi = float(np.mean(sq))
     denom = float(np.sum(g_true**2))
     rel = 0.0 if denom == 0.0 and np.sum(sq) == 0.0 else (
         math.inf if denom == 0.0 else float(np.sum(sq) / denom))
@@ -93,22 +90,22 @@ def jacobian_baseline(system_true, system_learned, points) -> float:
 def well_trained_verdict(traj_err: float, physics_resid: float,
                          e_fi_relative: float, tolerances: dict | None = None) -> dict:
     """Pass iff all three strict inequalities hold; echoes values and
-    thresholds and names the failing criteria. A negative or NaN value
-    raises ``ValueError``."""
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
-    for name, val in (("traj_err", traj_err), ("physics_resid", physics_resid),
-                      ("e_fi_relative", e_fi_relative)):
+    thresholds and names the failing criteria. A negative or NaN value, an
+    unknown tolerance or one that is not finite and > 0 raises ``ValueError``."""
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    if tol.keys() != DEFAULT_TOLERANCES.keys():
+        raise ValueError(f"unknown tolerances {sorted(tol.keys() - DEFAULT_TOLERANCES.keys())}: "
+                         f"the known ones are {sorted(DEFAULT_TOLERANCES)}")
+    _check_fields("tolerance ", tol, dict.fromkeys(tol, "> 0"))
+    failing = []
+    for name, val, key, criterion in (
+            ("traj_err", traj_err, "eps_d", "trajectory_error"),
+            ("physics_resid", physics_resid, "eps_p", "physics_residual"),
+            ("e_fi_relative", e_fi_relative, "eps", "fisher_discrepancy")):
         if not val >= 0:
             raise ValueError(f"{name} must be >= 0, got {val}")
-    failing = []
-    if not traj_err < tol["eps_d"]:
-        failing.append("trajectory_error")
-    if not physics_resid < tol["eps_p"]:
-        failing.append("physics_residual")
-    if not e_fi_relative < tol["eps"]:
-        failing.append("fisher_discrepancy")
+        if not val < tol[key]:
+            failing.append(criterion)
     return {
         "verdict": "geometric_fidelity_pass" if not failing else "fail",
         "failing": failing,

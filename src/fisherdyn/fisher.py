@@ -27,18 +27,18 @@ with a skip reason instead of aborting the sweep:
 * ``"nonfinite"``: the Jacobian, the flow, its norm, g or sigma_max^2 is
   not finite (an overflowing or diverged system).
 
-A field is stored as columns, one row per point: ``states`` (n, d),
-``inputs`` (n, m), ``times``, ``g``, ``sigma_max_sq``, the unit directions
-``du`` (n, d) and the ``skip`` reasons ("" at a valid point); ``g``,
-``sigma_max_sq`` and ``du`` are NaN at skipped points. ``FisherField.samples``
-is a per-point view of :class:`FisherSample` tuples (``direction`` is the
-``du`` row, None at a skipped point), built from the columns on first read.
+A field is its direction ``policy`` and columns, one row per point:
+``states`` (n, d), ``inputs`` (n, m), ``times``, ``g``, ``sigma_max_sq``, the
+unit directions ``du`` (n, d) and the ``skip`` reasons ("" at a valid point);
+``g``, ``sigma_max_sq`` and ``du`` are NaN at skipped points. The per-point
+view ``FisherField.samples`` holds :class:`FisherSample` tuples (``direction``
+is the ``du`` row, None if skipped), built from the columns on first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -107,8 +107,8 @@ class FisherSample(NamedTuple):
 
 @dataclass
 class FisherField:
-    """A Fisher field as columns over an ordered point set, plus provenance;
-    ``g``, ``sigma_max_sq`` and ``du`` are NaN where ``skip`` is not ""."""
+    """A Fisher field as columns over an ordered point set and its direction
+    policy; ``g``, ``sigma_max_sq`` and ``du`` are NaN where ``skip`` is not ""."""
 
     states: np.ndarray        # (n, d)
     inputs: np.ndarray        # (n, m)
@@ -118,7 +118,6 @@ class FisherField:
     du: np.ndarray            # (n, d) unit directions
     skip: np.ndarray          # (n,) str: "", "equilibrium", "nonfinite" or "domain: ..."
     policy: str
-    domain_descriptor: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.times.size
@@ -148,7 +147,6 @@ class FisherField:
         keys = ("state", "input", "t", "g", "sigma_max_sq", "skip_flag")
         return {
             "policy": self.policy,
-            "domain_descriptor": self.domain_descriptor,
             "samples": [dict(zip(keys, row)) for row in zip(
                 self.states.tolist(), self.inputs.tolist(), self.times.tolist(),
                 g, sig2, self.skip.tolist())],
@@ -181,8 +179,7 @@ def stack_points(points):
     return states, inputs, times
 
 
-def evaluate_field(system, points, policy="flow_aligned",
-                   domain_descriptor: dict | None = None) -> FisherField:
+def evaluate_field(system, points, policy="flow_aligned") -> FisherField:
     """Evaluate g over ``points`` = iterable of (state, input[, t]).
 
     ``system.jacobian`` (and, for the flow-aligned policy, ``system.rhs``)
@@ -210,7 +207,7 @@ def evaluate_field(system, points, policy="flow_aligned",
     if n == 0:
         empty = np.empty((0, 0))
         return FisherField(empty, empty, times, times, times, empty,
-                           np.array([], dtype=str), policy_name, domain_descriptor or {})
+                           np.array([], dtype=str), policy_name)
     if not flow and fixed.shape != states.shape[1:]:
         raise ValueError(f"direction shape {fixed.shape} does not match "
                          f"the state shape {states.shape[1:]}")
@@ -246,5 +243,4 @@ def evaluate_field(system, points, policy="flow_aligned",
     g_all[rows], sig2_all[rows], du_all[rows] = g, sig2, du
     g_all[~valid] = sig2_all[~valid] = du_all[~valid] = math.nan
     _unit_rows(du_all[valid])
-    return FisherField(states, inputs, times, g_all, sig2_all, du_all, skip,
-                       policy_name, domain_descriptor or {})
+    return FisherField(states, inputs, times, g_all, sig2_all, du_all, skip, policy_name)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._codec import read_json, require_keys, write_json
-from .dynamics import _check_point_shapes
+from .dynamics import _check_fields, _check_point_shapes
 
 __all__ = [
     "LayerSpec",
@@ -352,6 +352,7 @@ class PhysicsGuardBounds:
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
+        _check_fields("PhysicsGuardBounds.", {"lower": lo, "upper": hi}, {})
         if lo.shape != hi.shape or np.any(lo >= hi):
             raise ValueError("guard bounds require lower < upper componentwise")
         object.__setattr__(self, "lower", lo)

@@ -4,10 +4,11 @@ Matrices and vectors are plain float64 numpy arrays. Everything here is a pure
 function, safe to call concurrently.
 
 ``rk4`` is the package's one Runge-Kutta step and ``rk4_adjoint`` its one
-reverse-mode pass: simulation (``rk4_step``), the inverse-regime rollout
-gradient and the coefficient estimator's physics step all call them. A caller
-that already holds the first-stage rate f(x), as simulation does once it has
-recorded the derivative at x, passes it as ``k1`` and saves that evaluation.
+reverse-mode pass: simulation (``rk4_step``, a rate f(x, u) with u held),
+the inverse-regime rollout gradient and the coefficient estimator's physics
+step all call them. A caller that already holds the first-stage rate f(x),
+as simulation does once it has recorded the derivative at x, passes it as
+``k1`` and saves that evaluation.
 A stage's aux is whatever its ``vjp`` needs: the estimator's stage partials,
 or, in the rollout gradient, the stage's slot in buffers where the stage
 wrote its layer outputs. ``rk4_adjoint`` only hands each aux back to ``vjp``.
@@ -62,14 +63,13 @@ def rk4_adjoint(vjp, auxes, lam, dt: float):
     return lam + g4 + g3 + g2 + g1
 
 
-def rk4_step(f, x, u=None, dt: float = 0.1, k1=None) -> np.ndarray:
-    """Classical 4th-order Runge-Kutta update of ``x`` under ``f`` with ``u``
-    held; ``k1``, when given, is the rate ``f`` has at ``x``."""
+def rk4_step(f, x, u, dt: float, k1=None) -> np.ndarray:
+    """Classical 4th-order Runge-Kutta update of ``x`` under the rate
+    ``f(x, u)`` with ``u`` held; ``k1``, when given, is f(x, u)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    call = (lambda xx: (np.asarray(f(xx), dtype=float), None)) if u is None else (
-        lambda xx: (np.asarray(f(xx, u), dtype=float), None))
-    out, _ = rk4(call, np.asarray(x, dtype=float), dt, k1)
+    out, _ = rk4(lambda xx: (np.asarray(f(xx, u), dtype=float), None),
+                 np.asarray(x, dtype=float), dt, k1)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("non-finite intermediate in rk4 step")
     return out

@@ -73,6 +73,7 @@ class CollocationBounds:
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
+        _check_fields("CollocationBounds.", {"lower": lo, "upper": hi}, {})
         if lo.shape != hi.shape or np.any(lo > hi):
             raise ValueError("collocation bounds need lower <= upper per coordinate")
         object.__setattr__(self, "lower", lo)
@@ -113,11 +114,9 @@ class RegimeConfig:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.lambda_p < 0 or self.lambda_d < 0:
-            raise ValueError("loss weights must be >= 0")
-        _check_fields("RegimeConfig.", {"batch_size": self.batch_size, "horizon": self.horizon,
-                                        "epochs": self.epochs, "lr": self.lr},
-                      {"batch_size": "> 0", "horizon": "> 0", "epochs": ">= 0", "lr": "> 0"})
+        rules = {"lambda_p": ">= 0", "lambda_d": ">= 0", "batch_size": "> 0",
+                 "horizon": "> 0", "epochs": ">= 0", "lr": "> 0"}
+        _check_fields("RegimeConfig.", {k: getattr(self, k) for k in rules}, rules)
         if self.regime == "physics_only" and self.lambda_d != 0.0:
             object.__setattr__(self, "lambda_d", 0.0)
 
@@ -416,15 +415,18 @@ def build_kinematic_net(layers, bounds: CollocationBounds, seed: int) -> Learned
 
 def build_training_data(analytic_model, bounds: CollocationBounds,
                         n_collocation: int, seed: int,
-                        trajectories=None, noise_sigma: float = 0.0,
-                        horizon: int = 5, n_validation: int = 1024) -> TrainingData:
+                        trajectories=None, horizon: int = 5,
+                        n_validation: int = 1024) -> TrainingData:
     """Assemble the regime data bundle from an analytic model (physics
     targets) and optional recorded trajectories (data / window terms).
 
     The bounds cover the model's states, then its inputs. The physics targets
     of each point set come from one ``rhs`` call on the stacked points.
     """
-    d = analytic_model.state_dim
+    d, m = analytic_model.state_dim, analytic_model.input_dim
+    if bounds.lower.size != d + m:
+        raise ValueError(f"collocation bounds of width {bounds.lower.size} do not cover "
+                         f"the model's state_dim {d} + input_dim {m}")
     phys_states, phys_inputs = sample_collocation(bounds, n_collocation, seed, d)
     phys_targets = analytic_model.rhs(phys_states, phys_inputs)
     val_states, val_inputs = sample_collocation(bounds, n_validation, seed + 7919, d)
@@ -433,8 +435,8 @@ def build_training_data(analytic_model, bounds: CollocationBounds,
     bundle = TrainingData(phys_states, phys_inputs, phys_targets,
                           val_states, val_inputs, val_targets)
     if trajectories:
-        ds, di, dx = derivative_samples(trajectories, noise_sigma, seed)
-        bundle.data_states, bundle.data_inputs, bundle.data_xdot = ds, di, dx
+        bundle.data_states, bundle.data_inputs, bundle.data_xdot = derivative_samples(
+            trajectories)
         ws, wi = [], []
         for traj in trajectories:
             n = len(traj)

@@ -18,7 +18,7 @@ class TestCircularPath:
         path = circular_path(20.0, 4)
         assert np.allclose(path.waypoints,
                            [[20, 0], [0, 20], [-20, 0], [0, -20]], atol=1e-12)
-        assert path.closed
+        assert path.segment_lengths.size == 4  # the loop closes
 
     def test_radius_invariant(self):
         path = circular_path(20.0, 257)
@@ -53,8 +53,6 @@ class TestLookaheadSteer:
         assert math.atan(2 * 2.5 / 3.0) == pytest.approx(1.0304, abs=2e-4)
 
     def test_segment_lengths_are_computed_once_per_path(self, monkeypatch):
-        open_path = ReferencePath(np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 5.0]]))
-        assert open_path.segment_lengths.tolist() == [5.0, 1.0]
         closed = circular_path(10.0, 6)
         loop = [math.dist(closed.waypoints[i], closed.waypoints[(i + 1) % 6])
                 for i in range(6)]
@@ -82,12 +80,39 @@ class TestLookaheadSteer:
             assert d2 == pytest.approx(-d1, abs=1e-12)
 
 
+class TestConfigChecks:
+    @pytest.mark.parametrize("field, value, rule", [
+        ("dt", math.nan, "finite"), ("total_time", math.inf, "finite"),
+        ("total_time", math.nan, "finite"), ("dt", 0.0, "> 0")])
+    def test_simulation_config_names_the_field(self, field, value, rule):
+        with pytest.raises(ConfigError, match=f"SimulationConfig.{field} must be {rule}"):
+            SimulationConfig(**{field: value})
+
+    def test_simulation_shorter_than_a_step_is_rejected(self):
+        with pytest.raises(ConfigError, match="total_time >= dt"):
+            SimulationConfig(dt=0.2, total_time=0.1)
+
+    def test_path_waypoints_must_be_finite(self):
+        with pytest.raises(ConfigError, match="ReferencePath.waypoints must be finite"):
+            ReferencePath(np.array([[0.0, 0.0], [1.0, math.nan], [2.0, 0.0]]))
+
+    def test_path_may_not_repeat_its_first_waypoint(self):
+        with pytest.raises(ConfigError, match="the last and the first too"):
+            ReferencePath(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))
+
+    def test_speed_setpoint_must_be_a_function(self):
+        controller = ManeuverController(lambda t: 0.0, 2.0)
+        with pytest.raises(TypeError, match="not callable"):
+            simulate(DynamicModel(), controller, SimulationConfig(dt=0.02, total_time=0.1),
+                     np.array([[0, 0, 0, 2.0, 0.0, 0.0]]))
+
+
 class TestSimulate:
     def test_circular_tracking(self):
         cfg = SimulationConfig()
         model = KinematicModel()
         path = circular_path(20.0, 1000)
-        (traj,) = simulate(model, PurePursuitController(path, cfg, model.params.L), cfg,
+        (traj,) = simulate(model, PurePursuitController(path, model.params.L), cfg,
                            np.array([[20.0, 0.0, math.pi / 2]]))
         assert len(traj) == 311
         final_radius = np.hypot(traj.states[-1, 0], traj.states[-1, 1])
@@ -105,11 +130,16 @@ class TestSimulate:
         assert np.array_equal(traj.times, np.arange(21) * 0.1)
 
     def test_zero_speed_is_stationary(self):
-        cfg = SimulationConfig(total_time=1.0, speed=0.0)
+        cfg = SimulationConfig(total_time=1.0)
         model = KinematicModel()
-        path = circular_path(20.0, 100)
-        (traj,) = simulate(model, PurePursuitController(path, cfg, model.params.L), cfg,
-                           np.array([[20.0, 0.0, 0.0]]))
+        pursuit = PurePursuitController(circular_path(20.0, 100), model.params.L)
+
+        def parked(states, t):  # pure-pursuit steering at zero speed
+            inputs = pursuit(states, t)
+            inputs[:, 0] = 0.0
+            return inputs
+
+        (traj,) = simulate(model, parked, cfg, np.array([[20.0, 0.0, 0.0]]))
         assert np.allclose(traj.states, traj.states[0])
         assert np.allclose(traj.derivs, 0.0, atol=1e-15)
 
@@ -125,7 +155,7 @@ class TestSimulate:
         cfg = SimulationConfig(total_time=2.0)
         model = KinematicModel()
         path = circular_path(20.0, 500)
-        (traj,) = simulate(model, PurePursuitController(path, cfg, model.params.L), cfg,
+        (traj,) = simulate(model, PurePursuitController(path, model.params.L), cfg,
                            np.array([[20.0, 0.0, math.pi / 2]]))
         for k in range(len(traj)):
             rhs = model.rhs(traj.states[k], traj.inputs[k])
@@ -133,7 +163,7 @@ class TestSimulate:
 
     def test_envelope_exit_truncates(self):
         model = DynamicModel()
-        controller = ManeuverController(lambda t: 0.0, v_set=0.0, k_speed=0.0,
+        controller = ManeuverController(lambda t: 0.0, v_set=lambda t: 0.0, k_speed=0.0,
                                         throttle_ff=0.0)  # car coasts to a stop
         cfg = SimulationConfig(dt=0.02, total_time=10.0)
         (traj,) = simulate(model, controller, cfg, np.array([[0, 0, 0, 0.7, 0.0, 0.0]]))
@@ -147,10 +177,10 @@ class TestSimulate:
         cfg = SimulationConfig(dt=0.02, total_time=10.0)
         s0 = np.array([[0, 0, 0, 0.7, 0.0, 0.0], [0, 0, 0, 2.0, 0.0, 0.0],
                        [0, 0, 0, 1.2, 0.0, 0.0]])
-        coast = ManeuverController(lambda t: 0.0, v_set=0.0, k_speed=0.0, throttle_ff=0.0)
-        drive = ManeuverController(lambda t: 0.1, v_set=2.0, k_speed=1.0, throttle_ff=0.0)
+        coast = ManeuverController(lambda t: 0.0, v_set=lambda t: 0.0, k_speed=0.0, throttle_ff=0.0)
+        drive = ManeuverController(lambda t: 0.1, v_set=lambda t: 2.0, k_speed=1.0, throttle_ff=0.0)
         stack = ManeuverController(lambda t: np.array([0.0, 0.1, 0.0]),
-                                   v_set=np.array([0.0, 2.0, 0.0]), k_speed=1.0,
+                                   v_set=lambda t: np.array([0.0, 2.0, 0.0]), k_speed=1.0,
                                    throttle_ff=0.0)
         stacked = simulate(model, stack, cfg, s0)
         solo = (simulate(model, coast, cfg, s0[:1]) + simulate(model, drive, cfg, s0[1:2])
@@ -189,7 +219,7 @@ class TestSimulate:
         bumped = DynamicModel(disturbances=[DisturbanceConfig.bump(
             ks=20.0, cs=0.0, z_amplitude=0.01, z_frequency=1.0)])
         cfg = SimulationConfig(dt=0.02, total_time=0.5)
-        controller = ManeuverController(lambda t: 0.1, v_set=2.0)
+        controller = ManeuverController(lambda t: 0.1, v_set=lambda t: 2.0)
         s0 = np.array([[0, 0, 0, 2.0, 0.0, 0.0]])
         (t_base,) = simulate(base, controller, cfg, s0)
         (t_bump,) = simulate(bumped, controller, cfg, s0)
@@ -204,13 +234,13 @@ class TestDatasetIO:
         cfg = SimulationConfig(total_time=31.0)
         model = KinematicModel()
         path = circular_path(20.0, 1000)
-        (traj,) = simulate(model, PurePursuitController(path, cfg, model.params.L), cfg,
+        (traj,) = simulate(model, PurePursuitController(path, model.params.L), cfg,
                            np.array([[20.0, 0.0, math.pi / 2]]))
         return traj
 
     def test_full_round_trip_bit_exact(self, tmp_path):
         traj = self.make_traj()
-        write_dataset([traj], tmp_path / "ds", {"seed": 0})
+        write_dataset([traj], tmp_path / "ds")
         back = read_dataset(tmp_path / "ds")[0]
         assert len(back) == 311
         assert np.array_equal(back.times, traj.times)
@@ -269,7 +299,7 @@ class TestDatasetIO:
             read_dataset(tmp_path / "ds")
 
     def test_manifest_missing_keys_name_the_path(self, tmp_path):
-        write_dataset([self.make_traj()], tmp_path / "ds", {"seed": 0})
+        write_dataset([self.make_traj()], tmp_path / "ds")
         manifest = tmp_path / "ds" / "manifest.json"
         manifest.write_text('{"seed": 0}\n')
         with pytest.raises(ConfigError, match="manifest.json is missing key 'trajectories'"):
@@ -288,15 +318,6 @@ class TestDerivativeSamples:
         s, u, d = derivative_samples(trajs)
         assert s.shape[0] == sum(len(t) for t in trajs)
         assert np.array_equal(d[: len(trajs[0])], trajs[0].derivs)
-
-    def test_noise_deterministic(self):
-        model = KinematicModel()
-        trajs = generate_kinematic_dataset(model, SimulationConfig(total_time=3.0),
-                                           n_arcs=0, n_straights=1)
-        _, _, d1 = derivative_samples(trajs, noise_sigma=0.05, seed=3)
-        _, _, d2 = derivative_samples(trajs, noise_sigma=0.05, seed=3)
-        assert np.array_equal(d1, d2)
-        assert not np.array_equal(d1, trajs[0].derivs[: len(d1)])
 
 
 def stub_trajectory(n: int, dt: float) -> Trajectory:

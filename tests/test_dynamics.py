@@ -28,7 +28,7 @@ def sample_dynamic_input(rng):
 
 
 class TestKinematic:
-    model = KinematicModel(VehicleParams.kinematic_default())
+    model = KinematicModel(VehicleParams())
 
     def test_straight_line(self):
         out = self.model.rhs(np.zeros(3), np.array([1.0, 0.0]))
@@ -107,7 +107,7 @@ class TestPacejka:
 
 
 class TestSlipAngles:
-    p = VehicleParams.dynamic_default()
+    p = VehicleParams()
 
     def test_straight_driving(self):
         s = np.array([0, 0, 0, 2.0, 0.0, 0.0])
@@ -153,7 +153,7 @@ def zero_force_setup():
 
 
 class TestDynamicRhs:
-    p = VehicleParams.dynamic_default()
+    p = VehicleParams()
 
     def test_force_free_coasting(self):
         tires, drive = zero_force_setup()
@@ -205,7 +205,7 @@ class TestDynamicRhs:
 
 
 class TestDisturbanceForces:
-    p = VehicleParams.dynamic_default()
+    p = VehicleParams()
     s = np.array([0, 0, 0, 2.0, 0.1, 0.5])
 
     def test_bank_zero(self):
@@ -247,7 +247,7 @@ DISTURBANCE_SETS = [
 
 
 class TestDynamicJacobian:
-    p = VehicleParams.dynamic_default()
+    p = VehicleParams()
     tires = TirePair.default()
     drive = DrivetrainCoefficients()
 
@@ -303,7 +303,7 @@ def rel_err(a, ref) -> float:
 
 
 class TestStackedDynamics:
-    p = VehicleParams.dynamic_default()
+    p = VehicleParams()
     tires = TirePair.default()
     drive = DrivetrainCoefficients()
 
@@ -387,7 +387,7 @@ class TestStackedDynamics:
 
 
 class TestStackedKinematic:
-    model = KinematicModel(VehicleParams.kinematic_default())
+    model = KinematicModel(VehicleParams())
 
     def test_matches_per_point(self):
         rng = np.random.default_rng(27)

@@ -50,7 +50,7 @@ def velocity_batch(rng, n):
 
 
 class TestPredictNextVelocities:
-    p = VehicleParams.dynamic_default()
+    p = VehicleParams()
     template = TirePair.default()
 
     def test_matches_scalar_rk4_per_row(self):
@@ -102,7 +102,7 @@ class TestPredictNextVelocities:
 # exact gradient of the physics step, backward pass and training
 
 
-P = VehicleParams.dynamic_default()
+P = VehicleParams()
 TEMPLATE = TirePair.default()
 TRUTH = true_coefficients(TEMPLATE, DrivetrainCoefficients())
 BOUNDS = default_guard_bounds(TEMPLATE, DrivetrainCoefficients())

@@ -9,6 +9,8 @@ from fisherdyn.fidelity import (DEFAULT_TOLERANCES, fisher_discrepancy,
                                 jacobian_baseline, parameter_bias_table,
                                 well_trained_verdict)
 from fisherdyn.fisher import AlignmentError, FisherField, evaluate_field
+from fisherdyn.nets import LayerSpec
+from fisherdyn.training import CollocationBounds, build_kinematic_net
 
 from test_dynamics import DISTURBANCE_SETS, sample_dynamic_input, sample_dynamic_state
 
@@ -32,12 +34,6 @@ class TestFisherDiscrepancy:
         assert e_fi == pytest.approx(5.0 / 3.0, rel=1e-15)
         assert rel == pytest.approx(5.0 / 14.0, rel=1e-15)
 
-    def test_volume_scales_e_fi_only(self):
-        e_fi, rel = fisher_discrepancy(make_field([1.0, 2.0]), make_field([2.0, 0.0]),
-                                       volume=4.0)
-        assert e_fi == pytest.approx(4.0 * 2.5, rel=1e-15)
-        assert rel == pytest.approx(5.0 / 5.0, rel=1e-15)
-
     def test_zero_over_zero_is_zero(self):
         assert fisher_discrepancy(make_field([0.0, 0.0]), make_field([0.0, 0.0])) == (0.0, 0.0)
 
@@ -53,7 +49,23 @@ class TestFisherDiscrepancy:
         assert rel == pytest.approx(1.0 / 26.0, rel=1e-15)
 
     def test_all_skipped(self):
-        assert fisher_discrepancy(make_field([None]), make_field([2.0])) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="no point is valid in both fields: the true "
+                                             "field skips 1 and the learned field 0 of 1"):
+            fisher_discrepancy(make_field([None]), make_field([2.0]))
+
+    def test_nan_net_is_not_a_perfect_fit(self):
+        # a diverged net: every learned point is "nonfinite", so nothing is compared
+        model = KinematicModel()
+        net = build_kinematic_net((LayerSpec(8, "tanh"), LayerSpec(3, "linear")),
+                                  CollocationBounds(), seed=0)
+        for w in net.params.weights:
+            w[...] = math.nan
+        pts = [(np.array([float(i), 0.0, 0.1 * i]), np.array([2.0, 0.1])) for i in range(4)]
+        learned = evaluate_field(net, pts)
+        assert learned.skip.tolist() == ["nonfinite"] * 4
+        with pytest.raises(ValueError, match="the true field skips 0 and the learned "
+                                             "field 4 of 4 points"):
+            fisher_discrepancy(evaluate_field(model, pts), learned)
 
 
 class TestAlignment:
@@ -182,6 +194,16 @@ class TestWellTrainedVerdict:
         assert result["verdict"] == "geometric_fidelity_pass"
         assert result["tolerances"] == {**DEFAULT_TOLERANCES, "eps": 0.5}
         assert DEFAULT_TOLERANCES["eps"] == 0.05
+
+    def test_unknown_tolerance_is_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown tolerances \['epsilon'\]: the known "
+                                             r"ones are \['eps', 'eps_d', 'eps_p'\]"):
+            verdict_at(tolerances={"epsilon": 1e-9})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.1])
+    def test_unusable_threshold_is_rejected(self, value):
+        with pytest.raises(ValueError, match="tolerance eps must be"):
+            verdict_at(tolerances={"eps": value})
 
     def test_failing_names_every_failed_criterion_in_order(self):
         result = verdict_at(traj_err=1.0, physics_resid=1.0, e_fi_relative=1.0)

@@ -254,7 +254,7 @@ class TestEvaluateField:
         model = KinematicModel()
         pts = [(np.array([0.0, 0.0, 0.3]), np.array([2.0, 0.2])),
                (np.zeros(3), np.array([0.0, 0.0]))]
-        field = evaluate_field(model, pts, domain_descriptor={"scheme": "list"})
+        field = evaluate_field(model, pts)
         csv_path = tmp_path / "field.csv"
         field.to_csv(csv_path)
         lines = csv_path.read_text().strip().split("\n")
@@ -266,7 +266,6 @@ class TestEvaluateField:
         import json
         doc = json.loads(json_path.read_text())
         assert doc["policy"] == "flow_aligned"
-        assert doc["domain_descriptor"] == {"scheme": "list"}
         assert doc["samples"][1]["g"] is None
 
 
@@ -464,7 +463,7 @@ PINNED_JSON_SAMPLES = [
 
 def pinned_json() -> str:
     keys = ("g", "input", "sigma_max_sq", "skip_flag", "state", "t")
-    doc = {"domain_descriptor": {"scheme": "list"}, "policy": "flow_aligned",
+    doc = {"policy": "flow_aligned",
            "samples": [dict(zip(keys, row)) for row in PINNED_JSON_SAMPLES]}
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
@@ -476,7 +475,7 @@ class TestColumns:
         pts[1][1][1] = -0.5
         pts[2] = (np.zeros(2), pts[2][1], pts[2][2])
         pts[3] = (np.array([1e200, 1e200]), pts[3][1], pts[3][2])
-        return pts, evaluate_field(RotationStub(), pts, domain_descriptor={"scheme": "list"})
+        return pts, evaluate_field(RotationStub(), pts)
 
     def test_columns(self):
         pts, field = self.field()

@@ -295,6 +295,12 @@ class TestPhysicsGuard:
         with pytest.raises(ValueError):
             PhysicsGuardBounds(np.array([1.0]), np.array([1.0]))
 
+    def test_nonfinite_bounds(self):
+        with pytest.raises(ValueError, match="PhysicsGuardBounds.lower must be finite"):
+            PhysicsGuardBounds(np.array([np.nan, 0.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="PhysicsGuardBounds.upper must be finite"):
+            PhysicsGuardBounds(np.array([0.0, 0.0]), np.array([1.0, np.inf]))
+
 
 class TestMish:
     def test_zero(self):

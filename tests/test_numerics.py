@@ -39,32 +39,32 @@ class TestCentralDifferenceJacobian:
 
 class TestRk4Step:
     def test_zero_field(self):
-        out = rk4_step(lambda x: np.zeros(2), np.array([1.0, 2.0]), dt=0.1)
+        out = rk4_step(lambda x, u: np.zeros(2), np.array([1.0, 2.0]), None, 0.1)
         assert np.allclose(out, [1.0, 2.0])
 
     def test_exponential_decay(self):
         # one step equals the degree-4 Taylor amplification exactly; its gap
         # to e^z at z=-0.1 is 8.2e-8, so that is the attainable tolerance
-        out = rk4_step(lambda x: -x, np.array([1.0]), dt=0.1)
+        out = rk4_step(lambda x, u: -x, np.array([1.0]), None, 0.1)
         z = -0.1
         amp = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
         assert abs(out[0] - amp) < 1e-15
         assert abs(out[0] - np.exp(z)) < 1e-7
-        fine = rk4_step(lambda x: -x, np.array([1.0]), dt=0.01)
+        fine = rk4_step(lambda x, u: -x, np.array([1.0]), None, 0.01)
         assert abs(fine[0] - np.exp(-0.01)) < 1e-8
 
     def test_rotation_closed_form(self):
-        f = lambda x: np.array([x[1], -x[0]])
+        f = lambda x, u: np.array([x[1], -x[0]])
         x = np.array([1.0, 0.0])
         for _ in range(100):
-            x = rk4_step(f, x, dt=0.01)
+            x = rk4_step(f, x, None, 0.01)
         assert np.allclose(x, [np.cos(1.0), -np.sin(1.0)], atol=1e-7)
 
     def test_fourth_order_global_error(self):
         def integrate(dt, n):
             x = np.array([1.0])
             for _ in range(n):
-                x = rk4_step(lambda y: -y, x, dt=dt)
+                x = rk4_step(lambda y, u: -y, x, None, dt)
             return x[0]
 
         e1 = abs(integrate(0.1, 10) - np.exp(-1.0))
@@ -73,7 +73,7 @@ class TestRk4Step:
 
     def test_nonfinite_raises(self):
         with pytest.raises(EvaluationError):
-            rk4_step(lambda x: x * np.inf, np.array([1.0]), dt=0.1)
+            rk4_step(lambda x, u: x * np.inf, np.array([1.0]), None, 0.1)
 
     def test_given_first_stage_is_bit_identical(self):
         calls = []

@@ -308,3 +308,102 @@ def test_file_io_detector():
               "fh.write(text)\n")
     assert file_io_calls(source) == ["open (line 2)", "json.load (line 3)",
                                      "json.dumps (line 4)", "gzip.open (line 5)"]
+
+
+def defaulted_parameters(tree) -> list:
+    """(call name, self shift, parameter index or None, parameter name) of each
+    defaulted parameter of a module's functions and of its classes' methods.
+    A class's ``__init__`` is called by the class name; a method, other than a
+    static one, is called with ``self`` or ``cls`` already bound, so that
+    its i-th parameter is the call's (i - 1)-th argument. Other dunder
+    methods and dataclass fields are not options a call sets."""
+    funcs = ast.FunctionDef, ast.AsyncFunctionDef
+    defs = [(node.name, 0, node) for node in tree.body if isinstance(node, funcs)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for item in cls.body:
+            if isinstance(item, funcs) and (item.name == "__init__"
+                                            or not item.name.startswith("__")):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in item.decorator_list)
+                defs.append((cls.name if item.name == "__init__" else item.name,
+                             0 if static else 1, item))
+    out = []
+    for name, shift, node in defs:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out += [(name, shift, i, p.arg) for i, p in enumerate(positional) if i >= first]
+        out += [(name, shift, None, p.arg)
+                for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _sets(call, shift, index, param) -> bool:
+    """Whether ``call`` passes the parameter: by position (methods shift by
+    ``self``), by keyword, or possibly through ``*args`` or ``**kwargs``."""
+    if (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (None, param) for k in call.keywords)):
+        return True
+    return index is not None and len(call.args) > index - shift
+
+
+def unset_options(package: dict, others: list) -> list:
+    """The defaulted parameters of the ``package`` modules (file name ->
+    source) that no call in the package or in ``others`` sets; calls are
+    matched to definitions by name."""
+    calls = {}
+    for tree in [*map(ast.parse, package.values()), *map(ast.parse, others)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return sorted(f"{module}:{name}({param})"
+                  for module, source in package.items()
+                  for name, shift, index, param in defaulted_parameters(ast.parse(source))
+                  if not any(_sets(c, shift, index, param) for c in calls.get(name, [])))
+
+
+# Options that no package or benchmark code sets, and why each may stay. A
+# name found beyond this list is a setting with one value in use: write that
+# value into the code, or add the option here with the reason it stays.
+UNSET_OPTIONS_ALLOWED = {
+    # the fixed directions of a Fisher field, the way to compare fields along
+    # one state axis
+    "fisher.py:evaluate_field(policy)",
+    # the estimator's guard brackets, which a study of mis-bracketed guards sets
+    "estimator.py:train_coefficient_estimator(bounds)",
+    # the verdict's thresholds, which a study sets to its own precision
+    "fidelity.py:well_trained_verdict(tolerances)",
+    # a kinematic car of another wheelbase
+    "dynamics.py:KinematicModel(params)",
+    # the sizes that shrink a dataset or a validation set for a quick run
+    "datagen.py:generate_kinematic_dataset(n_arcs)",
+    "datagen.py:generate_kinematic_dataset(n_straights)",
+    "training.py:build_training_data(n_validation)",
+}
+
+
+def test_every_option_has_a_caller():
+    package, others = package_sources(), folder_sources("perfbench")
+    assert package and others
+    assert set(unset_options(package, others)) == UNSET_OPTIONS_ALLOWED
+
+
+def test_unset_option_detector():
+    module = ("import dataclasses\n"
+              "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+              "def g(x=0): return f(1, 2, d=5)\n"
+              "def h(y=0, z=0): pass\n"
+              "class K:\n"
+              "    def __init__(self, p=None, q=None): pass\n"
+              "    def m(self, r=0, s=0): pass\n"
+              "    @staticmethod\n    def st(v=0): pass\n"
+              "    def __call__(self, w=0): pass\n"
+              "@dataclasses.dataclass\nclass D:\n    field: int = 0\n")
+    elsewhere = ("from m import K, h, st\n"
+                 "K(None).m(1)\n"
+                 "st(*[1])\n"
+                 "h(**{'y': 1})\n")
+    assert unset_options({"m.py": module}, [elsewhere]) == [
+        "m.py:K(q)", "m.py:f(c)", "m.py:f(e)", "m.py:g(x)", "m.py:m(s)"]

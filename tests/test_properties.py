@@ -129,7 +129,7 @@ def velocity_points(draw):
 @given(velocity_points())
 def test_velocity_block_matches_central_differences(points):
     rows, frac = points
-    vel, u, p = rows[:, :3], rows[:, 3:], VehicleParams.dynamic_default()
+    vel, u, p = rows[:, :3], rows[:, 3:], VehicleParams()
     for tires in TIRE_PAIRS:
         bounds = default_guard_bounds(tires, DrivetrainCoefficients())
         coef = bounds.lower + (bounds.upper - bounds.lower) * frac

@@ -36,6 +36,13 @@ SMALL_BOUNDS = CollocationBounds(np.array([-1.0, -1.0, -1.0, -1.0, -1.0]),
 
 
 class TestSampleCollocation:
+    @pytest.mark.parametrize("field", ["lower", "upper"])
+    def test_bounds_must_be_finite(self, field):
+        box = {"lower": np.zeros(5), "upper": np.ones(5)}
+        box[field][2] = math.nan
+        with pytest.raises(ValueError, match=f"CollocationBounds.{field} must be finite"):
+            CollocationBounds(**box)
+
     def test_degenerate_bounds(self):
         b = CollocationBounds(np.array([1.0, 2.0, 0.5, 3.0, -0.1]),
                               np.array([1.0, 2.0, 0.5, 3.0, -0.1]))
@@ -302,6 +309,11 @@ class TestBuildTrainingData:
             per_point = np.stack([model.rhs(s, u) for s, u in zip(states, inputs)])
             assert np.array_equal(targets, per_point)
 
+    def test_bounds_must_cover_the_model(self):
+        with pytest.raises(ValueError, match="collocation bounds of width 5 do not cover the "
+                                             "model's state_dim 6 \\+ input_dim 2"):
+            build_training_data(DynamicModel(), CollocationBounds(), 8, seed=0)
+
     def window_data(self, trajs):
         return build_training_data(KinematicModel(), CollocationBounds(), 16, seed=3,
                                    trajectories=trajs, horizon=5, n_validation=16)
@@ -331,7 +343,8 @@ class TestTrainRegime:
 
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0), ("horizon", 0), ("epochs", -1), ("lr", 0.0), ("lr", -1.0),
-        ("lr", float("nan")), ("lr", float("inf"))])
+        ("lr", float("nan")), ("lr", float("inf")), ("lambda_p", float("nan")),
+        ("lambda_d", float("inf")), ("lambda_p", -1.0)])
     def test_config_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError, match=f"RegimeConfig.{field} must be"):
             RegimeConfig(**{field: value})
