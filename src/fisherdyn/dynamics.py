@@ -106,10 +106,18 @@ class ConfigError(ValueError):
 
 def _check_fields(owner: str, values: dict, rules: dict) -> None:
     """Raise :class:`ConfigError` naming the first of ``values`` (scalars or
-    arrays) with an entry that is not finite or breaks its rule in ``rules``."""
+    arrays) that is not a number (a bool is not one), has an entry that is
+    not finite, or breaks its rule in ``rules``: "> 0" or ">= 0", or
+    "int > 0" or "int >= 0" for a count, which must be an integer."""
     for name, val in values.items():
-        rule = rules.get(name)
-        if not np.all(np.isfinite(np.asarray(val, dtype=float))):
+        rule = rules.get(name, "")
+        kind = np.asarray(val).dtype.kind
+        if kind not in "iuf":
+            raise ConfigError(f"{owner}{name} must be a number, got {val!r}")
+        if rule.startswith("int ") and not (kind in "iu" and np.ndim(val) == 0):
+            raise ConfigError(f"{owner}{name} must be an integer, got {val!r}")
+        rule = rule.removeprefix("int ")
+        if not np.all(np.isfinite(val)):
             raise ConfigError(f"{owner}{name} must be finite, got {val}")
         if rule == "> 0" and np.any(val <= 0) or rule == ">= 0" and np.any(val < 0):
             raise ConfigError(f"{owner}{name} must be {rule}")
@@ -455,10 +463,11 @@ class _VelocityTerms:
         out[..., 2] = (F_fy * p.lf * cd - F_ry * p.lr) / p.Iz
         return out
 
-    def jacobian(self, slopes, disturbances=(), t=0.0):
+    def jacobian(self, slopes, disturbances=(), t=0.0, out=None):
         """d(rates)/d(vx, vy, omega) (..., 3, 3) from the axles'
         :func:`_tire_slope`: the tire forces through the slip angles and the
-        tire scale, the wind drag, and the drivetrain and coupling terms."""
+        tire scale, the wind drag, and the drivetrain and coupling terms;
+        written into ``out`` if given."""
         p, c, vx, vy, omega = self.p, self.coef, self.vx, self.vy, self.omega
 
         # tire scale and its (vx, omega) gradient, composed by the product rule;
@@ -489,7 +498,7 @@ class _VelocityTerms:
         dF_rx = (-c[..., 9] - 2.0 * c[..., 11] * vx, 0.0, 0.0)
         coupling = ((0.0, omega, vy), (-omega, 0.0, -vx))
         sd, cd = self.sd, self.cd
-        jac = np.empty(vx.shape + (3, 3))
+        jac = np.empty(vx.shape + (3, 3)) if out is None else out
         for j in range(3):
             jac[..., 0, j] = (dF_rx[j] - sd * dF_fy[j]) / p.m + coupling[0][j]
             jac[..., 1, j] = (dF_ry[j] + cd * dF_fy[j]) / p.m + coupling[1][j]
@@ -500,10 +509,11 @@ class _VelocityTerms:
                 jac[..., 1, 1] -= q["rho"] * q["area"] * q["Cw"] * np.abs(q["vw"] - vy) / p.m
         return jac
 
-    def coefficient_partials(self, slopes):
+    def coefficient_partials(self, slopes, out=None):
         """d(rates)/d(coef) (..., 3, 12) without disturbances, from the axles'
         :func:`_tire_slope`: the magic formula's closed-form B, C, D and E
-        partials and the linear drivetrain terms."""
+        partials and the linear drivetrain terms; written into ``out`` if
+        given."""
         p, vx = self.p, self.vx
         dF = []
         for a, (cos_arg, cos_c, x, den) in slopes:
@@ -515,10 +525,12 @@ class _VelocityTerms:
         front = np.stack([-sd / p.m, cd / p.m, p.lf * cd / p.Iz])
         rear = np.array([0.0, 1.0 / p.m, -p.lr / p.Iz])
         # filled as (3, 12, n) with n innermost, returned as an (n, 3, 12) view
-        d_coef = np.zeros((3, 12) + vx.shape)
-        d_coef[:, :4] = front[:, None] * dF[0]
-        d_coef[:, 4:8] = np.multiply.outer(rear, dF[1])
+        d_coef = (np.empty((3, 12) + vx.shape) if out is None
+                  else np.moveaxis(out, (-2, -1), (0, 1)))
+        np.multiply(front[:, None], dF[0], out=d_coef[:, :4])
+        np.multiply.outer(rear, dF[1], out=d_coef[:, 4:8])
         d_coef[0, 8:] = np.stack([self.throttle, -vx, np.full_like(vx, -1.0), -vx * vx]) / p.m
+        d_coef[1:, 8:] = 0.0
         return np.moveaxis(d_coef, (0, 1), (-2, -1))
 
 
@@ -535,7 +547,7 @@ def velocity_rates(vel, u, p: VehicleParams, coef, tires: TirePair) -> np.ndarra
     return terms.rates(terms.axles())
 
 
-def velocity_rate_partials(vel, u, p: VehicleParams, coef, tires: TirePair):
+def velocity_rate_partials(vel, u, p: VehicleParams, coef, tires: TirePair, out=None):
     """Disturbance-free :func:`velocity_rates` with its exact partials.
 
     Returns (rates (n, 3), d(rates)/d(vel) (n, 3, 3), d(rates)/d(coef)
@@ -545,11 +557,15 @@ def velocity_rate_partials(vel, u, p: VehicleParams, coef, tires: TirePair):
     sin/cos delta. The velocity block is that of :meth:`DynamicModel.jacobian`,
     the tire partials in B, C, D and E are closed-form, the drivetrain terms
     are linear. Like :func:`velocity_rates`, there is no envelope check.
+    With ``out``, a pair of arrays of the partials' shapes, the partials are
+    written there; the coefficient block is filled fastest where it is the
+    (n, 3, 12) view of a (3, 12, n) array, the layout it is made in.
     """
     terms = _VelocityTerms(vel, u, p, coef, tires)
     slopes = [_tire_slope(a) for a in terms.axles()]
-    return (terms.rates(a for a, _ in slopes), terms.jacobian(slopes),
-            terms.coefficient_partials(slopes))
+    d_vel, d_coef = (None, None) if out is None else out
+    return (terms.rates(a for a, _ in slopes), terms.jacobian(slopes, out=d_vel),
+            terms.coefficient_partials(slopes, out=d_coef))
 
 
 class DynamicModel:

@@ -14,11 +14,15 @@ partials are the magic formula's B, C, D, E partials and the linear
 drivetrain terms.
 Gradients are exact throughout: through the physics step by
 ``numerics.rk4_adjoint`` over those partials, then through guard, head and
-GRU (backprop through time). Only training keeps that backward state, and
-one batch's at a time: a batch's GRU and head cache die before the next
-batch's forward runs, and its physics stage partials die before its own GRU
-backward runs. Inference, such as the final estimate over every window, runs
-GRU and head forward-only.
+GRU (backprop through time). Only training keeps that backward state, one
+batch's at a time, in a ``nets.Workspace`` that the first (largest) batch
+sizes and every later batch writes into: the normalized features, the GRU's
+hidden states and gates, the head's layers and gradient, and one scratch
+buffer that the batch gather, the GRU steps, the physics stage partials and
+the backward passes take in turn. A batch allocates no array of a batch's
+size, so the heap is not returned to the system and faulted back in batch
+after batch. Inference, such as the final estimate over every window, runs
+GRU and head forward-only, in a workspace of its own.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .dynamics import (COEFFICIENT_NAMES, DrivetrainCoefficients,
 from .nets import (LayerSpec, PhysicsGuardBounds, _epoch_batches, adam_step,
                    gru_backward, gru_forward, gru_forward_cache, init_adam, init_gru,
                    init_network, mlp_forward, mlp_forward_cache, mlp_vjp,
-                   physics_guard, physics_guard_derivative)
+                   Workspace, physics_guard, physics_guard_derivative)
 from .numerics import rk4, rk4_adjoint
 
 __all__ = [
@@ -104,28 +108,38 @@ def predict_next_velocities(states, coef, p: VehicleParams, template: TirePair,
     return pred
 
 
-def _physics_step(model, base_states, phi):
+def _physics_step(model, base_states, phi, *, work=None):
     """``predict_next_velocities`` over the stage partials J_i (velocity) and
     C_i (coefficients); returns the prediction and its pullback from dLoss/dpred
-    to dLoss/dPhi, an ``rk4_adjoint`` whose stages add b C_i and pass b J_i."""
+    to dLoss/dPhi, an ``rk4_adjoint`` whose stages add b C_i and pass b J_i.
+    The partials and the pullback's terms are ``work``'s scratch: no other
+    kernel may use it between the step and its pullback."""
+    work = Workspace() if work is None else work
     vel, u = base_states[:, :3], base_states[:, 3:5]
+    n = len(vel)
+    # stage i's partials and pullback term; C_i is the (n, 3, 12) view of a
+    # (3, 12, n) array, the layout velocity_rate_partials fills fastest
+    d_vels, d_coefs, terms = work.arrays("scratch", (4, n, 3, 3), (4, 3, 12, n), (4, n, 12))
+    d_coefs = np.moveaxis(d_coefs, (1, 2), (2, 3))
+    slots = iter(zip(d_vels, d_coefs))
 
     def stage(v):
-        rates, *partials = velocity_rate_partials(v, u, model.params, phi, model.template)
+        rates, *partials = velocity_rate_partials(v, u, model.params, phi, model.template,
+                                                  out=next(slots))
         return rates, partials
 
     pred, partials = rk4(stage, vel, model.Ts)
 
     def pullback(grad_pred):
-        terms = []
+        slots = iter(terms[::-1])  # the adjoint runs stage 4 first
 
         def vjp(aux, b):
             d_vel, d_coef = aux
-            terms.append(np.einsum("ni,nij->nj", b, d_coef))
+            np.einsum("ni,nij->nj", b, d_coef, out=next(slots))
             return np.einsum("ni,nij->nj", b, d_vel)
 
         rk4_adjoint(vjp, partials, grad_pred, model.Ts)
-        return sum(reversed(terms))  # stage 1 first, in the forward order
+        return sum(terms)  # stage 1 first, in the forward order
 
     return pred, pullback
 
@@ -153,6 +167,10 @@ def build_windows(trajectories, tau: int) -> WindowSet:
     t >= tau - 1 that has a successor, whose history is steps t - tau + 1..t."""
     feats, bases, targets, sources = [], [], [], []
     for ti, traj in enumerate(trajectories):
+        widths = traj.states.shape[-1], traj.inputs.shape[-1]
+        if widths != (6, 2):
+            raise ValueError(f"trajectory {ti} has state/input widths {widths[0]}/{widths[1]}, "
+                             "expected 6/2: the estimator takes dynamic-model trajectories")
         n = len(traj)
         if n - 1 < tau:
             continue
@@ -185,9 +203,9 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        fields = ("tau", "hidden_size", "head_width", "lr", "epochs", "batch_size")
-        _check_fields("EstimatorConfig.", {k: getattr(self, k) for k in fields},
-                      {**dict.fromkeys(fields, "> 0"), "epochs": ">= 0"})
+        rules = {**dict.fromkeys(("tau", "hidden_size", "head_width", "batch_size"), "int > 0"),
+                 "lr": "> 0", "epochs": "int >= 0"}
+        _check_fields("EstimatorConfig.", {k: getattr(self, k) for k in rules}, rules)
 
 
 class EstimatorModel:
@@ -196,13 +214,16 @@ class EstimatorModel:
     def __init__(self, cfg: EstimatorConfig, bounds: PhysicsGuardBounds,
                  params: VehicleParams, template: TirePair, Ts: float,
                  feat_offset, feat_scale):
+        n_coef = len(COEFFICIENT_NAMES)
+        if bounds.lower.shape != (n_coef,):
+            raise ValueError(f"guard bounds of shape {bounds.lower.shape}, expected one bracket "
+                             f"per coefficient of COEFFICIENT_NAMES ({n_coef},)")
         self.bounds = bounds
         self.params = params
         self.template = template
         self.Ts = Ts
         self.feat_offset = np.asarray(feat_offset, dtype=float)
         self.feat_scale = np.asarray(feat_scale, dtype=float)
-        n_coef = len(COEFFICIENT_NAMES)
         self.gru = init_gru(7, cfg.hidden_size, seed=cfg.seed)
         self.head = init_network(cfg.hidden_size,
                                  (LayerSpec(cfg.head_width, "mish"),
@@ -214,53 +235,53 @@ class EstimatorModel:
     def param_list(self) -> list:
         return self.gru.param_list() + self.head.param_list()
 
-    def _normalize(self, features):
-        return (features - self.feat_offset) / self.feat_scale
-
-    def estimate(self, features, with_cache: bool = False):
+    def estimate(self, features, with_cache: bool = False, *, work=None):
         """Guarded coefficient estimates for a (n, tau, 7) feature batch.
 
         With ``with_cache`` it also returns the cache of ``backward``; without
         it, GRU and head keep no backward state (``gru_forward``,
         ``mlp_forward``), so inference over n windows holds a few (n, hidden)
         arrays, not the 4 tau of backprop through time. Both give the same
-        estimates, bit for bit.
+        estimates, bit for bit. With a :class:`Workspace` ``work`` the
+        normalized features, the GRU's state and cache and the head's cache
+        are its arrays, overwritten by its next use.
         """
-        x = self._normalize(features)
+        if np.ndim(features) != 3 or np.shape(features)[2] != 7:
+            raise ValueError(f"features of shape {np.shape(features)}, expected (n, tau, 7)")
+        work = Workspace() if work is None else work
+        x = np.subtract(features, self.feat_offset,
+                        out=work.arrays("features", np.shape(features))[0])
+        x /= self.feat_scale
         if not with_cache:
-            z = mlp_forward(self.head, gru_forward(self.gru, x), check_finite=False)
+            z = mlp_forward(self.head, gru_forward(self.gru, x, work=work), check_finite=False,
+                            work=work)
             return physics_guard(z, self.bounds)
-        h, gru_cache = gru_forward_cache(self.gru, x)
-        z, head_cache = mlp_forward_cache(self.head, h)
+        h, gru_cache = gru_forward_cache(self.gru, x, work=work)
+        z, head_cache = mlp_forward_cache(self.head, h, work=work)
         return physics_guard(z, self.bounds), (z, gru_cache, head_cache)
 
-    def backward(self, cache, grad_phi):
-        """Gradients for ``param_list()`` given dLoss/dPhi."""
+    def backward(self, cache, grad_phi, *, work=None):
+        """Gradients for ``param_list()`` given dLoss/dPhi; ``work`` is
+        the workspace of the ``estimate`` that made ``cache``, if any."""
         z, gru_cache, head_cache = cache
         grad_z = grad_phi * physics_guard_derivative(z, self.bounds)
-        grad_h, head_grads = mlp_vjp(self.head, head_cache, grad_z)
-        gru_grads = gru_backward(self.gru, gru_cache, grad_h)
+        grad_h, head_grads = mlp_vjp(self.head, head_cache, grad_z, work=work)
+        gru_grads = gru_backward(self.gru, gru_cache, grad_h, work=work)
         return gru_grads + [a for pair in head_grads for a in pair]
 
 
-def _batch_loss_grad(model, windows, idx, phi):
-    """Batch loss and dLoss/dPhi (None if the loss is not finite); the stage
-    partials, prediction and residual die with this frame."""
-    pred, pullback = _physics_step(model, windows.base_states[idx], phi)
+def _batch_step(model, windows, idx, opt, work) -> float:
+    """One Adam step on windows ``idx`` (none if the loss is not finite),
+    returning the loss; the batch's state is in ``work``'s arrays."""
+    features = np.take(windows.features, idx, axis=0,
+                       out=work.arrays("scratch", (idx.size,) + windows.features.shape[1:])[0])
+    phi, cache = model.estimate(features, with_cache=True, work=work)
+    pred, pullback = _physics_step(model, windows.base_states[idx], phi, work=work)
     resid = pred - windows.targets[idx]
     loss = float(np.mean(resid * resid))
-    if not math.isfinite(loss):
-        return loss, None
-    return loss, pullback(resid * (2.0 / resid.size))
-
-
-def _batch_step(model, windows, idx, opt) -> float:
-    """One Adam step on windows ``idx`` (none if the loss is not finite),
-    returning the loss; the batch's GRU and head cache die with this frame."""
-    phi, cache = model.estimate(windows.features[idx], with_cache=True)
-    loss, grad_phi = _batch_loss_grad(model, windows, idx, phi)
-    if grad_phi is not None:
-        adam_step(model.param_list(), model.backward(cache, grad_phi), opt)
+    if math.isfinite(loss):
+        grad_phi = pullback(resid * (2.0 / resid.size))
+        adam_step(model.param_list(), model.backward(cache, grad_phi, work=work), opt)
     return loss
 
 
@@ -280,9 +301,9 @@ def train_coefficient_estimator(cfg: EstimatorConfig, trajectories,
     nominal physics, stepped by their shared ``time_step``; returns the
     trained model plus per-window estimates.
 
-    Training memory is bounded by one batch beyond the window arrays: one
-    batch's GRU and head cache are alive at a time, and its stage partials
-    are dropped before the GRU backward runs.
+    Training memory is bounded by one batch beyond the window arrays: every
+    batch's state lives in one :class:`Workspace`, allocated by the first
+    (largest) batch and dropped on return.
     """
     if not len(trajectories):
         raise ValueError("no trajectories were given")
@@ -295,6 +316,7 @@ def train_coefficient_estimator(cfg: EstimatorConfig, trajectories,
 
     model = EstimatorModel(cfg, bounds, params, template, time_step(trajectories), offset, scale)
     opt = init_adam(model.param_list(), lr=cfg.lr)
+    work = Workspace()
 
     n = len(windows)
     curve = []
@@ -304,7 +326,7 @@ def train_coefficient_estimator(cfg: EstimatorConfig, trajectories,
         epoch_loss = 0.0
         seen = 0
         for idx in _epoch_batches(n, cfg.batch_size, rng):
-            loss = _batch_step(model, windows, idx, opt)
+            loss = _batch_step(model, windows, idx, opt, work)
             if not math.isfinite(loss):
                 diverged = True
                 break
@@ -318,9 +340,12 @@ def train_coefficient_estimator(cfg: EstimatorConfig, trajectories,
     # The final estimate runs one batch at a time, without backward state,
     # so its transients do not grow with the dataset. The remainder joins the
     # last chunk, so that no chunk is shorter than a batch: BLAS may round the
-    # products of a short chunk differently.
+    # products of a short chunk differently. Its workspace replaces the
+    # training one, so the backward state is freed before the estimates are
+    # allocated, and the last (largest) chunk runs first, so it is sized once.
+    work = Workspace()
     phi_final = np.empty((n, len(COEFFICIENT_NAMES)))
     starts = range(0, max(n - cfg.batch_size, 0) + 1, cfg.batch_size)
-    for lo, hi in zip(starts, [*starts[1:], n]):
-        phi_final[lo:hi] = model.estimate(windows.features[lo:hi])
+    for lo, hi in reversed([*zip(starts, [*starts[1:], n])]):
+        phi_final[lo:hi] = model.estimate(windows.features[lo:hi], work=work)
     return EstimatorRun(model, curve, phi_final, windows.sources, diverged)

@@ -19,6 +19,11 @@ forward and backward layer loops, which the training rollout also runs on
 its stage buffers; ``_weight_grad`` is a layer's (dW, db) summed over leading
 axes, for the MLP backward, the rollout and the GRU gates.
 
+The training kernels and the forward passes take a :class:`Workspace` as
+the keyword ``work`` and then write their arrays into it, so that a loop
+passing one to every batch allocates its batch state once; without one they
+allocate as numpy does, with the same arithmetic, bit for bit.
+
 ``LearnedDynamicsModel`` wraps an MLP behind the same (rhs, jacobian) surface
 as the analytical models, including the fixed affine input normalization the
 Jacobian has to be corrected for, and owns the versioned JSON checkpoint
@@ -27,7 +32,9 @@ format.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,6 +47,7 @@ __all__ = [
     "AdamState",
     "PhysicsGuardBounds",
     "GruSpec",
+    "Workspace",
     "init_network",
     "mlp_forward",
     "mlp_forward_cache",
@@ -63,18 +71,49 @@ CHECKPOINT_VERSION = 1
 _SIGMOID_CLIP = 1e-12  # keeps guard outputs strictly inside their bounds
 
 
-def sigmoid(z):
-    # the tanh form cannot overflow and needs no masking by sign
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=float)))
+class Workspace:
+    """Named float64 buffers that repeated calls write their arrays into.
+
+    ``arrays(name, *shapes)`` lays C-contiguous, 64-byte aligned arrays of
+    ``shapes`` one after another over the name's buffer, which is allocated
+    again only when they do not fit, and overwrites what the name's earlier
+    arrays held. "scratch" holds temporaries that live within one kernel
+    call (or between two calls that no other kernel runs between), so they
+    share one buffer. A loop that passes one workspace to every batch
+    allocates its batch state once, sized by its largest batch; a shorter
+    batch takes the leading entries.
+    """
+
+    _ALIGN = 8  # entries: 64 bytes
+
+    def __init__(self):
+        self._buffers = {}
+
+    def arrays(self, name: str, *shapes) -> list:
+        sizes = [-(-math.prod(shape) // self._ALIGN) * self._ALIGN for shape in shapes]
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < sum(sizes):
+            buf = self._buffers[name] = np.empty(sum(sizes))
+        starts = accumulate(sizes[:-1], initial=0)
+        return [buf[i:i + math.prod(shape)].reshape(shape) for i, shape in zip(starts, shapes)]
 
 
-def _softplus(z):
+def sigmoid(z, *, out=None):
+    """0.5 (1 + tanh(z / 2)), written into ``out`` if given (it may be z).
+    The tanh form cannot overflow and needs no masking by sign."""
+    t = np.tanh(np.multiply(z, 0.5, out=out), out=out)
+    return np.multiply(np.add(t, 1.0, out=out), 0.5, out=out)
+
+
+def _softplus(z, out=None):
     """log(1 + e^z), as max(z, 0) + log1p(e^-|z|): the exponent is never
     positive, so nothing overflows. np.logaddexp(0, z) is the same formula,
     but numpy runs it element by element through libm, about 7x slower on a
     (512, 32) array on x86-64; the vectorized exp and log1p agree with it to
-    a few ulp."""
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    a few ulp. Written into ``out`` if given, as are mish and its
+    derivative."""
+    e = np.exp(np.negative(np.abs(z, out=out), out=out), out=out)
+    return np.add(np.log1p(e, out=out), np.maximum(z, 0.0), out=out)
 
 
 # The largest finite float64. Where mish and its derivative multiply z by a
@@ -83,37 +122,45 @@ def _softplus(z):
 _FLOAT_MAX = np.finfo(float).max
 
 
-def mish(z):
+def mish(z, out=None):
     # x * tanh(softplus(x)); 0 at -inf
-    t = np.tanh(_softplus(z))
-    t *= np.maximum(z, -_FLOAT_MAX)
-    return t
+    t = np.tanh(_softplus(z, out), out=out)
+    return np.multiply(t, np.maximum(z, -_FLOAT_MAX), out=out)
 
 
-def _mish_deriv(z, a):
-    t = np.tanh(_softplus(z))
-    return t + (1.0 - t * t) * np.clip(z, -_FLOAT_MAX, _FLOAT_MAX) * sigmoid(z)
+def _mish_deriv(z, a, out):
+    # t + (1 - t^2) z sigmoid(z), t = tanh(softplus(z)), in two temporaries;
+    # 1 - t^2 is built in place as -t^2 + 1, which rounds the same
+    t = np.tanh(_softplus(z, out), out=out)
+    slope = t * t
+    slope *= -1.0
+    slope += 1.0
+    factor = np.clip(z, -_FLOAT_MAX, _FLOAT_MAX)
+    slope *= factor
+    slope *= sigmoid(z, out=factor)
+    return np.add(t, slope, out=out)
 
 
-# name -> (value at z, derivative at z with outputs a: None for linear, and
-# only mish reads z). sigmoid and mish are looked up by name when called, so
-# that rebinding them reaches every layer.
+# name -> (value at z, written into ``out`` if one is given (linear returns z
+# itself); derivative at z with outputs a: None for linear, and only mish
+# reads z and writes into ``out``). sigmoid and mish are looked up by name
+# when called, so that rebinding them reaches every layer.
 _ACTIVATIONS = {
-    "linear": (lambda z: z, lambda z, a: None),
-    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
-    "sigmoid": (lambda z: sigmoid(z), lambda z, a: a * (1.0 - a)),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: a > 0.0),
-    "mish": (lambda z: mish(z), _mish_deriv),
+    "linear": (lambda z, out: z, lambda z, a, out: None),
+    "tanh": (np.tanh, lambda z, a, out: 1.0 - a * a),
+    "sigmoid": (lambda z, out: sigmoid(z, out=out), lambda z, a, out: a * (1.0 - a)),
+    "relu": (lambda z, out: np.maximum(z, 0.0, out=out), lambda z, a, out: a > 0.0),
+    "mish": (lambda z, out: mish(z, out), _mish_deriv),
 }
 
 
-def _activation(name, z):
-    return _ACTIVATIONS[name][0](z)
+def _activation(name, z, out=None):
+    return _ACTIVATIONS[name][0](z, out)
 
 
-def _activation_deriv(name, z, a):
+def _activation_deriv(name, z, a, out=None):
     """d(activation)/dz at pre-activations ``z`` with outputs ``a``."""
-    return _ACTIVATIONS[name][1](z, a)
+    return _ACTIVATIONS[name][1](z, a, out)
 
 
 @dataclass(frozen=True)
@@ -163,21 +210,24 @@ def init_network(input_dim: int, layers, seed: int = 0) -> NetworkParams:
     return NetworkParams(input_dim, layers, weights, biases)
 
 
-def _layer_outputs(params: NetworkParams, z, weights_t):
+def _layer_outputs(params: NetworkParams, z, weights_t, work=None):
     """(pre-activation, output) of each layer in turn, given layer 0's
     pre-activation ``z``: the one layer loop of every MLP forward pass.
     ``weights_t[l]`` is layer l's weight as a (fan_in, width) array: the
     transposed view, or a contiguous copy of it, which a caller that runs
     many passes makes once because the product with it is faster. A caller
     that holds layer 0's input product in another form (the training rollout
-    folds the input normalization into it) starts from there."""
-    last = len(params.weights) - 1
+    folds the input normalization into it) starts from there. With a
+    :class:`Workspace` ``work``, layer l's pre-activation and (unless linear)
+    output are its arrays "layer<l>.z" and "layer<l>.a"."""
     for l, spec in enumerate(params.layers):
-        a = _activation(spec.activation, z)
+        if l:
+            z = (a @ weights_t[l] if work is None else np.matmul(
+                a, weights_t[l], out=work.arrays(f"layer{l}.z", a.shape[:-1] + (spec.width,))[0]))
+            z += params.biases[l]
+        a = _activation(spec.activation, z, None if work is None or spec.activation == "linear"
+                        else work.arrays(f"layer{l}.a", z.shape)[0])
         yield z, a
-        if l < last:
-            z = a @ weights_t[l + 1]
-            z += params.biases[l + 1]
 
 
 def _layer_deltas(params: NetworkParams, derivs, delta, out=None):
@@ -188,13 +238,13 @@ def _layer_deltas(params: NetworkParams, derivs, delta, out=None):
     With ``out``, layer l's cotangent is written into ``out[l]``."""
     derivs = iter(derivs)
     for l in range(len(params.weights) - 1, -1, -1):
-        if l < len(params.weights) - 1:
-            delta = delta @ params.weights[l + 1]
-        deriv = next(derivs)
         slot = None if out is None else out[l]
+        if l < len(params.weights) - 1:
+            delta = np.matmul(delta, params.weights[l + 1], out=slot)
+        deriv = next(derivs)
         if deriv is not None:
             delta = np.multiply(delta, deriv, out=slot)
-        elif slot is not None:
+        elif slot is not None and slot is not delta:
             slot[...] = delta
         yield delta
 
@@ -207,55 +257,73 @@ def _weight_grad(delta, x):
     return delta.T @ x.reshape(-1, x.shape[-1]), delta.sum(axis=0)
 
 
-def _forward(params: NetworkParams, x):
+def _forward(params: NetworkParams, x, work=None):
     """(x as a float array, the ``_layer_outputs`` of the network at x): the
     one place a raw network input (..., input_dim) meets layer 0."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (params.input_dim,):
         raise ValueError(f"input shape {x.shape} does not match network dim {params.input_dim}")
     weights_t = [w.T for w in params.weights]
-    return x, _layer_outputs(params, x @ weights_t[0] + params.biases[0], weights_t)
+    z = (x @ weights_t[0] if work is None else np.matmul(
+        x, weights_t[0], out=work.arrays("layer0.z", x.shape[:-1] + (params.layers[0].width,))[0]))
+    z += params.biases[0]
+    return x, _layer_outputs(params, z, weights_t, work)
 
 
-def mlp_forward(params: NetworkParams, x, check_finite: bool = True):
+def mlp_forward(params: NetworkParams, x, check_finite: bool = True, *, work=None):
     """Forward pass of inputs (..., d) to outputs (..., outputs).
 
     It keeps no layer outputs: use it wherever no backward pass follows, and
     ``mlp_forward_cache`` (the same arithmetic, bit for bit) where one does.
+    With a :class:`Workspace` ``work`` the layers write into its arrays, as
+    in ``mlp_forward_cache``.
 
     A non-finite output raises ``FloatingPointError`` unless
     ``check_finite`` is false, in which case it is returned as it is.
     """
-    for _, a in _forward(params, x)[1]:
+    for _, a in _forward(params, x, work)[1]:
         pass
     if check_finite and not np.all(np.isfinite(a)):
         raise FloatingPointError("non-finite network output")
     return a
 
 
-def mlp_forward_cache(params: NetworkParams, x):
+def mlp_forward_cache(params: NetworkParams, x, *, work=None):
     """Forward pass keeping what ``mlp_vjp`` reads: the network input and
     every layer's output (``acts``) and pre-activation (``pres``); returns
-    (output, (acts, pres))."""
-    x, layers = _forward(params, x)
+    (output, (acts, pres)). With a :class:`Workspace` ``work`` the outputs
+    and pre-activations are its arrays, overwritten by its next forward
+    pass."""
+    x, layers = _forward(params, x, work)
     pres, acts = zip(*layers)
     return acts[-1], ([x, *acts], pres)
 
 
-def mlp_vjp(params: NetworkParams, cache, grad_out):
+def mlp_vjp(params: NetworkParams, cache, grad_out, *, work=None):
     """Backprop an upstream gradient; returns (grad_input, [(dW, db), ...]).
 
     Activation derivatives come from the cached layer outputs, so no
     activation is evaluated again (mish, whose derivative needs the
-    pre-activation, excepted)."""
+    pre-activation, excepted). With a :class:`Workspace` ``work`` the
+    derivatives and cotangents are its scratch and grad_input is its array
+    "mlp.grad_in"."""
     acts, pres = cache
+    grad_out = np.asarray(grad_out, float)
     layers = range(len(params.weights) - 1, -1, -1)
-    derivs = (_activation_deriv(params.layers[l].activation, pres[l], acts[l + 1])
+    derivs_out = deltas_out = [None] * len(params.weights)
+    if work is not None:
+        shapes = [grad_out.shape[:-1] + (spec.width,) for spec in params.layers]
+        bufs = work.arrays("scratch", *shapes, *shapes)
+        derivs_out, deltas_out = bufs[:len(shapes)], bufs[len(shapes):]
+    derivs = (_activation_deriv(params.layers[l].activation, pres[l], acts[l + 1], derivs_out[l])
               for l in layers)
     grads = [None] * len(params.weights)
-    for l, delta in zip(layers, _layer_deltas(params, derivs, np.asarray(grad_out, float))):
+    for l, delta in zip(layers, _layer_deltas(params, derivs, grad_out, deltas_out)):
         grads[l] = _weight_grad(delta, acts[l])
-    return delta @ params.weights[0], grads
+    if work is None:
+        return delta @ params.weights[0], grads
+    grad_in = work.arrays("mlp.grad_in", delta.shape[:-1] + (params.input_dim,))[0]
+    return np.matmul(delta, params.weights[0], out=grad_in), grads
 
 
 def mlp_param_gradient(params: NetworkParams, inputs, targets):
@@ -406,6 +474,9 @@ class GruSpec:
 
 def init_gru(input_size: int, hidden_size: int, seed: int = 0) -> GruSpec:
     """Glorot-uniform W and U and zero b of each gate, in the order z, r, n."""
+    if input_size < 1 or hidden_size < 1:
+        raise ValueError(f"GRU sizes must be >= 1, got input size {input_size} and hidden "
+                         f"size {hidden_size}")
     rng = np.random.default_rng(seed)
     params = []
     for _ in range(3):
@@ -416,81 +487,105 @@ def init_gru(input_size: int, hidden_size: int, seed: int = 0) -> GruSpec:
     return GruSpec(input_size, hidden_size, *params)
 
 
-def _gru_step(spec: GruSpec, x, h):
-    """One step of the cell: (h', z, r, n) from the input rows ``x`` and the
-    hidden rows ``h``."""
-    z = sigmoid(x @ spec.Wz.T + h @ spec.Uz.T + spec.bz)
-    r = sigmoid(x @ spec.Wr.T + h @ spec.Ur.T + spec.br)
-    n = np.tanh(x @ spec.Wn.T + (r * h) @ spec.Un.T + spec.bn)
-    return (1.0 - z) * n + z * h, z, r, n
+def _gru_step(spec: GruSpec, x, h, h_new, z, r, n, prod, rh):
+    """One step of the cell: writes the gates z, r, n and the next hidden
+    rows ``h_new`` from the input rows ``x`` and the hidden rows ``h``;
+    ``prod`` and ``rh`` are scratch of h's shape."""
+
+    def pre(out, w, u, b, h_in):  # x w^T + h_in u^T + b, into out
+        np.matmul(x, w.T, out=out)
+        out += np.matmul(h_in, u.T, out=prod)
+        out += b
+        return out
+
+    sigmoid(pre(z, spec.Wz, spec.Uz, spec.bz, h), out=z)
+    sigmoid(pre(r, spec.Wr, spec.Ur, spec.br, h), out=r)
+    np.tanh(pre(n, spec.Wn, spec.Un, spec.bn, np.multiply(r, h, out=rh)), out=n)
+    np.subtract(1.0, z, out=h_new)
+    h_new *= n
+    h_new += np.multiply(z, h, out=prod)
 
 
-def _gru_run(spec: GruSpec, history, steps=None):
-    """Final hidden state (..., hidden) over a history (..., tau, d); each
-    step's (x, h, z, r, n) is appended to the list ``steps`` if one is given."""
+def _gru_run(spec: GruSpec, history, work, keep: bool):
+    """Final hidden state (..., hidden) over a history (..., tau, d), and,
+    if ``keep``, each step's (x, h, z, r, n) for ``gru_backward``; without
+    ``keep`` two hidden and one step's gate arrays serve every step. Every
+    array is ``work``'s, so the state is a view into it."""
     hist = np.asarray(history, dtype=float)
     if hist.ndim < 2 or hist.shape[-2] < 1 or hist.shape[-1] != spec.input_size:
         raise ValueError(f"history shape {hist.shape} incompatible with input size "
                          f"{spec.input_size}")
-    h = np.zeros(hist.shape[:-2] + (spec.hidden_size,))
-    for t in range(hist.shape[-2]):
-        x = hist[..., t, :]
-        h_new, z, r, n = _gru_step(spec, x, h)
-        if steps is not None:
+    tau, rows = hist.shape[-2], hist.shape[:-2] + (spec.hidden_size,)
+    hs, gates = work.arrays("gru", (tau + 1 if keep else 2,) + rows,
+                            (tau if keep else 1, 3) + rows)
+    prod, rh = work.arrays("scratch", rows, rows)
+    hs[0] = 0.0
+    steps = []
+    for t in range(tau):
+        x, h, h_new = hist[..., t, :], hs[t % len(hs)], hs[(t + 1) % len(hs)]
+        z, r, n = gates[t % len(gates)]
+        _gru_step(spec, x, h, h_new, z, r, n, prod, rh)
+        if keep:
             steps.append((x, h, z, r, n))
-        h = h_new
-    return h
+    return h_new, steps
 
 
-def gru_forward(spec: GruSpec, history):
+def gru_forward(spec: GruSpec, history, *, work=None):
     """Final hidden state (..., hidden) of the recurrence over a history
     (..., tau, d), keeping no per-step state: memory is a few (..., hidden)
-    arrays whatever tau is. Bit-identical to ``gru_forward_cache``'s state."""
-    return _gru_run(spec, history)
+    arrays whatever tau is. Bit-identical to ``gru_forward_cache``'s state.
+
+    With a :class:`Workspace` ``work`` those arrays are its own, and the
+    state is a view into it, valid until its next use."""
+    return _gru_run(spec, history, Workspace() if work is None else work, False)[0]
 
 
-def gru_forward_cache(spec: GruSpec, history):
+def gru_forward_cache(spec: GruSpec, history, *, work=None):
     """``gru_forward`` over a history (..., tau, d) that also returns the
-    per-step cache of ``gru_backward``: (x, h, z, r, n) per step, 4 tau
-    (..., hidden) arrays."""
-    steps = []
-    return _gru_run(spec, history, steps), steps
+    per-step cache of ``gru_backward``: (x, h, z, r, n) per step, views of
+    the history and of tau + 1 hidden and 3 tau gate arrays (..., hidden),
+    ``work``'s if a :class:`Workspace` is given (its next forward pass
+    overwrites them)."""
+    return _gru_run(spec, history, Workspace() if work is None else work, True)
 
 
-def gru_backward(spec: GruSpec, steps, grad_h):
+def gru_backward(spec: GruSpec, steps, grad_h, *, work=None):
     """Backprop-through-time from a gradient on the final hidden state.
 
     Returns gradients in the order of ``spec.param_list()``. Each step's
-    temporaries are built in place in arrays of its own; ``steps`` and
-    ``grad_h`` are only read.
+    temporaries are built in place in 6 arrays of grad_h's rows, ``work``'s
+    scratch when a :class:`Workspace` is given; ``steps`` and ``grad_h`` are
+    only read.
     """
     dh = np.asarray(grad_h, dtype=float).reshape(-1, spec.hidden_size)
+    work = Workspace() if work is None else work
+    dz_pre, dn_pre, dr_pre, drh, tmp, dh_next = work.arrays("scratch", *[dh.shape] * 6)
     grads = [np.zeros_like(p) for p in spec.param_list()]
     for step in reversed(steps):
         x, h_prev, z, r, n = (a.reshape(len(dh), -1) for a in step)
-        dz_pre = h_prev - n
+        np.subtract(h_prev, n, out=dz_pre)
         dz_pre *= dh
         dz_pre *= z
-        dz_pre *= 1.0 - z
-        dn_pre = 1.0 - z
+        dz_pre *= np.subtract(1.0, z, out=tmp)
+        np.subtract(1.0, z, out=dn_pre)
         dn_pre *= dh
-        dn_pre *= 1.0 - n * n
-        drh = dn_pre @ spec.Un  # gradient on r*h_prev
-        dr_pre = drh * h_prev
+        dn_pre *= np.subtract(1.0, np.multiply(n, n, out=tmp), out=tmp)
+        np.matmul(dn_pre, spec.Un, out=drh)  # gradient on r*h_prev
+        np.multiply(drh, h_prev, out=dr_pre)
         dr_pre *= r
-        dr_pre *= 1.0 - r
+        dr_pre *= np.subtract(1.0, r, out=tmp)
 
         # gate i's (dW, dU, db) are grads[3i:3i + 3]; dU needs no bias sum
         for i, (pre, h_in) in enumerate(((dz_pre, h_prev), (dr_pre, h_prev),
-                                         (dn_pre, r * h_prev))):
+                                         (dn_pre, np.multiply(r, h_prev, out=tmp)))):
             dw, db = _weight_grad(pre, x)
             grads[3 * i] += dw
             grads[3 * i + 1] += pre.T @ h_in
             grads[3 * i + 2] += db
 
-        dh = dh * z  # a new array: the first dh may be the caller's grad_h
-        dh += dz_pre @ spec.Uz
-        dh += dr_pre @ spec.Ur
+        dh = np.multiply(dh, z, out=dh_next)  # the first dh may be the caller's grad_h
+        dh += np.matmul(dz_pre, spec.Uz, out=tmp)
+        dh += np.matmul(dr_pre, spec.Ur, out=tmp)
         drh *= r
         dh += drh
     return grads

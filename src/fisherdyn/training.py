@@ -114,8 +114,8 @@ class RegimeConfig:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
-        rules = {"lambda_p": ">= 0", "lambda_d": ">= 0", "batch_size": "> 0",
-                 "horizon": "> 0", "epochs": ">= 0", "lr": "> 0"}
+        rules = {"lambda_p": ">= 0", "lambda_d": ">= 0", "batch_size": "int > 0",
+                 "horizon": "int > 0", "epochs": "int >= 0", "lr": "> 0"}
         _check_fields("RegimeConfig.", {k: getattr(self, k) for k in rules}, rules)
         if self.regime == "physics_only" and self.lambda_d != 0.0:
             object.__setattr__(self, "lambda_d", 0.0)

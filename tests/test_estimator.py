@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -5,15 +6,16 @@ import numpy as np
 import pytest
 
 from fisherdyn import dynamics, estimator
-from fisherdyn.datagen import generate_dynamic_dataset
-from fisherdyn.dynamics import (DrivetrainCoefficients, DynamicModel, TirePair,
+from fisherdyn.datagen import (SimulationConfig, generate_dynamic_dataset,
+                               generate_kinematic_dataset)
+from fisherdyn.dynamics import (DrivetrainCoefficients, DynamicModel, KinematicModel, TirePair,
                                 VehicleParams, velocity_rate_partials, velocity_rates)
 from fisherdyn.estimator import (EstimatorConfig, EstimatorModel,
                                  _physics_step, build_windows,
                                  coefficients_to_structs, default_guard_bounds,
                                  predict_next_velocities, train_coefficient_estimator,
                                  true_coefficients)
-from fisherdyn.nets import physics_guard, physics_guard_derivative
+from fisherdyn.nets import PhysicsGuardBounds, physics_guard, physics_guard_derivative
 from fisherdyn.numerics import rk4_step
 
 from oracles import loop_windows, scalar_dynamic_rhs
@@ -282,6 +284,11 @@ class TestEstimatorModel:
 
         assert peak() < gru_cache_bytes < peak(with_cache=True)
 
+    def test_features_of_the_wrong_width_are_named(self):
+        with pytest.raises(ValueError,
+                           match=r"features of shape \(3, 5, 6\), expected \(n, tau, 7\)"):
+            stub_model().estimate(np.zeros((3, 5, 6)))
+
     def test_guard_stays_inside_bounds_for_large_z(self):
         model = stub_model()
         for z in (-800.0, -40.0, 40.0, 800.0):
@@ -294,13 +301,33 @@ class TestEstimatorModel:
 
 class TestTraining:
     def test_deterministic_per_seed(self, clean_trajectories):
+        """368 windows in batches of 128 leave a short last batch of 112, and
+        the final estimate's last chunk has 240 rows. The loss curve,
+        estimates and weights are pinned to the bit: reusing one batch's
+        arrays must not change them (recorded on x86-64 with OpenBLAS
+        0.3.31; another BLAS may round differently)."""
         cfg = EstimatorConfig(epochs=2, batch_size=128, hidden_size=8, head_width=8, seed=5)
         runs = [train_coefficient_estimator(cfg, clean_trajectories, P, TEMPLATE)
                 for _ in range(2)]
         assert runs[0].loss_curve == runs[1].loss_curve
         assert np.array_equal(runs[0].phi_records, runs[1].phi_records)
+        assert runs[0].loss_curve == [2.9790890178443274e-06, 1.2211252719555768e-06]
+        digest = hashlib.sha256(np.array(runs[0].loss_curve).tobytes())
+        for a in (runs[0].phi_records, *runs[0].model.param_list()):
+            digest.update(a.tobytes())
+        assert digest.hexdigest() == ("3d646e2397735ae72606f89c937527c3"
+                                      "388c4e93754478898ae1498a20f3c866")
         other = train_coefficient_estimator(replace(cfg, seed=6), clean_trajectories, P, TEMPLATE)
         assert other.loss_curve != runs[0].loss_curve
+
+    def test_final_estimate_is_the_cached_estimate_bit_for_bit(self, clean_trajectories):
+        cfg = EstimatorConfig(epochs=1, batch_size=128, hidden_size=8, head_width=8, seed=5)
+        run = train_coefficient_estimator(cfg, clean_trajectories, P, TEMPLATE)
+        features = build_windows(clean_trajectories, cfg.tau).features
+        assert len(features) == 368  # chunks of a batch, the remainder joining the last
+        cached = [run.model.estimate(features[lo:hi], with_cache=True)[0]
+                  for lo, hi in ((0, 128), (128, 368))]
+        assert np.array_equal(run.phi_records, np.concatenate(cached))
 
     def test_peak_grows_with_the_windows_not_their_transients(self):
         # The final estimate runs batch by batch: from a 4 s to a 20 s ladder
@@ -319,6 +346,27 @@ class TestTraining:
         peak, window_bytes = training_peak_and_window_bytes(cfg, 4.0)
         assert peak - window_bytes < 2.5 * gru_cache_bytes
 
+    def test_batch_steps_after_the_first_allocate_no_batch_state(self, clean_trajectories,
+                                                                 monkeypatch):
+        """Every batch's state lives in arrays the first batch allocates: from
+        the second batch on, a step's traced peak stays below a quarter of
+        one batch's GRU cache (4 tau (batch, hidden) arrays)."""
+        growth = []
+
+        def traced_step(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loss = batch_step(*args)
+            growth.append(tracemalloc.get_traced_memory()[1] - before)
+            return loss
+
+        batch_step = estimator._batch_step
+        monkeypatch.setattr(estimator, "_batch_step", traced_step)
+        cfg = EstimatorConfig(epochs=2, batch_size=128)
+        traced_peak(lambda: train_coefficient_estimator(cfg, clean_trajectories, P, TEMPLATE))
+        gru_cache_bytes = cfg.tau * 4 * cfg.batch_size * cfg.hidden_size * 8
+        assert len(growth) == 6 and max(growth[1:]) < 0.25 * gru_cache_bytes
+
     def test_one_batch_evaluates_each_stage_once(self, clean_trajectories, monkeypatch):
         """The stage partials give the prediction too: 4 partial calls a batch
         and no rates-only call."""
@@ -327,9 +375,9 @@ class TestTraining:
         def counted(name):
             original = getattr(dynamics, name)
 
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return original(*args)
+                return original(*args, **kwargs)
             return wrapper
 
         for name in calls:
@@ -345,9 +393,9 @@ class TestTraining:
         windows = {"cached": 0, "plain": 0}
 
         def counted(kind, original):
-            def wrapper(spec, history):
+            def wrapper(spec, history, **kwargs):
                 windows[kind] += len(history)
-                return original(spec, history)
+                return original(spec, history, **kwargs)
             return wrapper
 
         monkeypatch.setattr(estimator, "gru_forward_cache",
@@ -360,7 +408,9 @@ class TestTraining:
 
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0), ("hidden_size", 0), ("head_width", 0), ("epochs", -1),
-        ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("tau", 0)])
+        ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("tau", 0),
+        ("tau", 2.5), ("batch_size", 1.5), ("hidden_size", 2.5), ("epochs", 1.5),
+        ("batch_size", True), ("head_width", np.float64(8.0)), ("lr", "fast")])
     def test_config_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError, match=f"EstimatorConfig.{field} must be"):
             EstimatorConfig(**{field: value})
@@ -379,6 +429,20 @@ class TestTraining:
         with pytest.raises(ValueError, match=r"trajectories \[8\] have time steps \[0\.01\]"):
             train_coefficient_estimator(EstimatorConfig(epochs=0),
                                         [*clean_trajectories, *fine], P, TEMPLATE)
+
+    def test_kinematic_trajectory_is_named(self, clean_trajectories):
+        kinematic = generate_kinematic_dataset(KinematicModel(), SimulationConfig(total_time=2.0))
+        with pytest.raises(ValueError, match="trajectory 1 has state/input widths 3/2, "
+                                             "expected 6/2"):
+            train_coefficient_estimator(EstimatorConfig(epochs=0),
+                                        [clean_trajectories[0], kinematic[0]], P, TEMPLATE)
+
+    def test_guard_bounds_of_the_wrong_length_are_named(self, clean_trajectories):
+        bounds = PhysicsGuardBounds(np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError, match=r"guard bounds of shape \(3,\), expected one "
+                                             r"bracket per coefficient .*\(12,\)"):
+            train_coefficient_estimator(EstimatorConfig(epochs=0), clean_trajectories, P,
+                                        TEMPLATE, bounds)
 
     def test_no_trajectories_is_named(self):
         with pytest.raises(ValueError, match="no trajectories were given"):

@@ -200,7 +200,7 @@ class TestWellTrainedVerdict:
                                              r"ones are \['eps', 'eps_d', 'eps_p'\]"):
             verdict_at(tolerances={"epsilon": 1e-9})
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.1, "0.1", True])
     def test_unusable_threshold_is_rejected(self, value):
         with pytest.raises(ValueError, match="tolerance eps must be"):
             verdict_at(tolerances={"eps": value})

@@ -13,7 +13,7 @@ from fisherdyn.nets import (ADAM_EPSILON, AdamState, GruSpec, LayerSpec,
                             init_gru, init_network, mish, mlp_forward,
                             mlp_forward_cache, mlp_input_jacobian,
                             mlp_param_gradient, mlp_vjp, physics_guard,
-                            physics_guard_derivative)
+                            physics_guard_derivative, Workspace)
 
 from oracles import central_difference_jacobian
 
@@ -331,6 +331,11 @@ def tiny_gru():
 
 
 class TestGru:
+    @pytest.mark.parametrize("sizes", [(7, 0), (0, 4)])
+    def test_empty_sizes_are_named(self, sizes):
+        with pytest.raises(ValueError, match="GRU sizes must be >= 1"):
+            init_gru(*sizes)
+
     def test_zero_params_zero_hidden(self):
         spec = init_gru(3, 4, seed=0)
         for arr in spec.param_list():
@@ -410,6 +415,31 @@ class TestGru:
             assert len(step) == len(old)
             assert all(np.array_equal(a, b) for a, b in zip(step, old))
         assert np.array_equal(grad_h, saved_grad_h)
+
+
+class TestWorkspace:
+    def test_one_workspace_over_batches_matches_fresh_arrays_bit_for_bit(self):
+        """GRU and mish head, forward and backward, over a full, a short and
+        a full batch through one workspace give what fresh arrays give, and
+        the short batch's cache arrays are C-contiguous."""
+        spec = init_gru(7, 16, seed=21)
+        head = init_network(16, (LayerSpec(8, "mish"), LayerSpec(12, "linear")), seed=22)
+        rng = np.random.default_rng(23)
+
+        def step(hist, grad, work=None):
+            h, steps = gru_forward_cache(spec, hist, work=work)
+            z, cache = mlp_forward_cache(head, h, work=work)
+            grad_h, head_grads = mlp_vjp(head, cache, grad, work=work)
+            outputs = [z, grad_h, *(a for pair in head_grads for a in pair)]
+            return outputs + gru_backward(spec, steps, grad_h, work=work), steps
+
+        work = Workspace()
+        for rows in (40, 9, 40):
+            hist, grad = rng.normal(size=(rows, 5, 7)), rng.normal(size=(rows, 12))
+            reused, steps = step(hist, grad, work)
+            fresh, _ = step(hist, grad)
+            assert all(np.array_equal(a, b) for a, b in zip(reused, fresh, strict=True))
+            assert all(a.flags.c_contiguous for arrays in steps for a in arrays[1:])
 
 
 class TestDeterminism:

@@ -344,7 +344,8 @@ class TestTrainRegime:
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0), ("horizon", 0), ("epochs", -1), ("lr", 0.0), ("lr", -1.0),
         ("lr", float("nan")), ("lr", float("inf")), ("lambda_p", float("nan")),
-        ("lambda_d", float("inf")), ("lambda_p", -1.0)])
+        ("lambda_d", float("inf")), ("lambda_p", -1.0), ("lr", "fast"), ("epochs", 2.5),
+        ("batch_size", 16.5), ("horizon", 2.5), ("epochs", True)])
     def test_config_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError, match=f"RegimeConfig.{field} must be"):
             RegimeConfig(**{field: value})
