@@ -204,7 +204,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         rules = {**dict.fromkeys(("tau", "hidden_size", "head_width", "batch_size"), "int > 0"),
-                 "lr": "> 0", "epochs": "int >= 0"}
+                 "lr": "> 0", "epochs": "int >= 0", "seed": "int >= 0"}
         _check_fields("EstimatorConfig.", {k: getattr(self, k) for k in rules}, rules)
 
 

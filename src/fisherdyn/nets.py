@@ -13,10 +13,11 @@ passes come in two kinds with the same arithmetic, bit for bit:
 inference and loss evaluation; ``mlp_forward_cache`` and
 ``gru_forward_cache`` also keep what ``mlp_vjp`` and ``gru_backward`` read,
 for training. Private pieces make each decision once: ``_forward`` checks a
-raw input and forms layer 0's pre-activation; ``_ACTIVATIONS`` maps a name to
-its value and derivative; ``_layer_outputs`` and ``_layer_deltas`` are the
-forward and backward layer loops, which the training rollout also runs on
-its stage buffers; ``_weight_grad`` is a layer's (dW, db) summed over leading
+raw input; ``_ACTIVATIONS`` maps a name to its value, its derivative and
+what the derivative reads; ``_layer_outputs`` and ``_layer_deltas`` are the
+forward and backward layer loops, and both write into per-layer
+destinations when given them, which is how the training rollout fills its
+stage buffers; ``_weight_grad`` is a layer's (dW, db) summed over leading
 axes, for the MLP backward, the rollout and the GRU gates.
 
 The training kernels and the forward passes take a :class:`Workspace` as
@@ -143,14 +144,15 @@ def _mish_deriv(z, a, out):
 
 # name -> (value at z, written into ``out`` if one is given (linear returns z
 # itself); derivative at z with outputs a: None for linear, and only mish
-# reads z and writes into ``out``). sigmoid and mish are looked up by name
-# when called, so that rebinding them reaches every layer.
+# reads z and writes into ``out``; which of "z" and "a" the derivative reads).
+# sigmoid and mish are looked up by name when called, so that rebinding them
+# reaches every layer.
 _ACTIVATIONS = {
-    "linear": (lambda z, out: z, lambda z, a, out: None),
-    "tanh": (np.tanh, lambda z, a, out: 1.0 - a * a),
-    "sigmoid": (lambda z, out: sigmoid(z, out=out), lambda z, a, out: a * (1.0 - a)),
-    "relu": (lambda z, out: np.maximum(z, 0.0, out=out), lambda z, a, out: a > 0.0),
-    "mish": (lambda z, out: mish(z, out), _mish_deriv),
+    "linear": (lambda z, out: z, lambda z, a, out: None, ""),
+    "tanh": (np.tanh, lambda z, a, out: 1.0 - a * a, "a"),
+    "sigmoid": (lambda z, out: sigmoid(z, out=out), lambda z, a, out: a * (1.0 - a), "a"),
+    "relu": (lambda z, out: np.maximum(z, 0.0, out=out), lambda z, a, out: a > 0.0, "a"),
+    "mish": (lambda z, out: mish(z, out), _mish_deriv, "z"),
 }
 
 
@@ -159,8 +161,15 @@ def _activation(name, z, out=None):
 
 
 def _activation_deriv(name, z, a, out=None):
-    """d(activation)/dz at pre-activations ``z`` with outputs ``a``."""
+    """d(activation)/dz at pre-activations ``z`` with outputs ``a``; of the
+    two it reads only those named by ``_deriv_reads``."""
     return _ACTIVATIONS[name][1](z, a, out)
+
+
+def _deriv_reads(name) -> str:
+    """Which of "z" (pre-activation) and "a" (output) ``_activation_deriv``
+    reads for an activation: "" for linear, "z" for mish, else "a"."""
+    return _ACTIVATIONS[name][2]
 
 
 @dataclass(frozen=True)
@@ -210,23 +219,25 @@ def init_network(input_dim: int, layers, seed: int = 0) -> NetworkParams:
     return NetworkParams(input_dim, layers, weights, biases)
 
 
-def _layer_outputs(params: NetworkParams, z, weights_t, work=None):
-    """(pre-activation, output) of each layer in turn, given layer 0's
-    pre-activation ``z``: the one layer loop of every MLP forward pass.
+def _layer_outputs(params: NetworkParams, x, weights_t, bias0=None, out=None):
+    """(pre-activation, output) of each layer in turn at network inputs
+    ``x``: the one layer loop of every MLP forward pass.
+
     ``weights_t[l]`` is layer l's weight as a (fan_in, width) array: the
     transposed view, or a contiguous copy of it, which a caller that runs
-    many passes makes once because the product with it is faster. A caller
-    that holds layer 0's input product in another form (the training rollout
-    folds the input normalization into it) starts from there. With a
-    :class:`Workspace` ``work``, layer l's pre-activation and (unless linear)
-    output are its arrays "layer<l>.z" and "layer<l>.a"."""
+    many passes makes once because the product with it is faster. ``bias0``
+    replaces layer 0's bias: the training rollout folds the input
+    normalization into layer 0, so that its ``x`` is the raw state and its
+    ``bias0`` carries the held input's term. With ``out``, layer l's
+    pre-activation and output are written into the arrays ``out[l] = (z, a)``
+    where they are not None; a linear layer's output is its pre-activation,
+    so it has no destination of its own."""
+    a = x
     for l, spec in enumerate(params.layers):
-        if l:
-            z = (a @ weights_t[l] if work is None else np.matmul(
-                a, weights_t[l], out=work.arrays(f"layer{l}.z", a.shape[:-1] + (spec.width,))[0]))
-            z += params.biases[l]
-        a = _activation(spec.activation, z, None if work is None or spec.activation == "linear"
-                        else work.arrays(f"layer{l}.a", z.shape)[0])
+        z_out, a_out = (None, None) if out is None else out[l]
+        z = np.matmul(a, weights_t[l], out=z_out)
+        z += params.biases[l] if l or bias0 is None else bias0
+        a = _activation(spec.activation, z, a_out)
         yield z, a
 
 
@@ -259,15 +270,19 @@ def _weight_grad(delta, x):
 
 def _forward(params: NetworkParams, x, work=None):
     """(x as a float array, the ``_layer_outputs`` of the network at x): the
-    one place a raw network input (..., input_dim) meets layer 0."""
+    one place a raw network input (..., input_dim) meets layer 0. With a
+    :class:`Workspace` ``work``, layer l's pre-activation and (unless
+    linear) output are its arrays "layer<l>.z" and "layer<l>.a"."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (params.input_dim,):
         raise ValueError(f"input shape {x.shape} does not match network dim {params.input_dim}")
-    weights_t = [w.T for w in params.weights]
-    z = (x @ weights_t[0] if work is None else np.matmul(
-        x, weights_t[0], out=work.arrays("layer0.z", x.shape[:-1] + (params.layers[0].width,))[0]))
-    z += params.biases[0]
-    return x, _layer_outputs(params, z, weights_t, work)
+    out = None
+    if work is not None:
+        shapes = [x.shape[:-1] + (spec.width,) for spec in params.layers]
+        out = [(work.arrays(f"layer{l}.z", shape)[0],
+                None if spec.activation == "linear" else work.arrays(f"layer{l}.a", shape)[0])
+               for l, (spec, shape) in enumerate(zip(params.layers, shapes))]
+    return x, _layer_outputs(params, x, [w.T for w in params.weights], out=out)
 
 
 def mlp_forward(params: NetworkParams, x, check_finite: bool = True, *, work=None):

@@ -10,9 +10,16 @@ lambda_d * L_data:
   from unrolling Fhat with RK4 over short windows and gradients flow through
   the unrolled integration.
 
-One function, ``_composite_grad``, writes the lambda-weighted gradient of that
-objective: the minibatch step calls it on batch rows and the gradient check on
-all rows. Also here: collocation sampling and the training-data bundle.
+One function, ``_composite_grad``, returns the (total, physics, data) losses
+of that objective and its lambda-weighted gradient: the minibatch step calls
+it on batch rows and the gradient check on all rows. The loss curve is made
+of those losses: row 0 is the full-data pass's, each epoch's row the
+row-weighted mean of its steps'. So the only full-data passes are the initial
+loss without a gradient check (with one, its full-data gradient pass gives
+it), the check's 20 loss evaluations, and validation (the physics block's
+loss when there is no validation set), which is the only pass that sees the
+last update diverge. Also here: collocation sampling and the training-data
+bundle.
 
 The rollout kernel, ``_rollout_loss_grad``, serves both the trajectory loss and
 its gradient. It folds the fixed input normalization into layer 0, so that a
@@ -33,9 +40,9 @@ import numpy as np
 
 from ._codec import csv_text
 from .datagen import derivative_samples, time_step
-from .dynamics import KinematicModel, _check_fields
-from .nets import (LearnedDynamicsModel, _activation_deriv, _epoch_batches, _layer_deltas,
-                   _layer_outputs, _weight_grad, adam_step, init_adam, init_network,
+from .dynamics import ConfigError, KinematicModel, _check_fields
+from .nets import (LearnedDynamicsModel, _activation_deriv, _deriv_reads, _epoch_batches,
+                   _layer_deltas, _layer_outputs, _weight_grad, adam_step, init_adam, init_network,
                    mlp_forward, mlp_param_gradient)
 from .numerics import rk4, rk4_adjoint
 
@@ -115,8 +122,10 @@ class RegimeConfig:
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         rules = {"lambda_p": ">= 0", "lambda_d": ">= 0", "batch_size": "int > 0",
-                 "horizon": "int > 0", "epochs": "int >= 0", "lr": "> 0"}
+                 "horizon": "int > 0", "epochs": "int >= 0", "lr": "> 0", "seed": "int >= 0"}
         _check_fields("RegimeConfig.", {k: getattr(self, k) for k in rules}, rules)
+        if not isinstance(self.grad_check, (bool, np.bool_)):
+            raise ConfigError(f"RegimeConfig.grad_check must be a bool, got {self.grad_check!r}")
         if self.regime == "physics_only" and self.lambda_d != 0.0:
             object.__setattr__(self, "lambda_d", 0.0)
 
@@ -126,13 +135,15 @@ class TrainReport:
     regime: str
     seed: int
     epochs: int
-    initial_losses: tuple  # (total, physics, data) before the first update
-    loss_curve: list  # one (total, physics, data) triple per epoch
+    initial_losses: tuple  # full-data (total, physics, data) before the first update
+    loss_curve: list  # per epoch, the row-weighted mean of its steps' (total, physics, data)
     validation_loss: float = math.nan
     grad_check_rel_err: float = math.nan
     diverged: bool = False
 
     def curve_csv(self) -> str:
+        """The loss curve as CSV: row 0 holds the initial full-data losses,
+        row e >= 1 the mean of epoch e's minibatch losses."""
         rows = [self.initial_losses, *self.loss_curve]
         return csv_text(["epoch", "total", "physics", "data"],
                         [list(map(str, range(len(rows)))), rows])
@@ -187,9 +198,11 @@ def _rollout_loss_grad(model: LearnedDynamicsModel, win_states, win_inputs,
     Layer 0 sees the input map folded in: a stage's pre-activation is
     x @ (W0x / scale_x).T + c, where c, the normalized held input's term plus
     the bias less the state offset's term, is computed once per RK4 step.
-    Each step is one ``rk4`` call. With ``want_grad`` the stages write their
-    state, layer outputs and (mish only) pre-activations into per-rollout
-    stage buffers of shape (horizon, 4, n, width), and the buffer slot is the
+    Each step is one ``rk4`` call. With ``want_grad`` each stage's
+    ``_layer_outputs`` writes straight into per-rollout stage buffers of
+    shape (horizon, 4, n, width), which hold only what the backward pass
+    reads: the hidden layers' outputs, the output layer's where its
+    derivative reads it, and mish's pre-activations; the buffer slot is the
     stage's aux. One ``rk4_adjoint`` call per step, last first, then runs only
     the input-cotangent chain of each stage, writing its per-layer deltas
     into a (4, n, width) step buffer. Each layer's weight and bias gradient is
@@ -213,22 +226,27 @@ def _rollout_loss_grad(model: LearnedDynamicsModel, win_states, win_inputs,
     if want_grad:
         shape = (horizon, 4, n_w)
         xs = np.empty(shape + (d,))
-        acts = [np.empty(shape + (spec.width,)) for spec in params.layers]
-        # only mish's derivative reads the pre-activation
-        pres = [np.empty(shape + (spec.width,)) if spec.activation == "mish" else None
-                for spec in params.layers]
+        # What the backward pass reads: every hidden layer's output, the next
+        # layer's input; the output layer's where its derivative reads it; and
+        # mish's pre-activation. Any other pre-activation is written into the
+        # output's buffer and activated in place.
+        acts, pres = [], []
+        for l, spec in enumerate(params.layers):
+            reads = _deriv_reads(spec.activation)
+            a = (np.empty(shape + (spec.width,)) if l < len(params.layers) - 1 or "a" in reads
+                 else None)
+            acts.append(a)
+            pres.append(np.empty(shape + (spec.width,)) if "z" in reads else a)
 
     def stage(x, c):
         k, s = next(slots)
-        z = x @ weights_t[0]
-        z += c
-        for l, (z, a) in enumerate(_layer_outputs(params, z, weights_t)):
-            if want_grad:
-                acts[l][k, s] = a
-                if pres[l] is not None:
-                    pres[l][k, s] = z
+        out = None
         if want_grad:
             xs[k, s] = x
+            out = [(None if z is None else z[k, s], None if a is None else a[k, s])
+                   for z, a in zip(pres, acts)]
+        for _, a in _layer_outputs(params, x, weights_t, c, out):
+            pass
         return a, (k, s)
 
     slots = np.ndindex(horizon, 4)
@@ -236,7 +254,7 @@ def _rollout_loss_grad(model: LearnedDynamicsModel, win_states, win_inputs,
     held, steps, preds = [], [], []
     for k in range(horizon):
         u = (win_inputs[:, k, :] - u_off) / u_scale
-        c = u @ w0[:, d:].T + b0x
+        c = u @ w0[:, d:].T + b0x  # layer 0's bias for the step
         xhat, auxes = rk4(lambda x: stage(x, c), xhat, dt)
         if not np.all(np.isfinite(xhat)):
             bad = int(np.argwhere(~np.isfinite(xhat).all(axis=1))[0, 0])
@@ -264,7 +282,8 @@ def _rollout_loss_grad(model: LearnedDynamicsModel, win_states, win_inputs,
 
     lam_next = np.zeros((n_w, d))
     for k in range(horizon - 1, -1, -1):
-        derivs = [_activation_deriv(spec.activation, None if z is None else z[k], a[k])
+        derivs = [_activation_deriv(spec.activation, None if z is None else z[k],
+                                    None if a is None else a[k])
                   for spec, z, a in zip(params.layers[::-1], pres[::-1], acts[::-1])]
         lam_next = rk4_adjoint(vjp, steps[k], lam_next + 2.0 * resids[k] / norm, dt)
         inputs = [(xs[k] - x_off) / x_scale, *(a[k] for a in acts[:-1])]
@@ -293,42 +312,48 @@ def _composite_losses(model, cfg, data):
 
 
 def _composite_grad(model, cfg, data, p_idx, d_idx):
-    """The lambda-weighted parameter gradient of the composite loss on rows
-    ``p_idx`` of the physics block and rows ``d_idx`` of the data block
-    (``d_idx=None``: no data term), flat in ``param_list`` order; None when
-    no term has a positive weight."""
-    terms = []
-    if cfg.lambda_p > 0:
-        _, g = mlp_param_gradient(
-            model.params, model.normalize(data.phys_states[p_idx], data.phys_inputs[p_idx]),
-            data.phys_targets[p_idx])
-        terms.append((cfg.lambda_p, g))
-    if cfg.lambda_d > 0 and d_idx is not None:
-        if cfg.regime == "hybrid":
-            _, g = mlp_param_gradient(
-                model.params, model.normalize(data.data_states[d_idx], data.data_inputs[d_idx]),
-                data.data_xdot[d_idx])
+    """The composite losses (total, physics, data) on rows ``p_idx`` of the
+    physics block and rows ``d_idx`` of the data block (``d_idx=None``: no
+    data term, whose loss is 0.0), and their lambda-weighted parameter
+    gradient, flat in ``param_list`` order, or None when no term has a
+    positive weight. A term of weight 0 is evaluated forward only. On all
+    rows the losses are ``_composite_losses``', bit for bit."""
+    def mse(states, inputs, targets, weight):
+        if weight > 0:
+            return mlp_param_gradient(model.params, model.normalize(states, inputs), targets)
+        return data_loss(model, states, inputs, targets), None
+
+    phys, g_p = mse(data.phys_states[p_idx], data.phys_inputs[p_idx],
+                    data.phys_targets[p_idx], cfg.lambda_p)
+    dterm, g_d = 0.0, None
+    if d_idx is not None and cfg.regime == "hybrid":
+        dterm, g_d = mse(data.data_states[d_idx], data.data_inputs[d_idx],
+                         data.data_xdot[d_idx], cfg.lambda_d)
+    elif d_idx is not None and cfg.regime == "inverse":
+        windows = (data.win_states[d_idx], data.win_inputs[d_idx], cfg.horizon, data.dt)
+        if cfg.lambda_d > 0:
+            dterm, g_d, _ = _rollout_loss_grad(model, *windows)
         else:
-            _, g, _ = _rollout_loss_grad(model, data.win_states[d_idx], data.win_inputs[d_idx],
-                                         cfg.horizon, data.dt)
-        terms.append((cfg.lambda_d, g))
+            dterm = trajectory_loss(model, *windows)
     grads = None
-    for w, g in terms:
-        scaled = [w * a for pair in g for a in pair]
-        grads = scaled if grads is None else [acc + a for acc, a in zip(grads, scaled)]
-    return grads
+    for w, g in ((cfg.lambda_p, g_p), (cfg.lambda_d, g_d)):
+        if g is not None:
+            scaled = [w * a for pair in g for a in pair]
+            grads = scaled if grads is None else [acc + a for acc, a in zip(grads, scaled)]
+    return (cfg.lambda_p * phys + cfg.lambda_d * dterm, phys, dterm), grads
 
 
-def _check_gradient(model, cfg, data, rng) -> float:
+def _check_gradient(model, cfg, data, rng):
     """Central-difference spot check of the composite gradient on 10 random
-    parameter entries; returns the max relative error."""
+    parameter entries; returns the max relative error and the composite
+    losses of the full-data gradient pass, which are the current weights'."""
     def composite():
         t, _, _ = _composite_losses(model, cfg, data)
         return t
 
     flat_params = model.params.param_list()
-    flat_grads = (_composite_grad(model, cfg, data, slice(None), slice(None))
-                  or [np.zeros_like(a) for a in flat_params])
+    losses, flat_grads = _composite_grad(model, cfg, data, slice(None), slice(None))
+    flat_grads = flat_grads or [np.zeros_like(a) for a in flat_params]
     worst = 0.0
     for _ in range(10):
         gi = rng.integers(len(flat_params))
@@ -345,13 +370,21 @@ def _check_gradient(model, cfg, data, rng) -> float:
         an = ga[idx]
         err = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
         worst = max(worst, err)
-    return worst
+    return worst, losses
 
 
 def train_regime(model: LearnedDynamicsModel, cfg: RegimeConfig,
                  data: TrainingData) -> TrainReport:
     """Minibatch Adam over the composite regime loss, updating ``model``'s
-    weights in place; deterministic per seed."""
+    weights in place; deterministic per seed.
+
+    Each epoch's (total, physics, data) is the mean of its steps' losses,
+    taken before each step's update and weighted by the step's batch rows
+    (collocation points for physics, derivative samples or windows for
+    data); its total is lambda_p * physics + lambda_d * data. A non-finite
+    step loss, or a non-finite loss of the trained weights on the
+    validation set (the physics block if there is none), marks the run
+    diverged, with a NaN validation loss."""
     if cfg.regime == "hybrid" and data.data_states is None:
         raise ValueError("hybrid regime needs derivative data")
     if cfg.regime == "inverse" and data.win_states is None:
@@ -361,8 +394,10 @@ def train_regime(model: LearnedDynamicsModel, cfg: RegimeConfig,
     params = model.params.param_list()
     opt = init_adam(params, lr=cfg.lr)
 
-    initial = _composite_losses(model, cfg, data)
-    grad_err = _check_gradient(model, cfg, data, rng) if cfg.grad_check else math.nan
+    if cfg.grad_check:
+        grad_err, initial = _check_gradient(model, cfg, data, rng)
+    else:
+        grad_err, initial = math.nan, _composite_losses(model, cfg, data)
 
     n_p = data.phys_states.shape[0]
     curve = []
@@ -379,25 +414,47 @@ def train_regime(model: LearnedDynamicsModel, cfg: RegimeConfig,
             d_batches = []
         n_steps = max(len(p_batches), len(d_batches)) or 1
 
-        try:
-            for step in range(n_steps):
-                grads = _composite_grad(model, cfg, data, p_batches[step % len(p_batches)],
-                                        d_batches[step % len(d_batches)] if d_batches else None)
-                if grads is not None:
-                    adam_step(params, grads, opt)
-            losses = _composite_losses(model, cfg, data)
-        except FloatingPointError:
-            diverged = True
-            losses = (math.inf, math.inf, math.inf)
-        if not all(math.isfinite(v) for v in losses):
-            diverged = True
-            curve.append(losses)
+        # row-weighted sums and row counts of the physics and data losses
+        p_sum = d_sum = 0.0
+        p_rows = d_rows = 0
+        for step in range(n_steps):
+            p_idx = p_batches[step % len(p_batches)]
+            d_idx = d_batches[step % len(d_batches)] if d_batches else None
+            try:
+                (_, phys, dterm), grads = _composite_grad(model, cfg, data, p_idx, d_idx)
+            except FloatingPointError:
+                phys = dterm = math.inf
+            if not (math.isfinite(phys) and math.isfinite(dterm)):
+                diverged = True
+                break
+            if grads is not None:
+                adam_step(params, grads, opt)
+            p_sum += p_idx.size * phys
+            p_rows += p_idx.size
+            if d_idx is not None:
+                d_sum += d_idx.size * dterm
+                d_rows += d_idx.size
+        if diverged:
+            curve.append((math.inf, math.inf, math.inf))
             break
-        curve.append(losses)
+        phys, dterm = p_sum / p_rows, d_sum / d_rows if d_rows else 0.0
+        curve.append((cfg.lambda_p * phys + cfg.lambda_d * dterm, phys, dterm))
 
     val = math.nan
-    if data.val_states is not None and not diverged:
-        val = data_loss(model, data.val_states, data.val_inputs, data.val_targets)
+    if not diverged:
+        # Only a pass after the last update sees that update diverge; without
+        # a validation set, the physics block's loss stands in for it.
+        has_val = data.val_states is not None
+        rows = ((data.val_states, data.val_inputs, data.val_targets) if has_val
+                else (data.phys_states, data.phys_inputs, data.phys_targets))
+        try:
+            final = data_loss(model, *rows)
+        except FloatingPointError:
+            final = math.inf
+        if not math.isfinite(final):
+            diverged = True
+        elif has_val:
+            val = final
     return TrainReport(cfg.regime, cfg.seed, cfg.epochs, initial, curve,
                        validation_loss=val, grad_check_rel_err=grad_err, diverged=diverged)
 

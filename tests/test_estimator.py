@@ -410,7 +410,8 @@ class TestTraining:
         ("batch_size", 0), ("hidden_size", 0), ("head_width", 0), ("epochs", -1),
         ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("tau", 0),
         ("tau", 2.5), ("batch_size", 1.5), ("hidden_size", 2.5), ("epochs", 1.5),
-        ("batch_size", True), ("head_width", np.float64(8.0)), ("lr", "fast")])
+        ("batch_size", True), ("head_width", np.float64(8.0)), ("lr", "fast"), ("seed", -1),
+        ("seed", True)])
     def test_config_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError, match=f"EstimatorConfig.{field} must be"):
             EstimatorConfig(**{field: value})

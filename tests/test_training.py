@@ -5,13 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fisherdyn import training
 from fisherdyn.datagen import SimulationConfig, generate_kinematic_dataset
 from fisherdyn.dynamics import DynamicModel, KinematicModel
 from fisherdyn.nets import LayerSpec, LearnedDynamicsModel, init_network, mlp_forward
 from fisherdyn.training import (CollocationBounds, DivergedRolloutError, RegimeConfig,
-                                build_kinematic_net, build_training_data, data_loss,
+                                TrainingData, build_kinematic_net, build_training_data, data_loss,
                                 sample_collocation, trajectory_loss, train_regime,
-                                _rollout_loss_grad)
+                                _composite_losses, _rollout_loss_grad)
 
 from oracles import loop_mean_sq_norm, stagewise_rollout_loss_grad
 
@@ -232,16 +233,25 @@ OFFSET_BOUNDS = CollocationBounds(np.array([-3.0, -4.0, -0.5, 0.5, -0.3]),
                                   np.array([7.0, 2.0, 0.9, 4.0, 0.4]))
 
 
+ACTIVATIONS = ["linear", "tanh", "sigmoid", "relu", "mish"]
+
+
 class TestStageStackedRollout:
     """``_rollout_loss_grad`` folds the input map into layer 0 and takes one
     weight-gradient product per layer and RK4 step; the oracle runs a full
     network pass and weight gradient per stage."""
 
+    # The stage buffers hold what the backward pass reads, which depends on
+    # the activation and on whether the layer is hidden or the output. A case
+    # is named by its hidden activation, then its output activation unless
+    # that is linear.
     @pytest.mark.parametrize("horizon", [1, 4])
-    @pytest.mark.parametrize("act", ["linear", "tanh", "sigmoid", "relu", "mish"])
-    def test_agrees_with_the_stagewise_oracle(self, act, horizon):
+    @pytest.mark.parametrize("act, out_act", [
+        pytest.param(act, out, id=act if out == "linear" else f"{act}-{out}")
+        for act in ACTIVATIONS for out in ACTIVATIONS])
+    def test_agrees_with_the_stagewise_oracle(self, act, out_act, horizon):
         net = build_kinematic_net((LayerSpec(16, act), LayerSpec(8, act),
-                                   LayerSpec(3, "linear")), OFFSET_BOUNDS, seed=31)
+                                   LayerSpec(3, out_act)), OFFSET_BOUNDS, seed=31)
         ws, wi = make_windows(KinematicModel(), n_windows=7, horizon=horizon, seed=32)
         loss, grads, preds = _rollout_loss_grad(net, ws, wi, horizon, 0.1)
         ref_loss, ref_grads, ref_preds = stagewise_rollout_loss_grad(net, ws, wi, horizon, 0.1)
@@ -345,7 +355,8 @@ class TestTrainRegime:
         ("batch_size", 0), ("horizon", 0), ("epochs", -1), ("lr", 0.0), ("lr", -1.0),
         ("lr", float("nan")), ("lr", float("inf")), ("lambda_p", float("nan")),
         ("lambda_d", float("inf")), ("lambda_p", -1.0), ("lr", "fast"), ("epochs", 2.5),
-        ("batch_size", 16.5), ("horizon", 2.5), ("epochs", True)])
+        ("batch_size", 16.5), ("horizon", 2.5), ("epochs", True), ("seed", -1),
+        ("seed", 1.5), ("grad_check", "no")])
     def test_config_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError, match=f"RegimeConfig.{field} must be"):
             RegimeConfig(**{field: value})
@@ -442,3 +453,116 @@ class TestTrainRegime:
         assert lines[0] == "epoch,total,physics,data"
         assert len(lines) == 4  # header + initial + 2 epochs
 
+    # lr 1e300 leaves finite weights whose loss overflows to inf; lr 1.7e308
+    # leaves a non-finite network output, which validation raises on. With one
+    # epoch only validation sees the diverged weights; with two the second
+    # epoch's first step loss is not finite, and the run stops there.
+    # Without a validation set the physics block's loss shows the divergence.
+    @pytest.mark.parametrize("validation", [True, False])
+    @pytest.mark.parametrize("epochs", [1, 2])
+    @pytest.mark.parametrize("lr", [1e300, 1.7e308])
+    def test_divergence_is_reported(self, lr, epochs, validation):
+        data = build_training_data(KinematicModel(), CollocationBounds(), 64, seed=1,
+                                   n_validation=32)
+        if not validation:
+            data = TrainingData(data.phys_states, data.phys_inputs, data.phys_targets)
+        net = build_kinematic_net((LayerSpec(16, "tanh"), LayerSpec(3, "linear")),
+                                  CollocationBounds(), seed=1)
+        cfg = RegimeConfig(epochs=epochs, batch_size=64, lr=lr, grad_check=False)
+        with np.errstate(all="ignore"):
+            rep = train_regime(net, cfg, data)
+        assert rep.diverged and math.isnan(rep.validation_loss)
+        assert len(rep.loss_curve) == epochs
+        assert all(map(math.isfinite, rep.loss_curve[0]))
+        if epochs == 2:
+            assert rep.loss_curve[1] == (math.inf,) * 3
+
+
+def step_losses(monkeypatch):
+    """Record (physics rows, data rows or None, (total, physics, data)) of
+    every minibatch step of ``train_regime``."""
+    steps = []
+    original = training._composite_grad
+
+    def wrapper(model, cfg, data, p_idx, d_idx):
+        losses, grads = original(model, cfg, data, p_idx, d_idx)
+        if not isinstance(p_idx, slice):  # a slice is the gradient check's pass
+            steps.append((p_idx.size, None if d_idx is None else d_idx.size, losses))
+        return losses, grads
+
+    monkeypatch.setattr(training, "_composite_grad", wrapper)
+    return steps
+
+
+class TestLossCurve:
+    """Row 0 of the curve is the full-data loss before training; each epoch's
+    row is the batch-row-weighted mean of its steps' losses."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        model = KinematicModel()
+        trajs = generate_kinematic_dataset(model, SimulationConfig(total_time=5.0),
+                                           n_arcs=1, n_straights=1)
+        return build_training_data(model, CollocationBounds(), 150, seed=41,
+                                   trajectories=trajs, horizon=5)
+
+    def net(self):
+        return build_kinematic_net((LayerSpec(8, "tanh"), LayerSpec(3, "linear")),
+                                   CollocationBounds(), seed=42)
+
+    CONFIGS = [dict(regime="physics_only"), dict(regime="hybrid"), dict(regime="inverse"),
+               dict(regime="inverse", lambda_p=0.0)]
+
+    @pytest.mark.parametrize("kw", CONFIGS, ids=lambda kw: "-".join(map(str, kw.values())))
+    def test_each_epoch_is_the_row_weighted_mean_of_its_steps(self, data, kw, monkeypatch):
+        cfg = RegimeConfig(epochs=3, batch_size=64, seed=43, grad_check=False, **kw)
+        steps = step_losses(monkeypatch)
+        rep = train_regime(self.net(), cfg, data)
+        assert not rep.diverged and len(rep.loss_curve) == 3
+        n_data = {"physics_only": 0, "hybrid": len(data.data_states),
+                  "inverse": len(data.win_states)}[cfg.regime]
+        d_batch = cfg.batch_size // cfg.horizon if cfg.regime == "inverse" else cfg.batch_size
+        n_steps = max(-(-len(data.phys_states) // cfg.batch_size), -(-n_data // d_batch))
+        assert len(steps) == 3 * n_steps
+        for epoch, row in enumerate(rep.loss_curve):
+            epoch_steps = steps[epoch * n_steps:(epoch + 1) * n_steps]
+            p_rows = sum(p for p, _, _ in epoch_steps)
+            phys = sum(p * losses[1] for p, _, losses in epoch_steps) / p_rows
+            dterm = 0.0
+            if n_data:
+                d_rows = sum(d for _, d, _ in epoch_steps)
+                dterm = sum(d * losses[2] for _, d, losses in epoch_steps) / d_rows
+                assert dterm > 0.0
+            assert phys > 0.0
+            expected = (cfg.lambda_p * phys + cfg.lambda_d * dterm, phys, dterm)
+            assert row == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("grad_check", [True, False])
+    @pytest.mark.parametrize("kw", CONFIGS, ids=lambda kw: "-".join(map(str, kw.values())))
+    def test_initial_losses_are_the_full_data_losses_bit_for_bit(self, data, kw, grad_check):
+        cfg = RegimeConfig(epochs=1, batch_size=64, seed=44, grad_check=grad_check, **kw)
+        net = self.net()
+        expected = _composite_losses(net, cfg, data)
+        assert train_regime(net, cfg, data).initial_losses == expected
+
+    @pytest.mark.parametrize("regime", ["physics_only", "hybrid", "inverse"])
+    def test_full_data_passes_do_not_grow_with_epochs(self, data, regime, monkeypatch):
+        # The full-data passes are the gradient check's and validation's; no
+        # epoch makes one of its own.
+        counts = {}
+        for name in ("data_loss", "trajectory_loss"):
+            original = getattr(training, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(training, name, counted)
+        seen = []
+        for epochs in (2, 5):
+            counts.clear()
+            train_regime(self.net(), RegimeConfig(regime=regime, epochs=epochs, batch_size=64,
+                                                  seed=46, grad_check=True), data)
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert seen[0]["data_loss"] == 21 + 20 * (regime == "hybrid")
