@@ -602,7 +602,9 @@ class DynamicModel:
 
     def jacobian(self, s, u, t: float = 0.0) -> np.ndarray:
         """Exact state Jacobian of :meth:`rhs` (inputs held): (6, 6) for one
-        point, (n, 6, 6) for stacked points."""
+        point, (n, 6, 6) for stacked points. The result is the one stack
+        allocated: the velocity block is written into its lower-right
+        (..., 3, 3) view by :meth:`_VelocityTerms.jacobian`."""
         s, u, vx, vy, st, ct = _dynamic_point(s, u)
         jac = np.zeros(vx.shape + (6, 6))
         jac[..., 0, 2] = -vx * st - vy * ct
@@ -613,7 +615,8 @@ class DynamicModel:
         jac[..., 1, 4] = ct
         jac[..., 2, 5] = 1.0
         terms = _VelocityTerms(s[..., 3:], u, self.params, self.coef, self.tires)
-        jac[..., 3:, 3:] = terms.jacobian(map(_tire_slope, terms.axles()), self.disturbances, t)
+        terms.jacobian(map(_tire_slope, terms.axles()), self.disturbances, t,
+                       out=jac[..., 3:, 3:])
         return jac
 
     def without_disturbances(self) -> "DynamicModel":

@@ -15,11 +15,13 @@ and it is always bounded by 0 <= g/4 <= sigma_max(A)^2.
 returns a :class:`FisherField` that stores g together with sigma_max^2 so the
 bound stays auditable after the fact. du is the flow direction at each
 point (policy ``"flow_aligned"``) or one unit (d,) array at every point
-(policy ``"fixed"``). The sweep is stacked: the system sees all points in one
+(policy ``"fixed"``). The sweep is stacked: :func:`stack_points` builds the
+state, input and time columns, the system sees all points in one
 ``jacobian`` call and, for flow alignment, one ``rhs`` call; g comes from one
 ``classical_fisher`` call over the stack and sigma_max from one scaled-Gram
-``largest_singular_value`` call. A point that cannot be evaluated is kept
-with a skip reason instead of aborting the sweep:
+``largest_singular_value`` call, which reads the stack in fixed blocks. A
+point that cannot be evaluated is kept with a skip reason instead of
+aborting the sweep:
 
 * ``"domain: <reason>"``: the system raised :class:`DomainError` for it;
 * ``"equilibrium"``: the flow norm is at most :data:`FLOW_FLOOR`, so the
@@ -30,9 +32,13 @@ with a skip reason instead of aborting the sweep:
 A field is its direction ``policy`` and columns, one row per point:
 ``states`` (n, d), ``inputs`` (n, m), ``times``, ``g``, ``sigma_max_sq``, the
 unit directions ``du`` (n, d) and the ``skip`` reasons ("" at a valid point);
-``g``, ``sigma_max_sq`` and ``du`` are NaN at skipped points. The per-point
-view ``FisherField.samples`` holds :class:`FisherSample` tuples (``direction``
-is the ``du`` row, None if skipped), built from the columns on first read.
+``g``, ``sigma_max_sq`` and ``du`` are NaN at skipped points. ``skip`` is
+built as a str array as wide as its longest reason (``<U1`` when every point
+is valid): empty strings, then the domain reasons, then "nonfinite", then
+"equilibrium", which wins at an equilibrium whose g is not finite. The
+per-point view ``FisherField.samples`` holds :class:`FisherSample` tuples
+(``direction`` is the ``du`` row, None if skipped), built from the columns on
+first read.
 """
 
 from __future__ import annotations
@@ -80,10 +86,14 @@ def classical_fisher(a, du):
     """g = 4 (<A^T A> - <A>^2) >= 0 (round-off negatives clamp to zero).
 
     ``a`` is one matrix (d, d) and ``du`` one unit direction (d,), or stacks
-    (..., d, d) and (..., d) of them; returns a float or an array (...,).
+    (..., d, d) and (..., d) of them over the same leading axes; returns a
+    float or an array (...,). Other shapes raise ``ValueError`` naming both.
     """
     a = np.asarray(a, dtype=float)
     du = np.asarray(du, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[:-1] != du.shape:
+        raise ValueError(f"classical_fisher takes a (..., d, d) and du (..., d) over the "
+                         f"same leading axes, got {a.shape} and {du.shape}")
     adu = np.einsum("...ij,...j->...i", a, du)
     return np.maximum(4.0 * (np.einsum("...i,...i->...", adu, adu)
                              - np.einsum("...i,...i->...", du, adu) ** 2), 0.0)
@@ -160,12 +170,18 @@ def stack_points(points):
     """(states (n, d), inputs (n, m), times (n,)) from (state, input[, t])
     tuples; t defaults to 0. A point with fewer than 2 entries, or whose
     state or input length differs from point 0's, raises ``ValueError``
-    naming the first such point."""
+    naming the first such point. Each column is one concatenation of the
+    points' entries, taken once every entry has point 0's length."""
     points = list(points)
+    n = len(points)
+    if not n:
+        return np.empty(0), np.empty(0), np.empty(0)
     try:
-        states = np.array([p[0] for p in points], dtype=float)
-        inputs = np.array([p[1] for p in points], dtype=float)
-    except (IndexError, ValueError) as err:
+        cols = [[p[k] for p in points] for k in (0, 1)]
+        if any(list(map(len, col)).count(len(col[0])) != n for col in cols):
+            raise ValueError("the points' states or inputs differ in length")
+        states, inputs = (np.concatenate(col, dtype=float).reshape(n, -1) for col in cols)
+    except (IndexError, TypeError, ValueError) as err:
         for i, p in enumerate(points):
             if len(p) < 2:
                 raise ValueError(f"point {i} has {len(p)} entries, expected "
@@ -231,12 +247,17 @@ def evaluate_field(system, points, policy="flow_aligned") -> FisherField:
         sig2 = largest_singular_value(a) ** 2
     ok = finite & np.isfinite(g) & np.isfinite(sig2)
 
-    skip = np.full(n, "", dtype=object)
-    skip[list(domain)] = [f"domain: {reason}" for reason in domain.values()]
-    skip[rows[~ok]] = "nonfinite"
+    # the skip column, written in place as a str array of its final width
+    labels = {"nonfinite": rows[~ok]}
     if flow:
-        skip[rows[finite & (speed <= FLOW_FLOOR)]] = "equilibrium"
-    skip = skip.astype(str)
+        labels["equilibrium"] = rows[finite & (speed <= FLOW_FLOOR)]
+    domain_reasons = [f"domain: {reason}" for reason in domain.values()]
+    width = max([1, *map(len, domain_reasons),
+                 *(len(label) for label, at in labels.items() if at.size)])
+    skip = np.zeros(n, dtype=f"<U{width}")
+    skip[list(domain)] = domain_reasons
+    for label, at in labels.items():
+        skip[at] = label
     valid = skip == ""
     g_all, sig2_all = np.full(n, math.nan), np.full(n, math.nan)
     du_all = np.full(states.shape, math.nan)

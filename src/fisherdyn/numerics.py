@@ -15,10 +15,17 @@ wrote its layer outputs. ``rk4_adjoint`` only hands each aux back to ``vjp``.
 
 ``largest_singular_value`` takes one matrix or a (..., m, n) stack of them
 and reads sigma_max off the largest eigenvalue of the smaller Gram matrix
-(``np.linalg.eigvalsh``), one batched call for a whole Fisher field. Each
-matrix is first divided by its largest |entry|, so that the Gram matrix of a
-finite matrix cannot overflow; sigma_max then agrees with LAPACK's singular
-values to round-off.
+(``np.linalg.eigvalsh``). Each matrix is first divided by its largest
+|entry|, so that the Gram matrix of a finite matrix cannot overflow;
+sigma_max then agrees with LAPACK's singular values to round-off. A stack
+runs in blocks of :data:`SIGMA_BLOCK` matrices, each block's scale, scaled
+copy, Gram and eigenvalues written into one result array: a whole Fisher
+field's temporaries would each take a fresh stack-sized allocation that the
+allocator hands back to the system on free and faults in again on the next
+call, while a block of 6 x 6 matrices (a 74 KB Gram) stays under glibc's
+default 128 KB mmap threshold and is reused from the heap. Every matrix's
+arithmetic is that of an unblocked call, so the result is the same to the
+bit.
 """
 
 from __future__ import annotations
@@ -31,7 +38,12 @@ __all__ = [
     "rk4_adjoint",
     "rk4_step",
     "largest_singular_value",
+    "SIGMA_BLOCK",
 ]
+
+# Matrices per block of a largest_singular_value stack (see the module docstring).
+SIGMA_BLOCK = 256
+
 
 class EvaluationError(ValueError):
     """A model evaluation produced a non-finite value."""
@@ -78,16 +90,23 @@ def rk4_step(f, x, u, dt: float, k1=None) -> np.ndarray:
 def largest_singular_value(a):
     """Largest singular value of the matrix ``a``, or of each matrix in a
     (..., m, n) stack: a float for one matrix, an array of shape (...,) for
-    a stack."""
+    a stack. The stack is read :data:`SIGMA_BLOCK` matrices at a time, so
+    the call's temporaries do not grow with the stack."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2:
         raise ValueError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    scale = np.max(np.abs(a), axis=(-2, -1), keepdims=True)
-    scale[scale == 0.0] = 1.0
-    b = a / scale
-    gram = b @ b.swapaxes(-2, -1) if a.shape[-2] < a.shape[-1] else b.swapaxes(-2, -1) @ b
-    lam = np.linalg.eigvalsh(gram)[..., -1]
-    sigma = scale[..., 0, 0] * np.sqrt(np.maximum(lam, 0.0))
-    return float(sigma) if a.ndim == 2 else sigma
+    m, n = a.shape[-2:]
+    mats = a.reshape(-1, m, n)
+    sigma = np.empty(mats.shape[0])
+    for lo in range(0, mats.shape[0], SIGMA_BLOCK):
+        block = mats[lo:lo + SIGMA_BLOCK]
+        if not np.isfinite(block).all():
+            raise ValueError("matrix entries must be finite")
+        b = np.abs(block)
+        scale = np.max(b, axis=(-2, -1), keepdims=True)
+        scale[scale == 0.0] = 1.0
+        np.divide(block, scale, out=b)
+        gram = b @ b.swapaxes(-2, -1) if m < n else b.swapaxes(-2, -1) @ b
+        lam = np.linalg.eigvalsh(gram)[:, -1]
+        np.multiply(scale[:, 0, 0], np.sqrt(np.maximum(lam, 0.0)), out=sigma[lo:lo + SIGMA_BLOCK])
+    return float(sigma[0]) if a.ndim == 2 else sigma.reshape(a.shape[:-2])

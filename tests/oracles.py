@@ -1,7 +1,8 @@
 """Independent reference implementations used only to cross-check the library.
 
 These deliberately avoid the code paths they verify: the eigenvalue oracle is
-a cyclic Jacobi sweep (no power iteration or LAPACK), the summation oracles
+a cyclic Jacobi sweep (no power iteration or LAPACK), the blocked sigma_max
+is held against the unblocked scaled-Gram pass it replaced, the summation oracles
 are plain Python loops, the Fisher expectation and logarithmic derivative are
 written for one point, g has a geometric curvature form, derivatives have a
 central-difference Jacobian, the dynamic bicycle's rhs and Jacobian are
@@ -51,6 +52,21 @@ def sigma_max_oracle(mat) -> float:
     mat = np.asarray(mat, dtype=float)
     eigs = jacobi_eigenvalues(mat.T @ mat)
     return float(np.sqrt(max(eigs[-1], 0.0)))
+
+
+def unblocked_sigma_max(a):
+    """sigma_max of each matrix in a (..., m, n) stack in one unblocked pass:
+    divide each matrix by its largest |entry|, take the smaller Gram matrix
+    and read the largest ``eigvalsh`` eigenvalue. This is the library's
+    formula before it ran in blocks; per matrix the arithmetic is the same,
+    so a blocked call must match it bit for bit."""
+    a = np.asarray(a, dtype=float)
+    scale = np.max(np.abs(a), axis=(-2, -1), keepdims=True)
+    scale[scale == 0.0] = 1.0
+    b = a / scale
+    gram = b @ b.swapaxes(-2, -1) if a.shape[-2] < a.shape[-1] else b.swapaxes(-2, -1) @ b
+    lam = np.linalg.eigvalsh(gram)[..., -1]
+    return scale[..., 0, 0] * np.sqrt(np.maximum(lam, 0.0))
 
 
 def loop_mean_sq_norm(pred, target):

@@ -69,7 +69,7 @@ class TestPredictNextVelocities:
             assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_rates_compute_no_jacobian_partials(self, monkeypatch):
-        def forbidden(*args):
+        def forbidden(*args, **kwargs):
             raise AssertionError("a Jacobian partial was computed")
 
         monkeypatch.setattr(dynamics, "_tire_slope", forbidden)
@@ -86,7 +86,7 @@ class TestPredictNextVelocities:
             model.jacobian(s, states[:, 3:])
 
     def test_jacobian_computes_no_rates_or_coefficient_partials(self, monkeypatch):
-        def forbidden(*args):
+        def forbidden(*args, **kwargs):
             raise AssertionError("rates or coefficient partials were computed")
 
         for name in ("velocity_rates", "_lateral_forcing"):

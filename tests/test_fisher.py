@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from fisherdyn.dynamics import DomainError, DynamicModel, KinematicModel
 from fisherdyn.fidelity import jacobian_baseline
 from fisherdyn.nets import LayerSpec, LearnedDynamicsModel, init_network
-from fisherdyn.fisher import classical_fisher, evaluate_field
+from fisherdyn.fisher import classical_fisher, evaluate_field, stack_points
 from fisherdyn.numerics import largest_singular_value
 
 from oracles import (EquilibriumError, curvature_fisher, expectation, flow_direction,
@@ -114,6 +115,17 @@ class TestClassicalFisher:
         for c in (0.1, 3.0, -2.0):
             assert classical_fisher(c * a, du) == pytest.approx(c**2 * g, rel=1e-12)
 
+    @pytest.mark.parametrize("a, du", [
+        (np.eye(3), np.ones(2)),
+        (np.ones((3, 2)), np.ones(2)),
+        (np.ones((4, 3, 3)), np.ones((5, 3)))])
+    def test_mismatched_shapes_are_named(self, a, du):
+        message = (r"classical_fisher takes a \(\.\.\., d, d\) and du \(\.\.\., d\) over the "
+                   rf"same leading axes, got {re.escape(str(a.shape))} and "
+                   rf"{re.escape(str(du.shape))}")
+        with pytest.raises(ValueError, match=message):
+            classical_fisher(a, du)
+
     def test_symmetric_part_expectation(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -121,6 +133,39 @@ class TestClassicalFisher:
             du = random_unit(rng, 5)
             a_s = 0.5 * (a + a.T)
             assert expectation(a, du) == pytest.approx(expectation(a_s, du), abs=1e-13)
+
+
+class TestStackPoints:
+    """The columns are concatenations of the points' entries; a malformed
+    point is still named, with the message an array build of the points gave."""
+
+    STATE = np.array([0.0, 0.0, 0.0, 2.0, 0.1, 0.5])
+
+    @pytest.mark.parametrize("points, message", [
+        ([(STATE, np.zeros(2)), (STATE,)],
+         r"point 1 has 1 entries, expected \(state, input\[, t\]\)"),
+        ([(np.zeros(6), np.zeros(2)), (np.zeros(5), np.zeros(2)), (np.zeros(7), np.zeros(2))],
+         r"point 1 has a state of length 5, point 0 one of length 6"),
+        ([(STATE, np.zeros(2)), (STATE, np.zeros(2)), (STATE, np.zeros(3)), (STATE, np.zeros(1))],
+         r"point 2 has an input of length 3, point 0 one of length 2"),
+        ([(STATE, np.zeros(2), 1.0), (STATE, np.zeros(2)), (STATE[:4], np.zeros(2), 2.0)],
+         r"point 2 has a state of length 4, point 0 one of length 6")])
+    def test_malformed_point_is_named(self, points, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            stack_points(points)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            stack_points(p for p in points)
+
+    def test_mixed_tuples_and_a_generator(self):
+        rng = np.random.default_rng(12)
+        points = [(rng.normal(size=6), rng.normal(size=2), float(i)) if i % 2 else
+                  (rng.normal(size=6), rng.normal(size=2)) for i in range(7)]
+        states, inputs, times = stack_points(p for p in points)
+        assert np.array_equal(states, np.array([p[0] for p in points]))
+        assert np.array_equal(inputs, np.array([p[1] for p in points]))
+        assert times.tolist() == [0.0, 1.0, 0.0, 3.0, 0.0, 5.0, 0.0]
+        assert states.flags.c_contiguous and inputs.flags.c_contiguous
+        assert [c.shape for c in stack_points([])] == [(0,), (0,), (0,)]
 
 
 class TestFlowDirection:
@@ -489,6 +534,18 @@ class TestColumns:
         for col in (field.g, field.sigma_max_sq, field.du):
             assert np.isnan(col[~valid]).all() and np.isfinite(col[valid]).all()
         assert np.linalg.norm(field.du[valid], axis=1) == pytest.approx(1.0, abs=1e-15)
+
+    def test_skip_column_is_as_wide_as_its_longest_reason(self):
+        _, field = self.field()
+        assert field.skip.dtype == np.dtype("<U17")  # "domain: u[1]=-0.5"
+        pts = rotation_points(4)
+        assert evaluate_field(RotationStub(), pts).skip.dtype == np.dtype("<U1")
+        pts[1] = (np.array([1e200, 1e200]), pts[1][1], pts[1][2])
+        assert evaluate_field(RotationStub(), pts).skip.dtype == np.dtype("<U9")
+        pts[2] = (np.zeros(2), pts[2][1], pts[2][2])
+        field = evaluate_field(RotationStub(), pts)
+        assert field.skip.tolist() == ["", "nonfinite", "equilibrium", ""]
+        assert field.skip.dtype == np.dtype("<U11")
 
     def test_samples_view_agrees_with_columns(self):
         _, field = self.field()

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fisherdyn.numerics import (EvaluationError, largest_singular_value, rk4,
+from fisherdyn.numerics import (SIGMA_BLOCK, EvaluationError, largest_singular_value, rk4,
                                 rk4_adjoint, rk4_step)
 
-from oracles import central_difference_jacobian, random_orthogonal, sigma_max_oracle
+from oracles import (central_difference_jacobian, random_orthogonal, sigma_max_oracle,
+                     unblocked_sigma_max)
 
 
 class TestCentralDifferenceJacobian:
@@ -202,3 +205,45 @@ class TestLargestSingularValue:
             largest_singular_value(np.ones(3))
         with pytest.raises(ValueError):
             largest_singular_value(np.array([[[1.0, np.nan]]]))
+
+
+class TestBlockedSingularValue:
+    """Stacks run in blocks of SIGMA_BLOCK matrices with per-matrix arithmetic
+    unchanged: the same bits as one unblocked pass, and temporaries bounded
+    by the block, not the stack."""
+
+    @pytest.mark.parametrize("shape", [
+        (0, 6, 6), (1, 6, 6), (SIGMA_BLOCK - 1, 6, 6), (SIGMA_BLOCK, 6, 6),
+        (SIGMA_BLOCK + 1, 6, 6), (1409, 6, 6), (2, 300, 6, 6),
+        (SIGMA_BLOCK + 1, 3, 5), (SIGMA_BLOCK + 1, 5, 3)])
+    def test_matches_svd_and_the_unblocked_pass(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        stack = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=shape[:-2] + (1, 1))
+        sigma = largest_singular_value(stack)
+        assert sigma.shape == shape[:-2]
+        svd = np.linalg.svd(stack, compute_uv=False)[..., 0]
+        assert np.all(np.abs(sigma - svd) <= 1e-13 * svd)
+        assert sigma.tobytes() == unblocked_sigma_max(stack).tobytes()
+
+    def test_zero_and_nonfinite_matrices_past_the_first_block(self):
+        stack = np.random.default_rng(7).normal(size=(2 * SIGMA_BLOCK + 3, 6, 6))
+        stack[SIGMA_BLOCK + 1] = 0.0
+        assert largest_singular_value(stack)[SIGMA_BLOCK + 1] == 0.0
+        stack[2 * SIGMA_BLOCK + 2, 3, 4] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            largest_singular_value(stack)
+
+    def test_temporaries_do_not_grow_with_the_stack(self):
+        n = 4096
+        stack = np.random.default_rng(8).normal(size=(n, 6, 6))
+        largest_singular_value(stack[:SIGMA_BLOCK])
+        tracemalloc.start()
+        try:
+            largest_singular_value(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (n,) result plus a few block-sized temporaries; one unblocked
+        # pass over the stack holds about 2.6 MB here
+        block_bytes = SIGMA_BLOCK * 6 * 6 * 8
+        assert peak <= 8 * n + 4 * block_bytes
