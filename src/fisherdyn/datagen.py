@@ -10,7 +10,13 @@ controller call on all (n, d) states and, on the runs still inside the
 model's envelope, 1 + 3 ``rhs`` calls: the recorded derivative, which is also
 the first RK4 stage, then the RK4 step's three later stages. A run that
 leaves the envelope (a ``DomainError`` naming its row) is truncated there
-with the reason recorded, and the step is redone for the others.
+with the reason recorded, and the step is redone for the others. While
+every run is live, a step reads and writes the state, input and derivative
+buffers through full slices, views that gather no rows; after the first
+exit it indexes them with the live rows. A controller output that does not
+fit the (n, m) inputs raises ``ConfigError`` naming both shapes and t, and a
+step that leaves a run's state non-finite raises ``EvaluationError`` naming
+t, the runs and whether their inputs were already non-finite.
 
 Recorded headings are left unwrapped (continuous) so that rollout losses and
 finite differences across a lap stay smooth; the (-pi, pi] convention is
@@ -28,7 +34,7 @@ import numpy as np
 
 from ._codec import read_csv, read_json, require_keys, write_csv, write_json
 from .dynamics import DELTA_MAX, ConfigError, _check_fields, on_accepted_rows, wrap_angle
-from .numerics import rk4_step
+from .numerics import EvaluationError, rk4_step
 
 __all__ = [
     "ReferencePath",
@@ -168,10 +174,10 @@ class ManeuverController:
 
     def __call__(self, states, t: float) -> np.ndarray:
         vx = states[:, 3]
-        throttle = np.clip(self.throttle_ff + self.k_speed * (self.v_set(t) - vx),
-                           0.0, 1.0)
-        delta = np.clip(self.steer_fn(t), -DELTA_MAX, DELTA_MAX)
-        return np.column_stack([throttle, np.broadcast_to(delta, vx.shape)])
+        out = np.empty((vx.size, 2))
+        np.clip(self.throttle_ff + self.k_speed * (self.v_set(t) - vx), 0.0, 1.0, out=out[:, 0])
+        np.clip(self.steer_fn(t), -DELTA_MAX, DELTA_MAX, out=out[:, 1])
+        return out
 
 
 def _on_running_rows(f, live, t: float, exits: list):
@@ -183,6 +189,15 @@ def _on_running_rows(f, live, t: float, exits: list):
     return result, live
 
 
+def _nonfinite_step(t: float, runs, inputs) -> EvaluationError:
+    """The error of the step from ``t`` that left ``runs`` with a non-finite
+    state, naming those whose ``inputs`` (one row per run) are not finite."""
+    bad = [r for r in runs.tolist() if not np.isfinite(inputs[r]).all()]
+    cause = f"non-finite controller inputs in runs {bad}" if bad else "the state overflowed"
+    return EvaluationError(f"the step from t={t:g} left runs {runs.tolist()} with a "
+                           f"non-finite state: {cause}", runs)
+
+
 def simulate(model, controller, cfg: SimulationConfig, initial_states) -> list:
     """Closed-loop rollouts of ``model`` (which carries its own disturbances)
     from (n, d) initial states; returns n trajectories.
@@ -190,7 +205,9 @@ def simulate(model, controller, cfg: SimulationConfig, initial_states) -> list:
     ``controller(states, t)`` maps all (n, d) states to (n, m) inputs; the
     rows of runs that have left the envelope keep their last state. Each run
     records n = total_time/dt + 1 samples with t_i = i*dt exactly; on an
-    envelope exit it is truncated and the reason recorded.
+    envelope exit it is truncated and the reason recorded. A controller
+    output that does not fit (n, m) and a step that leaves a run's state
+    non-finite raise the errors the module docstring describes.
     """
     state = np.array(initial_states, dtype=float)
     if state.ndim != 2:
@@ -199,24 +216,40 @@ def simulate(model, controller, cfg: SimulationConfig, initial_states) -> list:
     states, derivs = np.empty((n,) + state.shape), np.empty((n,) + state.shape)
     inputs = np.empty((n, runs, len(model.input_names)))
     length, exits = np.zeros(runs, dtype=int), [""] * runs
+
+    def at(rows):
+        """``rows`` as a buffer index: the full slice, a view, while every run is live."""
+        return rows if rows.size < runs else slice(None)
+
+    def record(rows):
+        return model.rhs(state[at(rows)], inputs[i, at(rows)], t)
+
+    def advance(rows):
+        try:
+            return rk4_step(lambda xx, uu: model.rhs(xx, uu, t), state[at(rows)],
+                            inputs[i, at(rows)], cfg.dt, derivs[i, at(rows)])
+        except EvaluationError as err:
+            raise _nonfinite_step(t, rows[err.rows], inputs[i]) from err
+
     live = np.arange(runs)
     for i in range(n):
         t = i * cfg.dt
-        inputs[i] = controller(state, t)
-        xdot, live = _on_running_rows(
-            lambda rows: model.rhs(state[rows], inputs[i, rows], t), live, t, exits)
+        u = controller(state, t)
+        try:
+            inputs[i] = u
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"the controller's output at t={t:g} has shape {np.shape(u)}, "
+                              f"not that of the inputs, {inputs.shape[1:]}") from err
+        xdot, live = _on_running_rows(record, live, t, exits)
         if not live.size:
             break
-        states[i], derivs[i, live], length[live] = state, xdot, i + 1
+        states[i], derivs[i, at(live)], length[at(live)] = state, xdot, i + 1
         if i == n - 1:
             break
-        new, live = _on_running_rows(
-            lambda rows: rk4_step(lambda xx, uu: model.rhs(xx, uu, t), state[rows],
-                                  inputs[i, rows], cfg.dt, derivs[i, rows]),
-            live, t + cfg.dt, exits)
+        new, live = _on_running_rows(advance, live, t + cfg.dt, exits)
         if not live.size:
             break
-        state[live] = new
+        state[at(live)] = new
     kinds = sorted({d.kind for d in getattr(model, "disturbances", ())})
     times = np.arange(n) * cfg.dt
     return [Trajectory(times[:k].copy(), states[:k, r].copy(), inputs[:k, r].copy(),

@@ -361,22 +361,23 @@ def mlp_param_gradient(params: NetworkParams, inputs, targets):
 def mlp_input_jacobian(params: NetworkParams, x, input_indices=None) -> np.ndarray:
     """Forward-mode Jacobian of the outputs w.r.t. selected input coordinates.
 
-    ``x`` is one input (d,) or a stack (..., d), giving (..., outputs, k):
-    the tangent of every point is carried through the layers at once. The
-    result is a writable array of its own.
+    ``x`` is one input (d,) or a stack (..., d), giving (..., outputs, k).
+    The tangent is carried as (points * k, width) rows, row (p, j) the
+    derivative of a layer's outputs at point p along input j, so that each
+    layer is one 2-D product. The result is a writable array of its own.
     """
     x, layers = _forward(params, x)
-    if input_indices is None:
-        input_indices = range(params.input_dim)
-    tangent = np.eye(params.input_dim)[:, list(input_indices)]
+    cols = range(params.input_dim) if input_indices is None else list(input_indices)
+    lead, k = x.shape[:-1], len(cols)
+    tangent = np.broadcast_to(np.eye(params.input_dim)[cols],
+                              lead + (k, params.input_dim)).reshape(-1, params.input_dim)
     for spec, w, (z, a) in zip(params.layers, params.weights, layers):
-        tangent = w @ tangent
+        tangent = tangent @ w.T
         deriv = _activation_deriv(spec.activation, z, a)
         if deriv is not None:
-            tangent = deriv[..., None] * tangent
-    if tangent.ndim <= x.ndim:  # every layer linear: one Jacobian for all points
-        tangent = np.broadcast_to(tangent, x.shape[:-1] + tangent.shape).copy()
-    return tangent
+            rows = tangent.reshape(lead + (k, spec.width))
+            rows *= deriv[..., None, :]
+    return tangent.reshape(lead + (k, params.output_dim)).swapaxes(-1, -2).copy()
 
 
 # ---------------------------------------------------------------------------

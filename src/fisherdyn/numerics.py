@@ -46,7 +46,12 @@ SIGMA_BLOCK = 256
 
 
 class EvaluationError(ValueError):
-    """A model evaluation produced a non-finite value."""
+    """A model evaluation produced a non-finite value; ``rows`` lists the
+    (flat) indices of the offending points of a stack, when known."""
+
+    def __init__(self, message: str, rows=()):
+        super().__init__(message)
+        self.rows = np.asarray(rows, dtype=int)
 
 
 def rk4(f, x, dt: float, k1=None):
@@ -77,13 +82,17 @@ def rk4_adjoint(vjp, auxes, lam, dt: float):
 
 def rk4_step(f, x, u, dt: float, k1=None) -> np.ndarray:
     """Classical 4th-order Runge-Kutta update of ``x`` under the rate
-    ``f(x, u)`` with ``u`` held; ``k1``, when given, is f(x, u)."""
+    ``f(x, u)`` with ``u`` held; ``k1``, when given, is f(x, u). A
+    non-finite result raises :class:`EvaluationError` naming the points
+    (rows of a stack of states) that hold it."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     out, _ = rk4(lambda xx: (np.asarray(f(xx, u), dtype=float), None),
                  np.asarray(x, dtype=float), dt, k1)
     if not np.all(np.isfinite(out)):
-        raise EvaluationError("non-finite intermediate in rk4 step")
+        rows = np.flatnonzero(~np.isfinite(out).all(axis=-1))
+        raise EvaluationError(f"non-finite state after the rk4 step at points {rows.tolist()}",
+                              rows)
     return out
 
 

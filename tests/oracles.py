@@ -6,9 +6,11 @@ is held against the unblocked scaled-Gram pass it replaced, the summation oracle
 are plain Python loops, the Fisher expectation and logarithmic derivative are
 written for one point, g has a geometric curvature form, derivatives have a
 central-difference Jacobian, the dynamic bicycle's rhs and Jacobian are
-written point by point in scalar ``math`` arithmetic, the estimator's
-history windows are cut one at a time, and the RK4 rollout gradient runs a
-full network pass and weight gradient per stage.
+written point by point in scalar ``math`` arithmetic and its velocity law
+one axle at a time, the estimator's history windows are cut one at a time,
+the RK4 rollout gradient runs a full network pass and weight gradient per
+stage, and the MLP input Jacobian carries each point's tangent through its
+own small matrix products.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 
 from fisherdyn.dynamics import GRAVITY, VX_MIN, DomainError
 from fisherdyn.fisher import FLOW_FLOOR
-from fisherdyn.nets import mlp_forward_cache, mlp_vjp
+from fisherdyn.nets import _activation_deriv, mlp_forward_cache, mlp_vjp
 from fisherdyn.numerics import EvaluationError, rk4, rk4_adjoint
 from fisherdyn.training import DivergedRolloutError
 
@@ -320,6 +322,125 @@ def scalar_dynamic_jacobian(s, u, p, tires, drivetrain, disturbances=(), t=0.0):
     for k in range(3):
         jac[5, 3 + k] = (p.lf * cd * dF_fy[k] - p.lr * dF_ry[k]) / p.Iz
     return jac
+
+
+def broadcast_input_jacobian(params, x, input_indices):
+    """d(MLP outputs)/d(inputs ``input_indices``) (..., outputs, k) with the
+    tangent (in, k) of every point carried through ``w @ tangent``, one
+    broadcast matrix product per point and layer: the form that the row
+    layout of ``nets.mlp_input_jacobian`` replaced."""
+    _, (acts, pres) = mlp_forward_cache(params, x)
+    tangent = np.eye(params.input_dim)[:, list(input_indices)]
+    for spec, w, z, a in zip(params.layers, params.weights, pres, acts[1:]):
+        tangent = w @ tangent
+        deriv = _activation_deriv(spec.activation, z, a)
+        if deriv is not None:
+            tangent = deriv[..., None] * tangent
+    return np.broadcast_to(tangent, acts[0].shape[:-1] + tangent.shape[-2:])
+
+
+def per_axle_velocity_law(vel, u, p, coef, tires, disturbances=(), t=0.0):
+    """(rates (..., 3), d(rates)/d(vx, vy, omega) (..., 3, 3), disturbance-free
+    d(rates)/d(coef) (..., 3, 12)) of the dynamic bicycle's velocity law at
+    stacked points, ``coef`` (12,) or (..., 12) in ``COEFFICIENT_NAMES``
+    order.
+
+    The two axles run one after the other in a plain loop, with the formulas
+    and the operation order of the per-axle kernel that the library's
+    axle-stacked one replaced; the two must agree bit for bit."""
+    vx, vy, omega = vel[..., 0], vel[..., 1], vel[..., 2]
+    throttle, delta = u[..., 0], u[..., 1]
+    c = coef
+    # tire scale and its (vx, omega) gradient, composed by the product rule
+    scale, dscale_vx, dscale_om = 1.0, 0.0, 0.0
+    for dist in disturbances:
+        q = dist.params
+        if dist.kind == "roll":
+            phi = p.m * vx * omega / q["k_phi"]
+            factor = np.maximum(0.0, 1.0 - q["stiffness_sensitivity"] * np.abs(phi))
+            g = np.where(factor > 0.0, -q["stiffness_sensitivity"] * p.m / q["k_phi"]
+                         * np.sign(vx * omega), 0.0)
+            g_vx, g_om = g * omega, g * vx
+        elif dist.kind == "tire_temperature":
+            T_tire = q["T_initial"] + q["T_rate"] * t
+            factor = np.maximum(0.0, 1.0 - np.exp(-q["kT"] * (T_tire - q["T0"])))
+            g_vx = g_om = 0.0
+        else:
+            continue
+        dscale_vx = dscale_vx * factor + scale * g_vx
+        dscale_om = dscale_om * factor + scale * g_om
+        scale = scale * factor
+    F_lat = 0.0
+    for dist in disturbances:
+        q = dist.params
+        if dist.kind == "wind":
+            v_rel = q["vw"] - vy
+            F_lat = F_lat + 0.5 * q["rho"] * q["area"] * q["Cw"] * v_rel * np.abs(v_rel)
+        elif dist.kind == "bank":
+            F_lat = F_lat + p.m * GRAVITY * math.sin(q["beta"])
+        elif dist.kind == "bump":
+            w = 2.0 * math.pi * q["z_frequency"]
+            z = q["z_amplitude"] * np.sin(w * t)
+            zdot = q["z_amplitude"] * w * np.cos(w * t)
+            F_lat = F_lat + (q["ks"] * z + q["cs"] * zdot)
+
+    # per axle: lateral force, its (vx, vy, omega) slope, its B, C, D, E partials
+    F_y, dF_y, dF_coef = [], [], []
+    for k, tire in ((0, tires.front), (4, tires.rear)):
+        if k == 0:
+            slip, arm = (vy + p.lf * omega) / vx, -p.lf
+            alpha = delta - np.arctan(slip)
+        else:
+            slip, arm = (vy - p.lr * omega) / vx, p.lr
+            alpha = -np.arctan(slip)
+        B, C, D, E = c[..., k], c[..., k + 1], c[..., k + 2], c[..., k + 3]
+        ba = B * alpha
+        atan_bag = np.arctan(ba * tire.G)
+        psi = ba - E * (ba - atan_bag)
+        atan_psi = np.arctan(psi)
+        arg = C * atan_psi
+        sin_arg, cos_arg = np.sin(arg), np.cos(arg)
+        cos_c = cos_arg * C
+        x = 1.0 - E * (1.0 - tire.G / (1.0 + (ba * tire.G) ** 2))
+        den = 1.0 + psi * psi
+        F_y.append(tire.K + scale * D * sin_arg)
+        F, slope = D * sin_arg, scale * D * (cos_c * (B * x) / den)
+        vx_q = vx * (1.0 + slip * slip)
+        dF_y.append((slope * (slip / vx_q) + F * dscale_vx, slope * (-1.0 / vx_q),
+                     slope * (arm / vx_q) + F * dscale_om))
+        dF_coef.append((D * (cos_c * (alpha * x) / den), D * cos_arg * atan_psi, sin_arg,
+                        -D * cos_arg * C / den * (ba - atan_bag)))
+    (F_fy, F_ry), (dF_fy, dF_ry) = F_y, dF_y
+    sd, cd = np.sin(delta), np.cos(delta)
+
+    F_rx = (c[..., 8] * throttle - c[..., 9] * vx) - c[..., 10] - c[..., 11] * vx * vx
+    rates = np.empty(vx.shape + (3,))
+    rates[..., 0] = (F_rx - F_fy * sd) / p.m + vy * omega
+    rates[..., 1] = (F_ry + F_fy * cd + F_lat) / p.m - vx * omega
+    rates[..., 2] = (F_fy * p.lf * cd - F_ry * p.lr) / p.Iz
+
+    dF_rx = (-c[..., 9] - 2.0 * c[..., 11] * vx, 0.0, 0.0)
+    coupling = ((0.0, omega, vy), (-omega, 0.0, -vx))
+    jac = np.empty(vx.shape + (3, 3))
+    for j in range(3):
+        jac[..., 0, j] = (dF_rx[j] - sd * dF_fy[j]) / p.m + coupling[0][j]
+        jac[..., 1, j] = (dF_ry[j] + cd * dF_fy[j]) / p.m + coupling[1][j]
+        jac[..., 2, j] = (p.lf * cd * dF_fy[j] - p.lr * dF_ry[j]) / p.Iz
+    for dist in disturbances:
+        if dist.kind == "wind":
+            q = dist.params
+            jac[..., 1, 1] -= q["rho"] * q["area"] * q["Cw"] * np.abs(q["vw"] - vy) / p.m
+
+    # each axle's force enters the three rates with these weights
+    weights = ((-sd / p.m, cd / p.m, p.lf * cd / p.Iz), (0.0, 1.0 / p.m, -p.lr / p.Iz))
+    d_coef = np.zeros(vx.shape + (3, 12))
+    for axle in range(2):
+        for i in range(3):
+            for j in range(4):
+                d_coef[..., i, 4 * axle + j] = weights[axle][i] * dF_coef[axle][j]
+    for j, term in enumerate((throttle, -vx, np.full_like(vx, -1.0), -vx * vx)):
+        d_coef[..., 0, 8 + j] = term / p.m
+    return rates, jac, d_coef
 
 
 def loop_windows(trajectories, tau: int):

@@ -11,6 +11,7 @@ from fisherdyn.datagen import (ManeuverController, PurePursuitController,
                                read_dataset, simulate, time_step, write_dataset)
 from fisherdyn.dynamics import (ConfigError, DisturbanceConfig, DynamicModel,
                                 KinematicModel)
+from fisherdyn.numerics import EvaluationError
 
 
 class TestCircularPath:
@@ -212,6 +213,43 @@ class TestSimulate:
         # one recorded derivative per sample, which is also the first RK4
         # stage, and three more stages per step
         assert model.calls == 201 + 3 * 200
+
+    def test_controller_output_that_does_not_fit_names_shapes_and_time(self):
+        def short_of_a_run(states, t):
+            return np.ones((2 if t > 0.15 else 3, 2))
+
+        cfg = SimulationConfig(total_time=1.0)
+        with pytest.raises(ConfigError, match=r"at t=0\.2 has shape \(2, 2\), not that of "
+                                              r"the inputs, \(3, 2\)"):
+            simulate(KinematicModel(), short_of_a_run, cfg, np.zeros((3, 3)))
+
+    def test_nonfinite_input_names_time_and_runs(self):
+        # run 0 coasts out of the envelope at t=0.1, so the stack is cut to
+        # runs 1 and 2 before run 2's steering turns NaN at t=0.2
+        base = ManeuverController(lambda t: 0.0, v_set=lambda t: np.array([0.0, 2.0, 2.0]),
+                                  k_speed=np.array([0.0, 1.0, 1.0]), throttle_ff=0.0)
+
+        def nan_steer(states, t):
+            inputs = base(states, t)
+            if t > 0.19:
+                inputs[2, 1] = np.nan
+            return inputs
+
+        s0 = np.zeros((3, 6))
+        s0[:, 3] = (0.7, 2.0, 2.0)
+        with pytest.raises(EvaluationError, match=r"step from t=0\.2 left runs \[2\] with a "
+                                                  r"non-finite state: non-finite controller "
+                                                  r"inputs in runs \[2\]") as err:
+            simulate(DynamicModel(), nan_steer, SimulationConfig(dt=0.02, total_time=1.0), s0)
+        assert err.value.rows.tolist() == [2]
+
+    def test_overflowing_state_names_time_and_runs(self):
+        cfg = SimulationConfig(total_time=1.0)
+        inputs = np.array([[1.0, 0.0], [1e308, 0.0], [1.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                EvaluationError, match=r"step from t=0 left runs \[1\] with a non-finite "
+                                       r"state: the state overflowed"):
+            simulate(KinematicModel(), lambda states, t: inputs, cfg, np.zeros((3, 3)))
 
     def test_disturbance_divergence_timing(self):
         # bump force is zero at t=0, so the first integration step matches

@@ -72,8 +72,7 @@ class TestPredictNextVelocities:
         def forbidden(*args, **kwargs):
             raise AssertionError("a Jacobian partial was computed")
 
-        monkeypatch.setattr(dynamics, "_tire_slope", forbidden)
-        for name in ("jacobian", "coefficient_partials"):
+        for name in ("slopes", "jacobian", "coefficient_partials"):
             monkeypatch.setattr(dynamics._VelocityTerms, name, forbidden)
         states, coef = velocity_batch(np.random.default_rng(52), 8)
         predict_next_velocities(states, coef, self.p, self.template, 0.02)
@@ -146,7 +145,7 @@ class TestVelocityRatePartials:
             scale = np.max(np.abs(jac[:, 3:, 3:]), axis=(1, 2))[:, None, None]
             assert np.all(np.abs(d_vel - jac[:, 3:, 3:]) <= 1e-12 * scale)
 
-    def test_one_tire_evaluation_per_axle(self, monkeypatch):
+    def test_one_tire_evaluation_per_call(self, monkeypatch):
         calls = []
 
         def counted(*args):
@@ -158,10 +157,12 @@ class TestVelocityRatePartials:
         states, coef = velocity_batch(np.random.default_rng(60), 64)
         vel, u = states[:, :3], states[:, 3:]
         _, d_vel, _ = velocity_rate_partials(vel, u, P, coef, TEMPLATE)
-        assert len(calls) == 2
+        # both axles in one call, on the axle-first (2, n) stack of slip angles
+        assert len(calls) == 1 and calls[0][0].shape == (2, 64)
         # the dynamic model's Jacobian law, at per-row coefficients
-        terms = dynamics._VelocityTerms(vel, u, P, coef, TEMPLATE)
-        assert np.array_equal(d_vel, terms.jacobian(map(dynamics._tire_slope, terms.axles())))
+        terms = dynamics._VelocityTerms(vel, u, P, coef,
+                                        dynamics._axle_columns(coef, TEMPLATE, P, 1))
+        assert np.array_equal(d_vel, terms.jacobian(terms.slopes()))
 
     def test_coefficient_partials_vs_central_differences(self):
         states, coef = velocity_batch(np.random.default_rng(63), 64)

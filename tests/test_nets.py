@@ -15,7 +15,7 @@ from fisherdyn.nets import (ADAM_EPSILON, AdamState, GruSpec, LayerSpec,
                             mlp_param_gradient, mlp_vjp, physics_guard,
                             physics_guard_derivative, Workspace)
 
-from oracles import central_difference_jacobian
+from oracles import broadcast_input_jacobian, central_difference_jacobian
 
 ACTIVATIONS = ["tanh", "sigmoid", "mish", "relu"]
 
@@ -227,6 +227,18 @@ class TestInputJacobian:
             fd = central_difference_jacobian(lambda xx: mlp_forward(params, xx), x)
             assert np.linalg.norm(fd[:, [0, 1, 3]] - jac) <= 1e-6 * max(
                 1.0, np.linalg.norm(jac))
+
+    def test_rows_layout_matches_per_point_products(self):
+        params = init_network(5, (LayerSpec(32, "tanh"), LayerSpec(32, "mish"),
+                                  LayerSpec(16, "relu"), LayerSpec(3, "linear")), seed=9)
+        rng = np.random.default_rng(9)
+        for x in (rng.normal(size=5), rng.normal(size=(878, 5)), rng.normal(size=(4, 6, 5))):
+            for cols in ([0, 1, 2], [4], [3, 0, 1, 2, 4]):
+                jac = mlp_input_jacobian(params, x, cols)
+                ref = broadcast_input_jacobian(params, x, cols)
+                assert jac.shape == ref.shape and jac.flags.writeable
+                scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
+                assert np.all(np.abs(jac - ref) <= 1e-13 * scale)
 
 
 class TestAdam:

@@ -78,6 +78,13 @@ class TestRk4Step:
         with pytest.raises(EvaluationError):
             rk4_step(lambda x, u: x * np.inf, np.array([1.0]), None, 0.1)
 
+    def test_nonfinite_rows_of_a_stack_are_named(self):
+        x = np.array([[1.0, 0.0], [1e308, 0.0], [0.0, 1.0], [0.0, -1e308]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                EvaluationError, match=r"at points \[1, 3\]") as err:
+            rk4_step(lambda x, u: 10.0 * x, x, None, 0.1)
+        assert err.value.rows.tolist() == [1, 3]
+
     def test_given_first_stage_is_bit_identical(self):
         calls = []
 

@@ -1,5 +1,6 @@
 """Property tests of the Fisher scalar and the sigma_max kernel over generated
-stacks, of the dynamic model's velocity Jacobian, of mish against its
+stacks, of the dynamic model's velocity Jacobian and its axle-stacked velocity
+law against the per-axle oracle, of mish against its
 np.logaddexp form, and of the dataset and checkpoint file round trips. The
 examples are derandomized, so every run checks the same ones."""
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from fisherdyn.datagen import Trajectory, read_dataset, write_dataset  # noqa: E402
+from fisherdyn import dynamics  # noqa: E402
 from fisherdyn.dynamics import (DELTA_MAX, DrivetrainCoefficients,  # noqa: E402
                                 VehicleParams, velocity_rate_partials,
                                 velocity_rates)
@@ -25,8 +27,8 @@ from fisherdyn.nets import (LayerSpec, LearnedDynamicsModel, NetworkParams,  # n
                             _activation_deriv, _softplus, mish, sigmoid)
 from fisherdyn.numerics import largest_singular_value  # noqa: E402
 
-from oracles import curvature_fisher, random_orthogonal  # noqa: E402
-from test_dynamics import TIRE_PAIRS  # noqa: E402
+from oracles import curvature_fisher, per_axle_velocity_law, random_orthogonal  # noqa: E402
+from test_dynamics import DISTURBANCE_SETS, TIRE_PAIRS  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 ENTRIES = st.floats(-1e3, 1e3, allow_nan=False)
@@ -142,6 +144,44 @@ def test_velocity_block_matches_central_differences(points):
                           - velocity_rates(vel - h, u, p, coef, tires)) / 2e-6
         scale = np.max(np.abs(fd), axis=(1, 2), keepdims=True)
         assert np.all(np.abs(d_vel - fd) <= 1e-6 * scale)
+
+
+@st.composite
+def velocity_law_points(draw):
+    """(rows (..., 5) in the box above, coefficient fractions (12,) or
+    (..., 12) of the way through each guard bracket, t): one point or a
+    stack of 1-6, t a scalar or one per point. Fractions 0, 1/2 and 1 come
+    often; at 1/2 vy, omega and delta are exactly 0."""
+    lead = draw(st.sampled_from([(), (draw(st.integers(1, 6)),)]))
+    unit = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    rows = VELOCITY_LOWER + (VELOCITY_UPPER - VELOCITY_LOWER) * draw(
+        arrays(float, lead + (5,), elements=unit))
+    frac = draw(arrays(float, draw(st.sampled_from([(12,), lead + (12,)])), elements=unit))
+    t = draw(st.floats(0.0, 20.0) | arrays(float, lead, elements=st.floats(0.0, 20.0)))
+    return rows, frac, t
+
+
+ALL_FIVE = [d for dists in DISTURBANCE_SETS[1:6] for d in dists]
+
+
+@pytest.mark.parametrize("dists", DISTURBANCE_SETS[:6] + [ALL_FIVE],
+                         ids=["none", "wind", "bank", "bump", "roll", "tire_temperature",
+                              "all_five"])
+@PROPERTY
+@given(velocity_law_points())
+def test_stacked_velocity_law_is_the_per_axle_law_bit_for_bit(dists, points):
+    rows, frac, t = points
+    vel, u, p = rows[..., :3], rows[..., 3:], VehicleParams()
+    for tires in TIRE_PAIRS:
+        bounds = default_guard_bounds(tires, DrivetrainCoefficients())
+        coef = bounds.lower + (bounds.upper - bounds.lower) * frac
+        terms = dynamics._VelocityTerms(vel, u, p, coef,
+                                        dynamics._axle_columns(coef, tires, p, vel.ndim - 1))
+        slopes = terms.slopes()
+        stacked = (terms.rates(dists, t), terms.jacobian(slopes, dists, t),
+                   terms.coefficient_partials(slopes))
+        for got, want in zip(stacked, per_axle_velocity_law(vel, u, p, coef, tires, dists, t)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @PROPERTY
